@@ -44,11 +44,14 @@ class optional_build_ext(build_ext):
 setup(
     package_dir={"": "src"},
     packages=["repro"],
+    install_requires=["numpy"],
     ext_modules=[
         Extension(
             "repro._ckernel",
             sources=["src/repro/_ckernelmodule.c"],
-            extra_compile_args=["-O2"],
+            # -g0 drops the -g inherited from Python's CFLAGS: a faster
+            # compile, and the same machine code.
+            extra_compile_args=["-O2", "-g0"],
             optional=True,
         )
     ],

@@ -3822,8 +3822,7 @@ static struct {
         *counters_attr, *l1_hits, *gap, *next_send_seq, *send_seq,
         *messages_sent, *injected, *sent_name, *msg_class, *payload,
         *address, *issued_at, *ordered_at, *requests_ordered, *busy,
-        *snoopers, *memory_snooper, *ordered_hooks, *requests_issued,
-        *arb_label, *snoop_label;
+        *requests_issued, *arb_label, *snoop_label;
 } PS;
 
 /* Attribute -> long long via a C string name (constructor-time only). */
@@ -4927,13 +4926,14 @@ static PyTypeObject CRecvCore_Type = {
 /* ---------------------------------------------------------- BusCore */
 
 /* Compiled snooping address-bus arbitration: issue -> _try_start ->
- * _order_next and the broadcast dispatch, replacing three Python frames
- * and a closure per ordered request.  The request deque, the _busy flag
- * and every counter stay on the Python AddressBus (flush() and the stats
- * reports read them); the arbitration event is a reused static event --
- * legal because the busy flag guarantees at most one is ever pending,
- * and seq numbers are drawn from the same shared queue counter a pure
- * push would use. */
+ * _order_next, replacing three Python frames and a closure per ordered
+ * request.  The broadcast itself (the snoop filter and the snooper, memory
+ * and hook calls) is the pure AddressBus._broadcast, called from a thunk.
+ * The request deque, the _busy flag and every counter stay on the Python
+ * AddressBus (flush() and the stats reports read them); the arbitration
+ * event is a reused static event -- legal because the busy flag
+ * guarantees at most one is ever pending, and seq numbers are drawn from
+ * the same shared queue counter a pure push would use. */
 typedef struct CBusCoreT CBusCore;
 
 struct CBusCoreT {
@@ -4945,6 +4945,7 @@ struct CBusCoreT {
     PyObject *q_append, *q_popleft;
     PyObject *counters_dict;    /* bus._counters */
     PyObject *count_meth;       /* bound bus.count */
+    PyObject *broadcast;        /* bound bus._broadcast */
     long long arbitration_cycles, snoop_latency;
     CEvent *arb_event;          /* strong, static, callback == self */
     int busy;
@@ -4953,8 +4954,7 @@ struct CBusCoreT {
 static PyTypeObject CBusCore_Type;
 static PyTypeObject CBusSnoopThunk_Type;
 
-/* Per-broadcast thunk: carries the ordered request to the snoop fan-out
- * (replaces the pure `lambda: self._broadcast(request)`). */
+/* Per-broadcast thunk: the pure `lambda: self._broadcast(request)`. */
 typedef struct {
     PyObject_HEAD
     CBusCore *core;             /* strong */
@@ -4988,70 +4988,7 @@ BusThunk_dealloc(CBusSnoopThunk *self)
 static PyObject *
 BusThunk_call(CBusSnoopThunk *self, PyObject *args, PyObject *kwds)
 {
-    /* AddressBus._broadcast: snoop every cache, then memory, then the
-     * ordered hooks.  The lists are read live off the bus -- attachment
-     * may legally happen after install. */
-    PyObject *bus = self->core->bus;
-    PyObject *request = self->request;
-    PyObject *snoopers = PyObject_GetAttr(bus, PS.snoopers);
-    if (snoopers == NULL || !PyList_Check(snoopers)) {
-        Py_XDECREF(snoopers);
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "_snoopers must be a list");
-        return NULL;
-    }
-    int owner_found = 0;
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(snoopers); i++) {
-        PyObject *snooper = PyList_GET_ITEM(snoopers, i);
-        Py_INCREF(snooper);
-        PyObject *r = PyObject_CallOneArg(snooper, request);
-        Py_DECREF(snooper);
-        if (r == NULL) {
-            Py_DECREF(snoopers);
-            return NULL;
-        }
-        int truth = PyObject_IsTrue(r);
-        Py_DECREF(r);
-        if (truth < 0) {
-            Py_DECREF(snoopers);
-            return NULL;
-        }
-        owner_found |= truth;
-    }
-    Py_DECREF(snoopers);
-    PyObject *mem = PyObject_GetAttr(bus, PS.memory_snooper);
-    if (mem == NULL)
-        return NULL;
-    if (mem != Py_None) {
-        PyObject *r = PyObject_CallFunctionObjArgs(
-            mem, request, owner_found ? Py_True : Py_False, NULL);
-        if (r == NULL) {
-            Py_DECREF(mem);
-            return NULL;
-        }
-        Py_DECREF(r);
-    }
-    Py_DECREF(mem);
-    PyObject *hooks = PyObject_GetAttr(bus, PS.ordered_hooks);
-    if (hooks == NULL || !PyList_Check(hooks)) {
-        Py_XDECREF(hooks);
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "_ordered_hooks must be a list");
-        return NULL;
-    }
-    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(hooks); i++) {
-        PyObject *hook = PyList_GET_ITEM(hooks, i);
-        Py_INCREF(hook);
-        PyObject *r = PyObject_CallOneArg(hook, request);
-        Py_DECREF(hook);
-        if (r == NULL) {
-            Py_DECREF(hooks);
-            return NULL;
-        }
-        Py_DECREF(r);
-    }
-    Py_DECREF(hooks);
-    Py_RETURN_NONE;
+    return PyObject_CallOneArg(self->core->broadcast, self->request);
 }
 
 static PyTypeObject CBusSnoopThunk_Type = {
@@ -5076,6 +5013,7 @@ BusCore_traverse(CBusCore *self, visitproc visit, void *arg)
     Py_VISIT(self->q_popleft);
     Py_VISIT(self->counters_dict);
     Py_VISIT(self->count_meth);
+    Py_VISIT(self->broadcast);
     Py_VISIT(self->arb_event);
     return 0;
 }
@@ -5091,6 +5029,7 @@ BusCore_clear_gc(CBusCore *self)
     Py_CLEAR(self->q_popleft);
     Py_CLEAR(self->counters_dict);
     Py_CLEAR(self->count_meth);
+    Py_CLEAR(self->broadcast);
     Py_CLEAR(self->arb_event);
     return 0;
 }
@@ -5152,6 +5091,9 @@ BusCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     }
     self->count_meth = PyObject_GetAttrString(bus, "count");
     if (self->count_meth == NULL)
+        goto fail;
+    self->broadcast = PyObject_GetAttrString(bus, "_broadcast");
+    if (self->broadcast == NULL)
         goto fail;
     if (getattrstr_ll(bus, "arbitration_cycles",
                       &self->arbitration_cycles) < 0 ||
@@ -6942,7 +6884,7 @@ static PyTypeObject CMemCore_Type = {
 
 /* Compiled SnoopingCacheController hot paths: the processor-facing
  * access() (MOESI L2 lookup + hit finish + transaction issue), the
- * per-request snoop() fan-out the BusCore broadcast dispatches to
+ * snoop() the bus's snoop filter calls (installed as ctrl.snoop)
  * (own/foreign GETS/GETX/Writeback, including the Section 3.2
  * writeback-race bookkeeping) and the data-network receive_data()
  * install/complete path.  Ports of the pure methods in
@@ -8832,9 +8774,6 @@ PyInit__ckernel(void)
     INTERN(ordered_at, "ordered_at");
     INTERN(requests_ordered, "requests_ordered");
     INTERN(busy, "_busy");
-    INTERN(snoopers, "_snoopers");
-    INTERN(memory_snooper, "_memory_snooper");
-    INTERN(ordered_hooks, "_ordered_hooks");
     INTERN(requests_issued, "requests_issued");
     INTERN(arb_label, "bus.arbitrate");
     INTERN(snoop_label, "bus.snoop");

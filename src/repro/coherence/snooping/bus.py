@@ -1,12 +1,19 @@
 """Totally ordered broadcast address network ("the bus").
 
 Broadcast snooping relies on a network that establishes a single global
-order of coherence requests and delivers every request to every controller
-in that order.  The model here is a split-transaction bus: requests queue at
-the arbiter, one request is *ordered* per arbitration slot, and the ordered
-request is then snooped by all cache controllers and the memory controller.
-Data responses do not use the bus; they travel on a point-to-point data
-network modelled as a fixed latency chosen by the responder.
+order of coherence requests.  The model here is a split-transaction bus:
+requests queue at the arbiter, one request is *ordered* per arbitration
+slot, and the ordered request is then observed, in that order, by the cache
+controllers, the memory controller and the ordered hooks.  Data responses do
+not use the bus; they travel on a point-to-point data network modelled as a
+fixed latency chosen by the responder.
+
+The memory controller and the hooks see every ordered request.  A cache
+controller's ``snoop()`` is called only when the request can concern it (a
+snoop filter): it is the requestor, or, for a RequestReadOnly or
+RequestReadWrite, it holds the block, has a Writeback record for it or has
+its outstanding transaction on it.  Every other snoop would return False
+and change nothing, so skipping it leaves every result unchanged.
 
 The bus is also the snooping system's logical time base for SafetyNet:
 checkpoints are taken every N ordered requests (Table 2: 3,000 requests).
@@ -18,12 +25,15 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
 from repro.coherence.common import BlockAddress
 from repro.sim.component import Component
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
+
+if TYPE_CHECKING:
+    from repro.coherence.snooping.cache_controller import SnoopingCacheController
 
 
 class BusRequestType(str, Enum):
@@ -51,9 +61,10 @@ class BusRequest:
     ordered_at: int = -1
 
 
-#: A snooper receives every ordered request and returns True when it will
-#: supply the data for it (i.e. it is the owner).
-Snooper = Callable[[BusRequest], bool]
+#: What the snoop filter reads of one attached cache controller: its node
+#: id, its L2 set list, its ``writebacks`` dict and the controller itself
+#: (for ``transaction`` and ``snoop``).
+SnoopBinding = Tuple[int, List[dict], dict, "SnoopingCacheController"]
 
 
 class AddressBus(Component):
@@ -68,16 +79,34 @@ class AddressBus(Component):
         self.arbitration_cycles = arbitration_cycles
         self.snoop_latency_cycles = snoop_latency_cycles
         self._queue: Deque[BusRequest] = deque()
-        self._snoopers: List[Snooper] = []
+        self._snoopers: List[SnoopBinding] = []
+        #: L2 geometry shared by every attached controller (set addressing
+        #: runs once per ordered request, not once per controller).
+        self._block_bytes = 1
+        self._num_sets = 1
         self._memory_snooper: Optional[Callable[[BusRequest, bool], None]] = None
         self._ordered_hooks: List[Callable[[BusRequest], None]] = []
         self._busy = False
         self.requests_ordered = 0
 
     # ------------------------------------------------------------------ wiring
-    def attach_snooper(self, snooper: Snooper) -> None:
-        """Attach a cache controller's snoop function."""
-        self._snoopers.append(snooper)
+    def attach_controller(self, controller: SnoopingCacheController) -> None:
+        """Attach a cache controller; snoopers are called in attach order.
+
+        The bindings are captured here: ``cache._sets`` is fixed from array
+        construction until ``recycle_sets()`` runs after the run, and
+        ``writebacks`` is only ever cleared in place.
+        """
+        cache = controller.cache
+        if not self._snoopers:
+            self._block_bytes = cache._block_bytes
+            self._num_sets = cache._num_sets
+        elif (cache._block_bytes, cache._num_sets) != (self._block_bytes,
+                                                       self._num_sets):
+            raise ValueError(f"{cache.name}: every cache on the bus must "
+                             "share one L2 geometry")
+        self._snoopers.append((controller.node_id, cache._sets,
+                               controller.writebacks, controller))
 
     def attach_memory(self, memory_snooper: Callable[["BusRequest", bool], None]) -> None:
         """Attach the memory controller.
@@ -124,10 +153,21 @@ class AddressBus(Component):
         self._try_start()
 
     def _broadcast(self, request: BusRequest) -> None:
+        # The snoop filter (module docstring).  It is evaluated right
+        # before each call, so it sees every change an earlier snooper of
+        # this request made, a recovery included.
+        requestor = request.requestor
+        address = request.address
+        foreign_visible = request.rtype is not BusRequestType.WRITEBACK
+        index = (address // self._block_bytes) % self._num_sets
         owner_found = False
-        for snooper in self._snoopers:
-            if snooper(request):
-                owner_found = True
+        for node, sets, writebacks, controller in self._snoopers:
+            if node == requestor or (foreign_visible and (
+                    address in sets[index] or address in writebacks
+                    or ((txn := controller.transaction) is not None
+                        and txn.address == address))):
+                if controller.snoop(request):
+                    owner_found = True
         if self._memory_snooper is not None:
             self._memory_snooper(request, owner_found)
         for hook in self._ordered_hooks:

@@ -1,8 +1,10 @@
 """Snooping cache controller (MOESI).
 
-The controller issues requests on the ordered address network, snoops every
-ordered request, and supplies data when it is the owner.  The Section 3.2
-corner case is modelled faithfully via :class:`SnoopWritebackRecord` (see
+The controller issues requests on the ordered address network, snoops the
+ordered requests that can concern it (the bus filters out the rest, see
+:mod:`repro.coherence.snooping.bus`), and supplies data when it is the
+owner.  The Section 3.2 corner case is modelled faithfully via
+:class:`SnoopWritebackRecord` (see
 :class:`repro.coherence.snooping.states.WritebackPhase`).
 
 Speculative vs. full variant:

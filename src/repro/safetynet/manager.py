@@ -95,7 +95,8 @@ class SafetyNet:
         checkpoints = self._checkpoints
         sim = self.sim
         impl = kernel.engine_impl()
-        if impl is not None and isinstance(sim, impl.Simulator):
+        if (impl is not None and isinstance(sim, impl.Simulator)
+                and hasattr(impl, "LogObserver")):
             # Compiled tier: record construction + append run in C against
             # the same log buffer (commit/discard/queries stay pure).
             return impl.LogObserver(log, checkpoints, target_id, sim)

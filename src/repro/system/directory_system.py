@@ -166,6 +166,7 @@ class DirectorySystem(System):
         # processor issue loop, the send closure and the receive dispatch.
         # Each core is a byte-identical port of the pure code above, which
         # remains the single source of truth (and handles every cold path).
+        # A core missing from the extension leaves its path pure.
         impl = kernel.engine_impl()
         if (impl is None or not hasattr(impl, "ProcessorCore")
                 or not hasattr(impl, "TransactionCore")):
@@ -183,12 +184,13 @@ class DirectorySystem(System):
                     processor, node.l2_array, MemoryOp.STORE,
                     CacheState.INVALID, (CacheState.MODIFIED,))
                 processor._issue_next = proc_core
-            send = impl.MessageSendCore(
-                network, node.node_id, NetworkMessage, MessageClass.DATA,
-                MessageClass.WRITEBACK, icfg.data_message_bytes,
-                icfg.control_message_bytes)
-            node.cache_controller.send = send
-            node.directory.send = send
+            if hasattr(impl, "MessageSendCore"):
+                send = impl.MessageSendCore(
+                    network, node.node_id, NetworkMessage, MessageClass.DATA,
+                    MessageClass.WRITEBACK, icfg.data_message_bytes,
+                    icfg.control_message_bytes)
+                node.cache_controller.send = send
+                node.directory.send = send
             # Transaction path: the controller's access() plus the DATA/ACK
             # handlers (built after the send rebind so the core captures the
             # compiled send).  The handler-dict entries give C-to-C dispatch
@@ -206,14 +208,17 @@ class DirectorySystem(System):
             node.cache_controller._handlers[MessageClass.ACK] = \
                 txn_core.handle_ack
             processor.l2_access = txn_core.access
-            if proc_core is not None:
+            if proc_core is not None and hasattr(impl, "MemoryCompleteCore"):
                 processor._memory_complete = impl.MemoryCompleteCore(
                     processor, proc_core, L1State.VALID, CacheLine)
-            network._endpoints[node.node_id].receive = impl.DirectoryReceiveCore(
-                node.cache_controller, node.directory,
-                VirtualNetwork.REQUEST, VirtualNetwork.FINAL_ACK,
-                MessageClass.REQUEST_READ_ONLY, MessageClass.REQUEST_READ_WRITE,
-                MessageClass.WRITEBACK, MessageClass.FINAL_ACK)
+            if hasattr(impl, "DirectoryReceiveCore"):
+                endpoint = network._endpoints[node.node_id]
+                endpoint.receive = impl.DirectoryReceiveCore(
+                    node.cache_controller, node.directory,
+                    VirtualNetwork.REQUEST, VirtualNetwork.FINAL_ACK,
+                    MessageClass.REQUEST_READ_ONLY,
+                    MessageClass.REQUEST_READ_WRITE,
+                    MessageClass.WRITEBACK, MessageClass.FINAL_ACK)
 
     # --------------------------------------------------------------------- run
     def _default_max_cycles(self) -> int:

@@ -88,7 +88,7 @@ class SnoopingSystem(System):
                 f"snoop-l2.{node_id}", node_id, l2_array.restore_field))
             self.safetynet.register_participant(processor)
             self.safetynet.add_squash_hook(cache_ctrl.squash_transient_state)
-            self.bus.attach_snooper(cache_ctrl.snoop)
+            self.bus.attach_controller(cache_ctrl)
             self.nodes.append(SnoopingNode(
                 node_id=node_id, processor=processor, l1=l1,
                 l2_array=l2_array, cache_controller=cache_ctrl))
@@ -107,15 +107,17 @@ class SnoopingSystem(System):
         # the pure methods stay authoritative and still handle every cold
         # path).  BusCore is installed first: SnoopCore captures
         # ``ctrl.bus.issue`` at construction and must see the compiled
-        # arbitration loop.
+        # arbitration loop.  A core missing from the extension leaves its
+        # path pure.
         impl = kernel.engine_impl()
         if impl is None or not hasattr(impl, "ProcessorCore"):
             return
         if not isinstance(self.sim, impl.Simulator):
             return
-        core = impl.BusCore(self.bus)
-        self.bus._bus_core = core
-        self.bus.issue = core.issue
+        if hasattr(impl, "BusCore"):
+            core = impl.BusCore(self.bus)
+            self.bus._bus_core = core
+            self.bus.issue = core.issue
         for node in self.nodes:
             processor = node.processor
             if processor.l1 is not None:
@@ -142,7 +144,7 @@ class SnoopingSystem(System):
                 ctrl._snoop_core = snoop_core
                 node.processor.l2_access = snoop_core.access
                 ctrl.receive_data = snoop_core.receive_data
-                self.bus._snoopers[node.node_id] = snoop_core.snoop
+                ctrl.snoop = snoop_core.snoop
 
     # --------------------------------------------------------------------- run
     def _default_max_cycles(self) -> int:

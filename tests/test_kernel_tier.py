@@ -342,3 +342,43 @@ class TestTierParity:
                 assert a == b, (
                     f"{leg} divergence at {workload}/{protocol.value}"
                     f"@{'no-vc' if s3 else 'vc'}")
+
+
+# ------------------------------------------------------ partial extensions
+#: Cores installed under their own symbol check: an extension without one
+#: keeps only that path pure.  (ProcessorCore and TransactionCore gate
+#: whole groups; the benchmark's ablations are defined by that.)
+PER_CORE_SYMBOLS = ("LogObserver", "MessageSendCore", "MemoryCompleteCore",
+                    "DirectoryReceiveCore", "BusCore")
+
+
+def _both_protocols_json(tier: str):
+    from repro.campaign.executor import execute_spec
+    from repro.campaign.spec import RunSpec
+    from repro.experiments.common import benchmark_config
+    from repro.sim.config import ProtocolKind
+
+    kernel.set_kernel_tier(tier)
+    outputs = []
+    for protocol in (ProtocolKind.DIRECTORY, ProtocolKind.SNOOPING):
+        config = benchmark_config("jbb", references=40, protocol=protocol,
+                                  num_processors=4)
+        result = execute_spec(RunSpec(config=config, label=protocol.value))
+        outputs.append(json.dumps(result.to_json(), sort_keys=True))
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def _pure_both_protocols():
+    try:
+        return _both_protocols_json("pure")
+    finally:
+        kernel.set_kernel_tier(None)
+
+
+@needs_compiled
+@pytest.mark.parametrize("symbol", PER_CORE_SYMBOLS)
+def test_extension_missing_one_core_falls_back_to_pure_bytes(
+        symbol, monkeypatch, _pure_both_protocols):
+    monkeypatch.delattr(kernel.compiled_module(), symbol)
+    assert _both_protocols_json("compiled") == _pure_both_protocols

@@ -18,7 +18,7 @@ from repro.coherence.snooping.cache_controller import SnoopingCacheController
 from repro.coherence.snooping.memory_controller import SnoopingMemoryController
 from repro.coherence.snooping.states import SnoopState, WritebackPhase
 from repro.core.events import MisspeculationEvent, SpeculationKind
-from repro.sim.config import ProtocolVariant, SystemConfig
+from repro.sim.config import CacheConfig, ProtocolVariant, SystemConfig
 from repro.sim.engine import Simulator
 
 
@@ -46,7 +46,7 @@ class SnoopHarness:
                 misspeculation_reporter=self.events.append)
             self.caches[node] = cache
             self.ctrls[node] = ctrl
-            self.bus.attach_snooper(ctrl.snoop)
+            self.bus.attach_controller(ctrl)
         self.bus.attach_memory(self.memory.snoop)
 
     def _deliver(self, dst: int, address: int, value: int) -> None:
@@ -251,6 +251,41 @@ class TestBusAndMemory:
         h.access(0, MemoryOp.LOAD, 0x100)
         h.access(1, MemoryOp.LOAD, 0x200)
         assert calls == [0x100, 0x200]
+
+    def test_snoop_filter_delivers_to_requestor_and_holders_only(self):
+        h = SnoopHarness()
+        h.access(1, MemoryOp.LOAD, 0x1000)
+        delivered = []
+
+        def recording(node, snoop):
+            def snoop_and_record(request):
+                delivered.append(node)
+                return snoop(request)
+            return snoop_and_record
+
+        for node, ctrl in h.ctrls.items():
+            ctrl.snoop = recording(node, ctrl.snoop)
+        ordered = []
+        h.bus.add_ordered_hook(lambda req: ordered.append(req.rtype))
+        h.access(2, MemoryOp.STORE, 0x1000, value=4)
+        assert delivered == [1, 2]
+        # A Writeback reaches its writer only; memory still absorbs it.
+        delivered.clear()
+        h.ctrls[2]._evict(h.caches[2].peek(0x1000))
+        h.sim.run_until_idle()
+        assert delivered == [2]
+        assert ordered == [BusRequestType.GETX, BusRequestType.WRITEBACK]
+        assert h.memory.read(0x1000) == 4
+
+    def test_bus_rejects_mixed_l2_geometry(self):
+        h = SnoopHarness()
+        larger = CacheConfig(h.config.l2.size_bytes * 2,
+                             h.config.l2.associativity)
+        cache = CacheArray("snoop-l2.4", larger, SnoopState.INVALID)
+        ctrl = SnoopingCacheController(4, h.sim, h.config, cache, h.bus,
+                                       h._deliver)
+        with pytest.raises(ValueError, match="geometry"):
+            h.bus.attach_controller(ctrl)
 
     def test_memory_restore_field(self):
         h = SnoopHarness()
