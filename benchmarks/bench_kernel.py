@@ -16,15 +16,6 @@ macro experiment (the Figure 4 recovery-rate sweep) end to end:
 * ``fig4_macro`` — wall-clock seconds for the Figure 4 recovery-rate sweep
   (the experiment the paper's headline figure comes from), plus the
   aggregate simulator events/sec it achieved.
-* ``campaign_batched`` — the workload-matrix quick grid run batched in one
-  process with warm workload/topology memos, against a fresh-subprocess
-  -per-spec baseline (cold imports, cold memos); reports the speedup and
-  checks the two modes produce identical results.
-* ``campaign_multiplex`` — the full 40-point workload-matrix grid as one
-  multiplexed warm-process pass (:class:`repro.campaign.multiplex
-  .MultiplexExecutor`) against the same grid batched in a single cold
-  subprocess; reports the speedup and checks all modes produce
-  byte-identical results.
 * ``campaign_sharded`` — the full 40-point workload-matrix grid fanned out
   to crash-safe store workers (:class:`repro.campaign.sharding
   .ShardedExecutor`) against an uncached serial baseline; reports the
@@ -302,179 +293,6 @@ def bench_fig4_macro(workloads: Optional[List[str]] = None,
     return out
 
 
-def bench_campaign_batched(references: int = 250) -> Dict[str, Any]:
-    """Batched in-process vs fresh-subprocess-per-spec on the workload
-    -matrix quick grid.
-
-    The baseline runs every design point in its own freshly spawned
-    interpreter — the way a naive campaign shells out one process per spec:
-    cold imports, cold artifact memos.  The batched run maps the same grid
-    through :class:`repro.campaign.executor.BatchExecutor` in one process
-    with warm workload/topology memos.  Both modes must produce identical
-    results (the batched leg of the determinism contract, reported as
-    ``identical``).
-
-    ``references`` is deliberately short: the benchmark measures per-spec
-    orchestration overhead (process spawn, imports, artifact regeneration),
-    which a long simulation would drown; both raw wall-clock legs are
-    reported so the absolute overhead stays visible either way.
-    """
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.campaign.executor import BatchExecutor, execute_spec
-    from repro.campaign.precompute import clear_memos, memo_stats
-    from repro.campaign.spec import RunSpec
-    from repro.experiments.workload_matrix import (
-        MAX_CYCLES,
-        PROTOCOLS,
-        QUICK_WORKLOADS,
-        S3_MODES,
-        _point_config,
-        _point_label,
-    )
-
-    specs = [RunSpec(config=_point_config(workload, protocol, s3,
-                                          references=references, seed=1),
-                     label=_point_label(workload, protocol, s3),
-                     max_cycles=MAX_CYCLES)
-             for workload in QUICK_WORKLOADS
-             for protocol in PROTOCOLS
-             for s3 in S3_MODES]
-
-    spawn = mp.get_context("spawn")
-    start = time.perf_counter()
-    per_spec_results = []
-    for spec in specs:
-        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-            per_spec_results.append(pool.submit(execute_spec, spec).result())
-    per_spec_seconds = time.perf_counter() - start
-
-    clear_memos()
-    start = time.perf_counter()
-    batched_results = BatchExecutor().map(specs)
-    batched_seconds = time.perf_counter() - start
-
-    stats = memo_stats()
-    return {
-        "specs": len(specs),
-        "cpus": _available_cpus(),
-        "references": references,
-        "per_spec_seconds": round(per_spec_seconds, 3),
-        "wall_seconds": round(batched_seconds, 3),
-        "batched_speedup": round(per_spec_seconds / batched_seconds, 3)
-        if batched_seconds > 0 else float("inf"),
-        "identical": all(a.to_json() == b.to_json()
-                         for a, b in zip(per_spec_results, batched_results)),
-        "stream_hits": stats["stream_hits"],
-        "stream_misses": stats["stream_misses"],
-        "topology_hits": stats["topology_hits"],
-        "topology_misses": stats["topology_misses"],
-    }
-
-
-def _batched_map_json(spec_payloads: List[str]) -> List[str]:
-    """Subprocess entry for the cold-campaign baseline: map the grid through
-    a fresh :class:`BatchExecutor` (cold imports, cold memos) and return the
-    result JSON strings."""
-    import json as _json
-
-    from repro.campaign.executor import BatchExecutor
-    from repro.campaign.spec import spec_from_json
-
-    specs = [spec_from_json(_json.loads(payload)) for payload in spec_payloads]
-    return [_json.dumps(result.to_json(), sort_keys=True)
-            for result in BatchExecutor().map(specs)]
-
-
-def bench_campaign_multiplex(references: int = 15,
-                             quick: bool = False) -> Dict[str, Any]:
-    """Multiplexed one-process pass vs a cold batched campaign process on
-    the workload-matrix grid (full: all 40 design points; ``quick``: the
-    8-point quick grid).
-
-    The baseline is the whole grid shelled out to **one** freshly spawned
-    interpreter mapping through :class:`repro.campaign.executor
-    .BatchExecutor` — a campaign run cold, the way a driver script invokes
-    the runner: interpreter start, cold imports, cold artifact memos, cold
-    allocator.  The multiplexed leg maps the same grid in-process through
-    :class:`repro.campaign.multiplex.MultiplexExecutor` (memos cleared
-    first, so artifact generation is *not* where the win comes from),
-    interleaving system construction with run execution so every hot path
-    stays warm.  Both legs must produce byte-identical results (the
-    multiplexed leg of the determinism contract, reported as
-    ``identical``).
-
-    ``references`` is deliberately short: the benchmark measures the
-    per-campaign and per-point orchestration overhead the multiplexer
-    amortizes (process start, imports, prologue construction), which long
-    simulations would drown; the in-process batched leg rides along so the
-    interpreter-start share of the win stays visible.
-    """
-    import json as _json
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.campaign.executor import BatchExecutor
-    from repro.campaign.multiplex import MultiplexExecutor
-    from repro.campaign.precompute import clear_memos
-    from repro.campaign.spec import RunSpec
-    from repro.experiments.workload_matrix import (
-        MAX_CYCLES,
-        PROTOCOLS,
-        QUICK_WORKLOADS,
-        S3_MODES,
-        _point_config,
-        _point_label,
-    )
-    from repro.workloads import workload_names
-
-    workloads = QUICK_WORKLOADS if quick else workload_names()
-    specs = [RunSpec(config=_point_config(workload, protocol, s3,
-                                          references=references, seed=1),
-                     label=_point_label(workload, protocol, s3),
-                     max_cycles=MAX_CYCLES)
-             for workload in workloads
-             for protocol in PROTOCOLS
-             for s3 in S3_MODES]
-    payloads = [_json.dumps(spec.to_json()) for spec in specs]
-
-    spawn = mp.get_context("spawn")
-    start = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-        cold_results = pool.submit(_batched_map_json, payloads).result()
-    cold_batched_seconds = time.perf_counter() - start
-
-    # The multiplexed leg runs first of the two in-process legs: it is the
-    # primary metric, and it should not be measured on a heap another leg
-    # just churned.
-    clear_memos()
-    start = time.perf_counter()
-    mux_results = MultiplexExecutor().map(specs)
-    mux_seconds = time.perf_counter() - start
-
-    clear_memos()
-    start = time.perf_counter()
-    batched_results = BatchExecutor().map(specs)
-    batched_seconds = time.perf_counter() - start
-
-    mux_json = [_json.dumps(result.to_json(), sort_keys=True)
-                for result in mux_results]
-    batched_json = [_json.dumps(result.to_json(), sort_keys=True)
-                    for result in batched_results]
-    return {
-        "specs": len(specs),
-        "cpus": _available_cpus(),
-        "references": references,
-        "cold_batched_seconds": round(cold_batched_seconds, 3),
-        "batched_seconds": round(batched_seconds, 3),
-        "wall_seconds": round(mux_seconds, 3),
-        "multiplex_speedup": round(cold_batched_seconds / mux_seconds, 3)
-        if mux_seconds > 0 else float("inf"),
-        "identical": mux_json == cold_results and mux_json == batched_json,
-    }
-
-
 def bench_campaign_sharded(references: int = 80, workers: int = 4,
                            quick: bool = False) -> Dict[str, Any]:
     """Sharded store workers vs an uncached serial run on the workload
@@ -567,10 +385,6 @@ BENCHMARKS: Dict[str, Any] = {
                 {"num_decisions": 20_000}),
     "fig4_macro": (bench_fig4_macro, {},
                    {"workloads": ["jbb", "oltp"], "references": 200}),
-    "campaign_batched": (bench_campaign_batched, {"references": 80},
-                         {"references": 60}),
-    "campaign_multiplex": (bench_campaign_multiplex, {"references": 15},
-                           {"references": 15, "quick": True}),
     "campaign_sharded": (bench_campaign_sharded,
                          {"references": 80, "workers": 4},
                          {"references": 60, "workers": 2, "quick": True}),
@@ -602,7 +416,8 @@ def run_all(quick: bool = False,
     ``tier`` selects the kernel tier (``pure`` / ``compiled`` / ``auto``)
     for the duration of the run; ``None`` keeps the process selection.  The
     choice is mirrored into ``REPRO_KERNEL`` so benchmarks that spawn
-    subprocesses (``campaign_batched``) run both legs on the same tier.
+    subprocesses (``campaign_sharded``'s workers) run every leg on the same
+    tier.
 
     When ``profiles`` is a dict, every benchmark runs under :mod:`cProfile`
     and its top-N cumulative table lands in it keyed by benchmark name (the

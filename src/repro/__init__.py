@@ -34,7 +34,6 @@ from repro.sim.config import (
 from repro.core import (
     MisspeculationEvent,
     RecoveryRecord,
-    SpeculationFramework,
     SpeculationKind,
     TABLE1_MECHANISMS,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "WorkloadConfig",
     "MisspeculationEvent",
     "RecoveryRecord",
-    "SpeculationFramework",
     "SpeculationKind",
     "TABLE1_MECHANISMS",
     "Speculation",

@@ -4328,10 +4328,10 @@ static PyTypeObject CProcCore_Type = {
 /* Compiled protocol send path: the per-node send closure built by
  * DirectorySystem._make_send fused with InterconnectNetwork.send.
  * Message construction still goes through the Python NetworkMessage class
- * (the shared msg_id counter and the vnet precomputation live there); the
- * sequence assignment, accounting and injection drain are inlined.  The
- * pure network.send keeps working on the same shared state and is also
- * the fallback for the unattached-endpoint error path. */
+ * (the vnet precomputation lives there); the sequence assignment,
+ * accounting and injection drain are inlined.  The pure network.send
+ * keeps working on the same shared state and is also the fallback for the
+ * unattached-endpoint error path. */
 typedef struct {
     PyObject_HEAD
     PyObject *network;
@@ -4545,9 +4545,8 @@ SendCore_call(CSendCore *self, PyObject *args, PyObject *kwds)
     PyObject *size = (msg_class == self->data_cls ||
                       msg_class == self->wb_cls) ? self->data_size
                                                  : self->ctrl_size;
-    /* Construct first: the shared msg_id counter advances before the
-     * endpoint checks, exactly like the pure closure's argument
-     * evaluation order. */
+    /* Construct first, before the endpoint checks, like the pure
+     * closure's argument evaluation order. */
     PyObject *cargs[6] = {self->src_obj, dst, msg_class, size, payload,
                           address};
     PyObject *msg = PyObject_Vectorcall(self->message_cls, cargs, 6, NULL);
@@ -5293,6 +5292,7 @@ struct _CTxnCore {
     PyObject *invalid_state, *shared_state, *modified_state;
     PyObject *cls_req_ro, *cls_req_rw, *cls_final;
     PyObject *payload_cls, *txn_cls, *line_cls;
+    PyObject *txn_ids;          /* ctrl._txn_ids (the system's id stream) */
     PyObject *cache;            /* ctrl.cache (CacheArray) */
     PyObject *l2_sets;          /* cache._sets */
     long long l2_block, l2_nsets, assoc;
@@ -5322,6 +5322,17 @@ static PyTypeObject CTxnTimeoutThunk_Type;
 static PyTypeObject CMemCore_Type;
 
 /* ------------------------------------------------------- shared helpers */
+
+/* next(ctrl._txn_ids) as the pure controllers draw it: a new reference,
+ * or NULL with StopIteration set once the stream is exhausted. */
+static PyObject *
+next_txn_id(PyObject *txn_ids)
+{
+    PyObject *txn_id = PyIter_Next(txn_ids);
+    if (txn_id == NULL && !PyErr_Occurred())
+        PyErr_SetNone(PyExc_StopIteration);
+    return txn_id;
+}
 
 /* CacheArray._notify: fire the change observer when present and the value
  * actually changed (generic != like the pure method). */
@@ -5598,6 +5609,7 @@ TxnCore_traverse(CTxnCore *self, visitproc visit, void *arg)
     Py_VISIT(self->cls_final);
     Py_VISIT(self->payload_cls);
     Py_VISIT(self->txn_cls);
+    Py_VISIT(self->txn_ids);
     Py_VISIT(self->line_cls);
     Py_VISIT(self->cache);
     Py_VISIT(self->l2_sets);
@@ -5642,6 +5654,7 @@ TxnCore_clear_gc(CTxnCore *self)
     Py_CLEAR(self->cls_final);
     Py_CLEAR(self->payload_cls);
     Py_CLEAR(self->txn_cls);
+    Py_CLEAR(self->txn_ids);
     Py_CLEAR(self->line_cls);
     Py_CLEAR(self->cache);
     Py_CLEAR(self->l2_sets);
@@ -5730,6 +5743,13 @@ TxnCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->txn_cls = txn_cls;
     Py_INCREF(line_cls);
     self->line_cls = line_cls;
+    self->txn_ids = PyObject_GetAttrString(ctrl, "_txn_ids");
+    if (self->txn_ids == NULL)
+        goto fail;
+    if (!PyIter_Check(self->txn_ids)) {
+        PyErr_SetString(PyExc_TypeError, "_txn_ids must be an iterator");
+        goto fail;
+    }
 
     PyObject *sim = PyObject_GetAttrString(ctrl, "sim");
     if (sim == NULL)
@@ -5939,8 +5959,10 @@ txn_issue(CTxnCore *self, PyObject *request, PyObject *on_complete,
         Py_DECREF(now_obj);
         return -1;
     }
-    PyObject *txn = PyObject_CallFunctionObjArgs(
-        self->txn_cls, self->node_obj, addr_obj, op, now_obj, NULL);
+    PyObject *id_obj = next_txn_id(self->txn_ids);
+    PyObject *txn = id_obj == NULL ? NULL : PyObject_CallFunctionObjArgs(
+        self->txn_cls, self->node_obj, addr_obj, op, now_obj, id_obj, NULL);
+    Py_XDECREF(id_obj);
     Py_DECREF(op);
     Py_DECREF(now_obj);
     if (txn == NULL)
@@ -6952,6 +6974,7 @@ struct _CSnoopCore {
     PyObject *gets_type, *getx_type, *wb_type;
     PyObject *waiting_phase, *lost_phase;
     PyObject *busreq_cls, *txn_cls, *line_cls;
+    PyObject *txn_ids;          /* ctrl._txn_ids (the system's id stream) */
     PyObject *cache;            /* ctrl.cache (CacheArray) */
     PyObject *l2_sets;          /* cache._sets */
     long long l2_block, l2_nsets, assoc;
@@ -7224,6 +7247,7 @@ SnoopCore_traverse(CSnoopCore *self, visitproc visit, void *arg)
     Py_VISIT(self->lost_phase);
     Py_VISIT(self->busreq_cls);
     Py_VISIT(self->txn_cls);
+    Py_VISIT(self->txn_ids);
     Py_VISIT(self->line_cls);
     Py_VISIT(self->cache);
     Py_VISIT(self->l2_sets);
@@ -7274,6 +7298,7 @@ SnoopCore_clear_gc(CSnoopCore *self)
     Py_CLEAR(self->lost_phase);
     Py_CLEAR(self->busreq_cls);
     Py_CLEAR(self->txn_cls);
+    Py_CLEAR(self->txn_ids);
     Py_CLEAR(self->line_cls);
     Py_CLEAR(self->cache);
     Py_CLEAR(self->l2_sets);
@@ -7366,6 +7391,13 @@ SnoopCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->txn_cls = txn_cls;
     Py_INCREF(line_cls);
     self->line_cls = line_cls;
+    self->txn_ids = PyObject_GetAttrString(ctrl, "_txn_ids");
+    if (self->txn_ids == NULL)
+        goto fail;
+    if (!PyIter_Check(self->txn_ids)) {
+        PyErr_SetString(PyExc_TypeError, "_txn_ids must be an iterator");
+        goto fail;
+    }
 
     PyObject *sim = PyObject_GetAttrString(ctrl, "sim");
     if (sim == NULL)
@@ -8081,8 +8113,10 @@ snoop_issue(CSnoopCore *self, PyObject *request, PyObject *on_complete,
         Py_DECREF(now_obj);
         return -1;
     }
-    PyObject *txn = PyObject_CallFunctionObjArgs(
-        self->txn_cls, self->node_obj, addr_obj, op, now_obj, NULL);
+    PyObject *id_obj = next_txn_id(self->txn_ids);
+    PyObject *txn = id_obj == NULL ? NULL : PyObject_CallFunctionObjArgs(
+        self->txn_cls, self->node_obj, addr_obj, op, now_obj, id_obj, NULL);
+    Py_XDECREF(id_obj);
     Py_DECREF(op);
     Py_DECREF(now_obj);
     if (txn == NULL)

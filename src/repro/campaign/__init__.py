@@ -10,14 +10,14 @@ orthogonal pieces:
   driver in :mod:`repro.experiments` for the runner to discover;
 * :mod:`repro.campaign.executor` — serial and process-parallel executors
   with optional on-disk result caching, through which every simulated run
-  funnels.
+  funnels (sharded execution over a shared store is
+  :mod:`repro.campaign.sharding`).
 
 See EXPERIMENTS.md for the user-facing tour and DESIGN.md §4 for the
 architecture rationale.
 """
 
 from repro.campaign.executor import (
-    BatchExecutor,
     Executor,
     ParallelExecutor,
     ResultCache,
@@ -25,17 +25,14 @@ from repro.campaign.executor import (
     execute_spec,
     execute_spec_timed,
     make_executor,
-    reset_global_ids,
     reset_perf_counters,
 )
-from repro.campaign.multiplex import MultiplexExecutor
 from repro.campaign.manifest import (
     CampaignManifest,
     read_manifest,
     write_manifest,
 )
 from repro.campaign.precompute import (
-    artifact_keys,
     clear_memos,
     memo_stats,
 )
@@ -80,7 +77,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BatchExecutor",
     "CampaignContext",
     "CampaignManifest",
     "ExperimentEntry",
@@ -94,7 +90,6 @@ __all__ = [
     "SweepSpec",
     "aggregate_partial",
     "all_experiments",
-    "artifact_keys",
     "campaign_status",
     "canonical_json",
     "clear_memos",
@@ -109,7 +104,6 @@ __all__ = [
     "memo_stats",
     "read_manifest",
     "register_experiment",
-    "reset_global_ids",
     "reset_perf_counters",
     "run_worker",
     "spec_from_json",

@@ -10,47 +10,24 @@ back in *spec order*, which keeps reports byte-identical to serial runs.
 Every executor accepts an optional :class:`ResultCache`: completed runs are
 stored on disk as :meth:`RunResult.to_json` documents keyed by the spec's
 content hash, so re-running a campaign only simulates design points whose
-configuration actually changed.  :class:`BatchExecutor` additionally groups
-a batch by the precomputed artifacts its specs share (workload streams,
-topology tables; see :mod:`repro.campaign.precompute`) and runs each group
-consecutively in one process with warm memos.
+configuration actually changed.  Sharded execution over a shared store
+lives in :mod:`repro.campaign.sharding`.
 """
 
 from __future__ import annotations
 
 import gc
-import itertools
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import repro.coherence.common as _coherence_common
-import repro.coherence.snooping.bus as _snooping_bus
-import repro.interconnect.message as _message
 from repro.campaign.manifest import atomic_write_json
-from repro.campaign.precompute import artifact_keys
 from repro.coherence.cache import disable_set_pool, enable_set_pool
 from repro.campaign.spec import RunSpec, SweepSpec
 from repro.system import build_system
 from repro.system.results import RunResult, RESULT_SCHEMA
-
-
-def reset_global_ids() -> None:
-    """Reset the process-global id counters (transactions, bus requests,
-    network messages).
-
-    Ids are only required to be unique within one run, but the counters are
-    module-global, so without a reset a run's recovery records would embed
-    ids that depend on how many runs happened earlier in the same process.
-    Resetting before every run makes each design point's result independent
-    of execution order — the property that lets serial, parallel, cached
-    and batched execution produce byte-identical results.
-    """
-    _coherence_common._TRANSACTION_IDS = itertools.count()
-    _snooping_bus._REQUEST_IDS = itertools.count()
-    _message._MESSAGE_IDS = itertools.count()
 
 
 #: Process-local tallies of simulation work done by :func:`execute_spec`.
@@ -66,6 +43,28 @@ def reset_perf_counters() -> None:
         PERF_COUNTERS[key] = 0
 
 
+def _run_point(spec: RunSpec) -> RunResult:
+    """Build and run one design point, count its work and hand its cache
+    set-lists to the pool (a no-op unless an in-process executor enabled it
+    around its batch; the next same-geometry build then reuses them instead
+    of allocating tens of thousands of fresh per-set dicts).
+
+    A function of its own so that, once it returns, no frame references the
+    finished machine (see :func:`execute_spec`).
+    """
+    system = build_system(spec.config, label=spec.label)
+    if spec.recovery_rate_per_second is not None:
+        system.attach_recovery_injector(spec.recovery_rate_per_second)
+    result = system.run(max_cycles=spec.max_cycles)
+    PERF_COUNTERS["runs"] += 1
+    PERF_COUNTERS["events_executed"] += system.sim.events_executed
+    for node in system.nodes:
+        node.l2_array.recycle_sets()
+        if node.l1 is not None:
+            node.l1.tags.recycle_sets()
+    return result
+
+
 def execute_spec(spec: RunSpec) -> RunResult:
     """Run one design point from scratch and return its result.
 
@@ -75,40 +74,25 @@ def execute_spec(spec: RunSpec) -> RunResult:
     injector that never fires, which is a different system from one with no
     injector at all.
 
-    The cyclic garbage collector is paused for the duration of the run and a
-    full collection happens right after: a run allocates millions of
-    short-lived objects whose lifetimes the kernel already manages through
-    reference counting and free lists, so mid-run generational collections
-    are pure overhead, while the collect-after bounds the retained cyclic
-    garbage (dead simulated machines) to a single run.
+    The cyclic garbage collector is paused for the duration of the run: a
+    run allocates millions of short-lived objects whose lifetimes the kernel
+    already manages through reference counting and free lists, so mid-run
+    collections are pure overhead.  The finished machine is a cyclic object
+    graph, so only the collector frees it.  Everything the run allocated is
+    still in generation 0 afterwards, and :func:`_run_point` has returned,
+    so a youngest-generation collection frees the whole machine.  A
+    collection made while a frame still held the machine would instead
+    promote it to the oldest generation, which no collection inside a
+    campaign's map loop ever reaches.
     """
-    reset_global_ids()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        system = build_system(spec.config, label=spec.label)
-        if spec.recovery_rate_per_second is not None:
-            system.attach_recovery_injector(spec.recovery_rate_per_second)
-        result = system.run(max_cycles=spec.max_cycles)
+        return _run_point(spec)
     finally:
         if gc_was_enabled:
             gc.enable()
-            # Generation 1 suffices: everything this run allocated sits in
-            # generation 0 (no collection ran while gc was off), and the
-            # previous run's machine — promoted to generation 1 by its own
-            # post-run collection — dies here too.
-            gc.collect(1)
-    PERF_COUNTERS["runs"] += 1
-    PERF_COUNTERS["events_executed"] += system.sim.events_executed
-    # Hand the finished machine's cache set-lists to the pool (a no-op
-    # unless an in-process executor enabled it around its batch); the next
-    # same-geometry build then reuses them instead of allocating tens of
-    # thousands of fresh per-set dicts.
-    for node in system.nodes:
-        node.l2_array.recycle_sets()
-        if node.l1 is not None:
-            node.l1.tags.recycle_sets()
-    return result
+            gc.collect(0)
 
 
 def execute_spec_timed(spec: RunSpec) -> Tuple[RunResult, float]:
@@ -330,55 +314,14 @@ class SerialExecutor(Executor):
         return results  # type: ignore[return-value]
 
 
-class BatchExecutor(SerialExecutor):
-    """In-process executor that orders a batch for artifact reuse.
-
-    Each design point depends on two expensive precomputed artifacts — its
-    generated workload streams and its topology routing tables (DESIGN.md
-    §9).  The memos under :func:`execute_spec` already share them
-    process-globally; this executor additionally groups the batch by
-    :func:`~repro.campaign.precompute.artifact_keys` and runs each group
-    consecutively, so a sweep that interleaves families still executes with
-    every group's artifacts warm and the memos' LRU never thrashes between
-    neighbouring runs.
-
-    Execution order is first-appearance order of the key pair (stable for a
-    given batch); results come back in *spec order* and — because every run
-    resets the global id counters — are byte-identical to serial, parallel
-    and cached execution.
-    """
-
-    def map(self, specs: SpecBatch) -> List[RunResult]:
-        cached = self._lookup(specs)
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        for index, result in cached.items():
-            results[index] = result
-        groups: Dict[Tuple, List[Tuple[int, RunSpec]]] = {}
-        for index, spec in enumerate(specs):
-            if index in cached:
-                continue
-            groups.setdefault(artifact_keys(spec.config), []).append(
-                (index, spec))
-        enable_set_pool()
-        try:
-            for members in groups.values():
-                for index, spec in members:
-                    result, seconds = execute_spec_timed(spec)
-                    self._store(spec, result, wall_seconds=seconds)
-                    results[index] = result
-        finally:
-            disable_set_pool()
-        return results  # type: ignore[return-value]
-
-
 class ParallelExecutor(Executor):
     """Fans design points out to a ``ProcessPoolExecutor``.
 
     Worker processes are spawned lazily on the first :meth:`map` call and
     reused across batches; use the executor as a context manager (or call
-    :meth:`close`) to shut them down.  Because :func:`execute_spec` resets
-    the global id counters, a worker's results do not depend on which specs
-    it happened to run before — serial and parallel execution are
+    :meth:`close`) to shut them down.  Every system draws its ids from its
+    own counters, so a worker's results do not depend on which specs it
+    happened to run before — serial and parallel execution are
     byte-identical.
     """
 
@@ -434,27 +377,16 @@ class ParallelExecutor(Executor):
 
 def make_executor(parallel: int = 0,
                   cache_dir: Optional[str] = None,
-                  batched: bool = False,
                   workers: int = 0,
-                  resume: bool = False,
-                  multiplexed: bool = False) -> Executor:
+                  resume: bool = False) -> Executor:
     """Build the executor the runner CLI asks for.
 
     ``workers >= 1`` yields a :class:`~repro.campaign.sharding
     .ShardedExecutor` over the shared store at ``cache_dir`` (required:
-    the store *is* the coordination medium).  ``multiplexed`` yields a
-    :class:`~repro.campaign.multiplex.MultiplexExecutor` — one warm process
-    scheduling the whole batch — and is its own execution strategy: it
-    excludes ``parallel``/``batched``/``workers``.  Otherwise ``parallel <=
-    1`` yields a :class:`SerialExecutor` — or a :class:`BatchExecutor` when
-    ``batched`` is set; anything larger a :class:`ParallelExecutor` with
-    that many workers (each worker process keeps its own memos warm across
-    the specs it runs, so ``batched`` adds nothing there).
+    the store *is* the coordination medium).  Otherwise ``parallel <= 1``
+    yields a :class:`SerialExecutor`; anything larger a
+    :class:`ParallelExecutor` with that many workers.
     """
-    if multiplexed and (parallel or batched or workers):
-        raise ValueError(
-            "multiplexed is its own execution strategy; drop "
-            "parallel/batched/workers")
     if workers:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -470,13 +402,6 @@ def make_executor(parallel: int = 0,
         raise ValueError("resume only applies to sharded execution "
                          "(pass workers >= 1)")
     cache = ResultCache(cache_dir) if cache_dir else None
-    if multiplexed:
-        # Imported here: multiplex builds on this module.
-        from repro.campaign.multiplex import MultiplexExecutor
-
-        return MultiplexExecutor(cache=cache)
     if parallel and parallel > 1:
         return ParallelExecutor(max_workers=parallel, cache=cache)
-    if batched:
-        return BatchExecutor(cache=cache)
     return SerialExecutor(cache=cache)

@@ -9,24 +9,23 @@ Two artifact memos sit under every run (DESIGN.md §9):
   tables, keyed by ``(kind, dims)`` —
   :func:`repro.interconnect.topology.shared_topology`.
 
-This module is the campaign-facing façade: it derives the artifact keys of
-a design point (so :class:`~repro.campaign.executor.BatchExecutor` can
-group a batch by shared artifacts), merges the memo tallies for reporting,
-and clears both memos at once for cold-path measurements.  The memos are
-process-global and observational-only; results are byte-identical warm or
-cold.
+This module is the campaign-facing façade: it merges the memo tallies for
+reporting and clears both memos at once for cold-path measurements.  The
+memos are process-global and observational-only; results are
+byte-identical warm or cold.  No campaign batch needs more streams than
+the stream memo holds (DESIGN.md §9), so the executors run specs in batch
+order and never regroup them by artifact.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.interconnect.topology import (
     TOPOLOGY_MEMO_STATS,
     clear_topology_memo,
     shared_topology,
 )
-from repro.sim.config import SystemConfig
 from repro.workloads.memo import (
     MEMO_STATS,
     clear_stream_memo,
@@ -35,34 +34,12 @@ from repro.workloads.memo import (
 )
 
 __all__ = [
-    "artifact_keys",
     "clear_memos",
     "memo_stats",
     "shared_streams",
     "shared_topology",
     "stream_key",
 ]
-
-
-def artifact_keys(config: SystemConfig) -> Tuple[Tuple, Tuple]:
-    """The ``(stream key, topology key)`` pair a design point shares by.
-
-    Two specs with equal keys reuse exactly the same precomputed artifacts;
-    the batch executor uses first-appearance order of this pair to run
-    artifact-sharing specs consecutively.  The topology key covers the bus
-    -based snooping systems too — they simply never consult the topology
-    memo, so grouping by it is harmless there.
-    """
-    workload = config.workload
-    stream = stream_key(
-        workload.name,
-        num_processors=config.num_processors,
-        block_bytes=config.block_bytes,
-        seed=workload.seed,
-        params=workload.params,
-        references_per_processor=workload.references_per_processor)
-    topo_cfg = config.interconnect.resolved_topology()
-    return (stream, (topo_cfg.kind, topo_cfg.dims))
 
 
 def memo_stats() -> Dict[str, int]:

@@ -33,9 +33,10 @@ Execution model:
    killed worker did needs undoing: unpublished work is invisible, and the
    published results are content-addressed and idempotent.
 4. Completion is "every manifest spec has a valid cache entry".  Because
-   every run resets the global id counters, results are independent of
-   which worker ran what and in which order — sharded execution is
-   byte-identical to serial (the determinism contract, pinned by test).
+   every system draws its ids from its own counters, results are
+   independent of which worker ran what and in which order — sharded
+   execution is byte-identical to serial (the determinism contract,
+   pinned by test).
 
 Resumption is the same operation as submission: re-submitting an identical
 batch finds the existing manifest, the cache lookup skips everything

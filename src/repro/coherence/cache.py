@@ -38,9 +38,9 @@ class CacheLine(Generic[StateT]):
 # ------------------------------------------------------------- set-list pool
 #: Recycled ``_sets`` lists keyed by set count, populated only while the
 #: pool is enabled.  A 16-node campaign design point allocates tens of
-#: thousands of empty per-set dicts per run; executors that run many design
-#: points in one process (:class:`repro.campaign.multiplex
-#: .MultiplexExecutor`) recycle the lists of finished runs instead.  Purely
+#: thousands of empty per-set dicts per run; an executor that runs many
+#: design points in one process (:class:`repro.campaign.executor
+#: .SerialExecutor`) recycles the lists of finished runs instead.  Purely
 #: an allocation cache: a recycled list is returned emptied, so array
 #: behaviour — and therefore every simulation result — is identical with
 #: the pool on or off.

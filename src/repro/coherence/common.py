@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Any, Callable, Optional
 
@@ -50,15 +49,14 @@ class MemoryRequest:
                 f"address={self.address:#x}, value={self.value!r})")
 
 
-_TRANSACTION_IDS = itertools.count()
-
-
 class Transaction:
     """One outstanding coherence transaction at a cache controller.
 
     Slotted and hand-rolled for the same reason as :class:`MemoryRequest`:
-    one per coherence transaction, and the dataclass ``default_factory``
-    machinery for ``txn_id`` alone is a measurable fraction of issue cost.
+    one per coherence transaction.  ``txn_id`` comes from the owning
+    system's ``txn_ids`` counter (the controller draws it), so ids are
+    unique within one system and independent of anything else in the
+    process.
     """
 
     __slots__ = ("node", "address", "op", "started_at", "txn_id",
@@ -67,7 +65,7 @@ class Transaction:
                  "bus_ordered", "invalidate_on_install", "value_hint")
 
     def __init__(self, node: int, address: BlockAddress, op: MemoryOp,
-                 started_at: int, txn_id: Optional[int] = None,
+                 started_at: int, txn_id: int,
                  acks_needed: int = 0, acks_received: int = 0,
                  data_received: bool = False,
                  on_complete: Optional[Callable[["Transaction"], None]] = None,
@@ -76,7 +74,7 @@ class Transaction:
         self.address = address
         self.op = op
         self.started_at = started_at
-        self.txn_id = next(_TRANSACTION_IDS) if txn_id is None else txn_id
+        self.txn_id = txn_id
         #: Invalidation acknowledgements still outstanding (directory protocol).
         self.acks_needed = acks_needed
         self.acks_received = acks_received

@@ -22,7 +22,7 @@ recovery through the mis-speculation reporter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.coherence.cache import CacheArray, CacheLine
 from repro.coherence.common import BlockAddress, MemoryOp, MemoryRequest, Transaction
@@ -57,6 +57,7 @@ class DirectoryCacheController(Component):
 
     def __init__(self, node_id: int, sim: Simulator, config: SystemConfig,
                  cache: CacheArray, send: SendFn, home: HomeFn, *,
+                 txn_ids: Iterator[int],
                  misspeculation_reporter: Optional[MisspeculationReporter] = None,
                  stats: Optional[StatsRegistry] = None) -> None:
         super().__init__(f"l2ctrl{node_id}", sim, stats)
@@ -77,6 +78,9 @@ class DirectoryCacheController(Component):
         self.send = send
         self.home = home
         self.misspeculation_reporter = misspeculation_reporter
+        #: The owning system's transaction id stream (shared by every
+        #: controller of one system; the compiled core draws from it too).
+        self._txn_ids = txn_ids
         #: At most one outstanding demand transaction (blocking processor).
         self.transaction: Optional[Transaction] = None
         #: Outstanding writebacks by address.
@@ -167,7 +171,8 @@ class DirectoryCacheController(Component):
             return
 
         txn = Transaction(node=self.node_id, address=request.address,
-                          op=request.op, started_at=self.sim._now)
+                          op=request.op, started_at=self.sim._now,
+                          txn_id=next(self._txn_ids))
         self._pending_request = request
         self._pending_on_complete = on_complete
         txn.on_complete = self._complete_current

@@ -21,9 +21,8 @@ checkpoints are taken every N ordered requests (Table 2: 3,000 requests).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
 
@@ -44,9 +43,6 @@ class BusRequestType(str, Enum):
     WRITEBACK = "Writeback"
 
 
-_REQUEST_IDS = itertools.count()
-
-
 @dataclass
 class BusRequest:
     """One coherence request queued for / ordered on the address network."""
@@ -56,7 +52,6 @@ class BusRequest:
     rtype: BusRequestType
     #: Data value carried by Writebacks.
     value: Optional[int] = None
-    request_id: int = field(default_factory=lambda: next(_REQUEST_IDS))
     issued_at: int = -1
     ordered_at: int = -1
 

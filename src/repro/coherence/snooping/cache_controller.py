@@ -23,7 +23,7 @@ Speculative vs. full variant:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.coherence.cache import CacheArray, CacheLine
 from repro.coherence.common import BlockAddress, MemoryOp, MemoryRequest, Transaction
@@ -59,6 +59,7 @@ class SnoopingCacheController(Component):
 
     def __init__(self, node_id: int, sim: Simulator, config: SystemConfig,
                  cache: CacheArray, bus: AddressBus, deliver_data: DataDelivery, *,
+                 txn_ids: Iterator[int],
                  misspeculation_reporter: Optional[MisspeculationReporter] = None,
                  stats: Optional[StatsRegistry] = None) -> None:
         super().__init__(f"snoopctrl{node_id}", sim, stats)
@@ -78,6 +79,9 @@ class SnoopingCacheController(Component):
         self.bus = bus
         self.deliver_data = deliver_data
         self.misspeculation_reporter = misspeculation_reporter
+        #: The owning system's transaction id stream (shared by every
+        #: controller of one system; the compiled core draws from it too).
+        self._txn_ids = txn_ids
         self.transaction: Optional[Transaction] = None
         self.writebacks: Dict[BlockAddress, SnoopWritebackRecord] = {}
         #: Foreign requests ordered after our own RequestReadWrite but before
@@ -147,7 +151,8 @@ class SnoopingCacheController(Component):
             self._retry_issue(request, on_complete)
             return
         txn = Transaction(node=self.node_id, address=request.address,
-                          op=request.op, started_at=self.sim.now)
+                          op=request.op, started_at=self.sim.now,
+                          txn_id=next(self._txn_ids))
         self._pending_request = request
         self._pending_on_complete = on_complete
         txn.on_complete = self._complete_current

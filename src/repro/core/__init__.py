@@ -5,8 +5,7 @@ provide; this package implements them as composable pieces:
 
 1. **Infrequency** — not a mechanism but a property; the manager accounts
    for mis-speculation rates so experiments can verify it
-   (:class:`repro.speculation.manager.SpeculationManager` statistics;
-   ``SpeculationFramework`` is its historical name).
+   (:class:`repro.speculation.manager.SpeculationManager` statistics).
 2. **Detection** — detection logic lives where the paper puts it (inside the
    cache controllers as "one specific invalid transition", and as a
    transaction timeout armed by the ``interconnect-deadlock`` speculation);
@@ -20,12 +19,11 @@ provide; this package implements them as composable pieces:
 The pattern itself — one reusable arm/detect/recover/account lifecycle,
 applied three times — is rendered by the pluggable
 :mod:`repro.speculation` package; this package keeps the event vocabulary
-(:mod:`repro.core.events`), the policies, the Table 1 catalog
-(:mod:`repro.core.catalog`) and back-compat shims for the moved pieces.
+(:mod:`repro.core.events`), the policies and the Table 1 catalog
+(:mod:`repro.core.catalog`).
 """
 
 from repro.core.events import MisspeculationEvent, RecoveryRecord, SpeculationKind
-from repro.core.detection import RecoveryRateInjector
 from repro.core.forward_progress import (
     CombinedPolicy,
     DisableAdaptiveRoutingPolicy,
@@ -34,21 +32,18 @@ from repro.core.forward_progress import (
     SlowStartGate,
     SlowStartPolicy,
 )
-from repro.core.framework import SpeculationFramework
 from repro.core.catalog import SpeculativeMechanism, TABLE1_MECHANISMS, table1_rows
 
 __all__ = [
     "MisspeculationEvent",
     "RecoveryRecord",
     "SpeculationKind",
-    "RecoveryRateInjector",
     "ForwardProgressPolicy",
     "NoOpPolicy",
     "DisableAdaptiveRoutingPolicy",
     "SlowStartPolicy",
     "SlowStartGate",
     "CombinedPolicy",
-    "SpeculationFramework",
     "SpeculativeMechanism",
     "TABLE1_MECHANISMS",
     "table1_rows",

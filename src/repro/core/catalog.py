@@ -63,7 +63,7 @@ TABLE1_MECHANISMS: List[SpeculativeMechanism] = [
                           "buffering during slow-start"),
         result="simpler network incurs no deadlocks in practice",
         implemented_by=("repro.interconnect (speculative_no_vc=True), "
-                        "repro.core.detection.transaction_timeout_cycles, "
+                        "repro.speculation.detectors.transaction_timeout_cycles, "
                         "repro.core.forward_progress.SlowStartPolicy"),
     ),
 ]

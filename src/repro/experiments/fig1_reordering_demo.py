@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List
 
 from repro.campaign.registry import CampaignContext, register_experiment
-from repro.interconnect.message import MessageClass
+from repro.interconnect.message import MessageClass, NetworkMessage
 from repro.interconnect.network import InterconnectNetwork, make_message
 from repro.sim.config import InterconnectConfig, RoutingPolicy
 from repro.sim.engine import Simulator
@@ -54,18 +54,18 @@ def _run_one(policy: RoutingPolicy, *, pairs: int, seed: int) -> int:
         link_bandwidth_bytes_per_sec=400e6, link_latency_cycles=8,
         switch_buffer_capacity=16)
     network = InterconnectNetwork(sim, config, frequency_hz=4e9,
-                           rng=DeterministicRng(seed))
-    arrivals: Dict[int, int] = {}
+                                  rng=DeterministicRng(seed))
+    arrivals: Dict[NetworkMessage, int] = {}
 
-    def receive(message) -> None:
-        arrivals[message.msg_id] = sim.now
+    def receive(message: NetworkMessage) -> None:
+        arrivals[message] = sim.now
 
     for node in range(16):
         network.attach(node, receive)
 
     rng = DeterministicRng(seed)
     src, dst = 0, 15
-    pair_ids = []
+    message_pairs = []
     clock = 0
     for i in range(pairs):
         # Cross traffic that congests the dimension-order path.
@@ -80,15 +80,15 @@ def _run_one(policy: RoutingPolicy, *, pairs: int, seed: int) -> int:
                           address=64 * i, config=config)
         m2 = make_message(src, dst, MessageClass.WRITEBACK_ACK,
                           address=64 * i, config=config)
-        pair_ids.append((m1.msg_id, m2.msg_id))
+        message_pairs.append((m1, m2))
         sim.schedule_at(clock, lambda m=m1: network.send(m))
         sim.schedule_at(clock + 1, lambda m=m2: network.send(m))
         clock += rng.randint("gap", 200, 600)
     sim.run_until_idle()
 
     reordered = 0
-    for first_id, second_id in pair_ids:
-        if arrivals.get(second_id, 1 << 60) < arrivals.get(first_id, 1 << 60):
+    for first, second in message_pairs:
+        if arrivals.get(second, 1 << 60) < arrivals.get(first, 1 << 60):
             reordered += 1
     return reordered
 

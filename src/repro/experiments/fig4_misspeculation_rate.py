@@ -8,8 +8,8 @@ essentially nothing.
 
 This driver reproduces that experiment: the FULL-variant directory system on
 the virtual-channel network (so no real mis-speculations occur), with a
-:class:`repro.core.detection.RecoveryRateInjector` triggering SafetyNet
-recoveries at the requested rate.  Rates are interpreted against the
+:class:`repro.speculation.detectors.PeriodicInjectionSpeculation`
+triggering SafetyNet recoveries at the requested rate.  Rates are interpreted against the
 configuration's ``cycles_per_second`` scale (see DESIGN.md §2).
 """
 

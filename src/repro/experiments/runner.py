@@ -12,13 +12,6 @@ Flags:
 * ``--quick`` — reduced workload subset for a fast smoke run.
 * ``--parallel N`` — fan independent design points out to ``N`` worker
   processes; the report is byte-identical to a serial run.
-* ``--batched`` — group each batch by shared precomputed artifacts and run
-  it in-process with warm memos; byte-identical to a serial run.
-* ``--multiplex`` — run the whole grid as one scheduled pass in a single
-  warm process: specs grouped by shared artifacts, system *construction*
-  round-robin interleaved with run *execution* so compiled cores and memos
-  stay warm; byte-identical to a serial run.  Mutually exclusive with
-  ``--parallel``/``--batched``/``--workers``.
 * ``--workers N`` — sharded execution: publish a campaign manifest to the
   shared store (``--cache DIR``, required) and fan design points out to
   ``N`` crash-safe worker processes that claim specs via lease files;
@@ -149,14 +142,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="use a reduced workload subset")
     parser.add_argument("--parallel", type=int, default=0, metavar="N",
                         help="run independent design points on N worker processes")
-    parser.add_argument("--batched", action="store_true",
-                        help="group design points by shared precomputed "
-                             "artifacts and run in-process with warm memos")
-    parser.add_argument("--multiplex", action="store_true",
-                        help="run the whole grid as one scheduled pass in a "
-                             "single warm process (artifact-grouped, "
-                             "construction interleaved with execution); "
-                             "byte-identical to a serial run")
     parser.add_argument("--workers", type=int, default=0, metavar="N",
                         help="sharded execution: N crash-safe worker "
                              "processes claiming design points from the "
@@ -196,15 +181,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(campaign_status(args.cache))
         return 0
 
-    if args.multiplex and (args.parallel or args.batched or args.workers):
-        parser.error("--multiplex is its own execution strategy; drop "
-                     "--parallel/--batched/--workers")
     if args.workers:
         if not args.cache:
             parser.error("--workers needs a shared store: pass --cache DIR")
-        if args.parallel or args.batched:
+        if args.parallel:
             parser.error("--workers is its own execution strategy; drop "
-                         "--parallel/--batched")
+                         "--parallel")
     elif args.resume:
         parser.error("--resume only applies to sharded execution; pass "
                      "--workers N")
@@ -234,9 +216,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"unknown experiments {unknown}; available {known}")
 
     with make_executor(args.parallel, cache_dir=args.cache,
-                       batched=args.batched, workers=args.workers,
-                       resume=args.resume,
-                       multiplexed=args.multiplex) as executor:
+                       workers=args.workers,
+                       resume=args.resume) as executor:
         results = run_campaign(quick=args.quick, executor=executor,
                                only=args.only)
         cache_stats = (executor.cache.stats()

@@ -45,7 +45,7 @@ class Table1Result:
 
 
 def _policy_registered(system, kind: SpeculationKind) -> bool:
-    policy = system.framework.policy_for(kind)
+    policy = system.speculation.policy_for(kind)
     return not isinstance(policy, NoOpPolicy)
 
 

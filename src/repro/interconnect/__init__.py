@@ -37,7 +37,6 @@ from repro.interconnect.switch import Switch
 from repro.interconnect.network import (
     InterconnectNetwork,
     OrderingTracker,
-    TorusNetwork,
 )
 from repro.interconnect.deadlock import (
     DeadlockReport,
@@ -68,7 +67,6 @@ __all__ = [
     "Link",
     "Switch",
     "InterconnectNetwork",
-    "TorusNetwork",
     "OrderingTracker",
     "WaitForGraph",
     "DeadlockReport",

@@ -10,11 +10,11 @@ The paper distinguishes two kinds of deadlock (Section 4):
 
 The *production* detection mechanism of the speculative design is a
 coherence-transaction timeout (Section 4, Detection) which lives with the
-protocol (:mod:`repro.core.detection`).  This module provides the
-*ground-truth* detector used by tests and by the Figure 2/3 illustrative
-experiments: an explicit wait-for graph over buffers, where an edge points
-from a buffer whose head message is blocked to the buffer it is waiting on;
-a cycle in that graph is a deadlock.
+protocol (armed by :mod:`repro.speculation.detectors`).  This module
+provides the *ground-truth* detector used by tests and by the Figure 2/3
+illustrative experiments: an explicit wait-for graph over buffers, where an
+edge points from a buffer whose head message is blocked to the buffer it is
+waiting on; a cycle in that graph is a deadlock.
 
 Both detectors are port-indexed and topology-agnostic: a resource is a
 ``(switch_id, port_name)`` pair, where the port name comes from whatever

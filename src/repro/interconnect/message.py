@@ -9,7 +9,6 @@ delay) and the endpoints; the coherence payload is opaque to it.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum, IntEnum
 from typing import Any, Optional, Tuple
 
@@ -79,22 +78,18 @@ _CLASS_TO_VNET = {
 #: header-sized control message).
 DATA_CLASSES = frozenset((MessageClass.DATA, MessageClass.WRITEBACK))
 
-_MESSAGE_IDS = itertools.count()
-
 
 class NetworkMessage:
     """One message in flight through the interconnection network.
 
-    The network layer fills in the bookkeeping fields (``msg_id``,
-    ``send_seq``, ``injected_at``, ``hops``); callers supply the endpoints,
-    the class, the size and the opaque coherence payload.  Slotted and
-    hand-rolled because hundreds of thousands of messages are allocated per
-    simulated run.
+    The network layer fills in the bookkeeping fields (``send_seq``,
+    ``injected_at``, ``hops``); callers supply the endpoints, the class, the
+    size and the opaque coherence payload.  Slotted and hand-rolled because
+    hundreds of thousands of messages are allocated per simulated run.
     """
 
     __slots__ = ("src", "dst", "msg_class", "size_bytes", "payload", "address",
-                 "msg_id", "send_seq", "injected_at", "delivered_at", "hops",
-                 "vnet")
+                 "send_seq", "injected_at", "delivered_at", "hops", "vnet")
 
     def __init__(self, src: int, dst: int, msg_class: MessageClass,
                  size_bytes: int, payload: Any = None,
@@ -106,7 +101,6 @@ class NetworkMessage:
         self.payload = payload
         #: Memory block address the message concerns (None for e.g. FinalAck).
         self.address = address
-        self.msg_id = next(_MESSAGE_IDS)
         #: Per (src, dst, virtual network) sequence number assigned at
         #: injection.
         self.send_seq = -1
@@ -133,7 +127,7 @@ class NetworkMessage:
         return self.delivered_at - self.injected_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<Msg {self.msg_id} {self.msg_class.value} "
+        return (f"<Msg {self.msg_class.value} "
                 f"{self.src}->{self.dst} addr={self.address}>")
 
 

@@ -6,8 +6,7 @@ topology registry), owns the routing algorithm, provides the endpoint API
 (``attach`` / ``send``), tracks point-to-point ordering violations per
 virtual network, and supports the system-wide flush that a SafetyNet
 recovery performs (all in-flight messages are squashed together with the
-memory-system state they belong to).  ``TorusNetwork`` remains as an alias
-for existing callers.
+memory-system state they belong to).
 """
 
 from __future__ import annotations
@@ -473,7 +472,3 @@ def make_message(src: int, dst: int, msg_class: MessageClass, *,
             else cfg.control_message_bytes)
     return NetworkMessage(src=src, dst=dst, msg_class=msg_class,
                           size_bytes=size, payload=payload, address=address)
-
-
-#: Back-compat alias from when the only supported geometry was the torus.
-TorusNetwork = InterconnectNetwork

@@ -10,7 +10,7 @@ Table 2 of the paper (:mod:`repro.sim.config`).
 
 from repro.sim.engine import Event, EventQueue, Simulator
 from repro.sim.component import Component, Port
-from repro.sim.stats import Counter, Histogram, IntervalSampler, StatsRegistry
+from repro.sim.stats import Counter, Histogram, StatsRegistry
 from repro.sim.config import (
     CacheConfig,
     CheckpointConfig,
@@ -30,7 +30,6 @@ __all__ = [
     "Port",
     "Counter",
     "Histogram",
-    "IntervalSampler",
     "StatsRegistry",
     "CacheConfig",
     "CheckpointConfig",

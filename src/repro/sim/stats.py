@@ -3,7 +3,7 @@
 Every experiment in the paper reduces to a handful of aggregate statistics:
 message counts per virtual network, reordering counts, recovery counts, link
 utilisation, and end-to-end runtime.  The classes here are deliberately
-simple (counters, histograms, interval samplers) and are aggregated through a
+simple (counters, histograms) and are aggregated through a
 :class:`StatsRegistry` that the system builder shares across components so
 reports can be produced from one place.
 """
@@ -11,7 +11,6 @@ reports can be produced from one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
@@ -73,44 +72,12 @@ class Histogram:
         return (max(self.buckets) + 1) * self.bucket_width - 1
 
 
-@dataclass
-class Sample:
-    """One interval sample produced by :class:`IntervalSampler`."""
-
-    time: int
-    value: float
-
-
-class IntervalSampler:
-    """Records a time series of point samples (e.g. instantaneous link load)."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.samples: List[Sample] = []
-
-    def record(self, time: int, value: float) -> None:
-        self.samples.append(Sample(time=time, value=value))
-
-    @property
-    def mean(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(s.value for s in self.samples) / len(self.samples)
-
-    @property
-    def peak(self) -> float:
-        if not self.samples:
-            return 0.0
-        return max(s.value for s in self.samples)
-
-
 class StatsRegistry:
-    """A flat namespace of counters/histograms/samplers shared by a system."""
+    """A flat namespace of counters and histograms shared by a system."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._samplers: Dict[str, IntervalSampler] = {}
 
     # -------------------------------------------------------------- factories
     def counter(self, name: str) -> Counter:
@@ -122,11 +89,6 @@ class StatsRegistry:
         if name not in self._histograms:
             self._histograms[name] = Histogram(name, bucket_width=bucket_width)
         return self._histograms[name]
-
-    def sampler(self, name: str) -> IntervalSampler:
-        if name not in self._samplers:
-            self._samplers[name] = IntervalSampler(name)
-        return self._samplers[name]
 
     # ---------------------------------------------------------------- queries
     def counters(self, prefix: str = "") -> Dict[str, int]:
@@ -148,7 +110,6 @@ class StatsRegistry:
         for counter in self._counters.values():
             counter.reset()
         self._histograms.clear()
-        self._samplers.clear()
 
     # --------------------------------------------------------------- reporting
     def as_rows(self, prefix: str = "") -> List[Tuple[str, int]]:

@@ -24,7 +24,6 @@ from repro.speculation.detectors import (
     DirectoryP2POrderSpeculation,
     InterconnectDeadlockSpeculation,
     PeriodicInjectionSpeculation,
-    RecoveryRateInjector,
     SnoopingCornerCaseSpeculation,
     transaction_timeout_cycles,
 )
@@ -46,6 +45,5 @@ __all__ = [
     "SnoopingCornerCaseSpeculation",
     "InterconnectDeadlockSpeculation",
     "PeriodicInjectionSpeculation",
-    "RecoveryRateInjector",
     "transaction_timeout_cycles",
 ]

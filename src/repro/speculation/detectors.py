@@ -26,7 +26,6 @@ from repro.sim.config import (
     SpeculationConfig,
     SystemConfig,
 )
-from repro.sim.engine import Simulator
 from repro.speculation.base import Speculation
 from repro.speculation.registry import register_speculation
 
@@ -242,26 +241,3 @@ class PeriodicInjectionSpeculation(Speculation):
         payload["injections"] = self.injections
         payload["rate_per_second"] = self.rate_per_second
         return payload
-
-
-class _CallbackHost:
-    """Minimal manager stand-in: a simulator plus a report callback."""
-
-    def __init__(self, sim: Simulator, report) -> None:
-        self.sim = sim
-        self.report = report
-
-
-class RecoveryRateInjector(PeriodicInjectionSpeculation):
-    """Legacy standalone injector (simulator + callback, no manager).
-
-    Kept for callers that drive injection outside a built system; new code
-    should go through ``System.attach_recovery_injector`` /
-    :meth:`SpeculationManager.attach_injector`.
-    """
-
-    def __init__(self, sim: Simulator, report, *, rate_per_second: float,
-                 cycles_per_second: float) -> None:
-        super().__init__(_CallbackHost(sim, report),
-                         rate_per_second=rate_per_second,
-                         cycles_per_second=cycles_per_second)

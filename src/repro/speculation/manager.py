@@ -21,9 +21,6 @@ It is also the uniform attach point for the pluggable speculation layer:
 configuration enables and lets each wire itself into the built system,
 which replaces the injector/timeout plumbing the two system classes used
 to duplicate.
-
-Historical note: this class subsumes ``repro.core.framework
-.SpeculationFramework``; that module now re-exports it under the old name.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from repro.system.results import RunResult
 from repro.system.base import System
 from repro.system.directory_system import DirectorySystem
 from repro.system.snooping_system import SnoopingSystem
-from repro.system.builder import AnySystem, build_system
+from repro.system.builder import build_system
 
-__all__ = ["RunResult", "System", "AnySystem", "DirectorySystem",
+__all__ = ["RunResult", "System", "DirectorySystem",
            "SnoopingSystem", "build_system"]

@@ -9,7 +9,7 @@ Construction order is part of the determinism contract (RNG spawns and any
 event scheduled during build must happen in a fixed order), so the base
 ``__init__`` fixes the sequence and subclasses fill in the hooks:
 
-1. simulator, stats, RNG;
+1. simulator, stats, RNG and the transaction id counter;
 2. ``_build_fabric()`` — the message substrate (torus/mesh/ring network or
    the snooping address bus + memory);
 3. ``_build_safetynet()`` — SafetyNet on the protocol's logical time base;
@@ -23,6 +23,7 @@ event scheduled during build must happen in a fixed order), so the base
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import replace
 from typing import ClassVar, Dict, List, Optional
@@ -55,12 +56,14 @@ class System(ABC):
         self.sim = kernel.new_simulator()
         self.stats = StatsRegistry()
         self.rng = DeterministicRng(config.workload.seed)
+        #: Transaction ids of this system, drawn by every cache controller.
+        #: Owned per system, so a run's ids never depend on what else ran
+        #: (or is still live) in the same process.
+        self.txn_ids = itertools.count()
         self._build_fabric()
         self.safetynet: SafetyNet = self._build_safetynet()
         self.speculation = SpeculationManager(self.sim, self.safetynet,
                                               stats=self.stats)
-        #: Historical name for the coordinator; same object.
-        self.framework = self.speculation
         self.slow_start_gate = SlowStartGate(self.sim)
         self.nodes: List = []
         self.injector: Optional[PeriodicInjectionSpeculation] = None

@@ -17,11 +17,6 @@ from repro.system.base import System
 from repro.system.directory_system import DirectorySystem
 from repro.system.snooping_system import SnoopingSystem
 
-#: Historical alias from when the two systems only duck-typed a common
-#: surface and the factory returned a ``Union``; the shared base class is
-#: the real type now.
-AnySystem = System
-
 
 def build_system(config: SystemConfig, *, label: Optional[str] = None) -> System:
     """Build the system the configuration asks for."""

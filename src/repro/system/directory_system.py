@@ -106,6 +106,7 @@ class DirectorySystem(System):
             send = self._make_send(node_id)
             cache_ctrl = DirectoryCacheController(
                 node_id, self.sim, cfg, l2_array, send, self._home,
+                txn_ids=self.txn_ids,
                 misspeculation_reporter=self.speculation.report, stats=self.stats)
             cache_ctrl.may_issue = self.slow_start_gate.may_issue
             cache_ctrl.on_retire = self.slow_start_gate.retired

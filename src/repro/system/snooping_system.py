@@ -71,6 +71,7 @@ class SnoopingSystem(System):
                                               SnoopState.INVALID)
             cache_ctrl = SnoopingCacheController(
                 node_id, self.sim, cfg, l2_array, self.bus, self._deliver_data,
+                txn_ids=self.txn_ids,
                 misspeculation_reporter=self.speculation.report, stats=self.stats)
             cache_ctrl.may_issue = self.slow_start_gate.may_issue
             cache_ctrl.on_retire = self.slow_start_gate.retired

@@ -8,6 +8,9 @@ runs serially, in a worker process, or out of the on-disk cache.
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+import weakref
 
 import pytest
 
@@ -20,14 +23,18 @@ from repro.campaign import (
     SweepSpec,
     all_experiments,
     canonical_json,
+    clear_memos,
     discover,
     execute_spec,
     experiment_names,
     get_experiment,
     make_executor,
+    memo_stats,
     register_experiment,
 )
+from repro.campaign import executor as executor_module
 from repro.campaign import registry as registry_module
+from repro.coherence import cache as cache_module
 from repro.core.events import MisspeculationEvent, RecoveryRecord, SpeculationKind
 from repro.experiments import common, runner
 from repro.sim.config import ProtocolKind, SystemConfig
@@ -126,7 +133,7 @@ class TestExecutors:
         spec = small_spec(references=150)
         executor = SerialExecutor()
         first = executor.run(spec)
-        executor.run(small_spec(references=150, seed=5))  # advance global state
+        executor.run(small_spec(references=150, seed=5))  # warm the process
         again = executor.run(spec)
         assert result_bytes(first) == result_bytes(again)
 
@@ -158,6 +165,38 @@ class TestExecutors:
         result = executor.run(spec)
         assert result.references_completed > 0
         assert cache.misses >= 1
+
+    def test_set_pool_disabled_after_map(self):
+        SerialExecutor().map([small_spec(references=60)])
+        assert not cache_module._POOL_ENABLED
+        assert not cache_module._SET_POOL
+
+    def test_memo_stats_counts_hits(self):
+        clear_memos()
+        spec_a = small_spec(references=80, seed=7)
+        spec_b = small_spec(references=80, seed=7, max_cycles=10_000_000)
+        SerialExecutor().map([spec_a, spec_b])
+        stats = memo_stats()
+        assert stats["stream_misses"] >= 1
+        assert stats["stream_hits"] >= 1
+
+    def test_finished_machines_are_freed(self, monkeypatch):
+        """No machine outlives the collection that follows its run; one
+        still referenced at that point would be promoted out of reach of
+        every later collection inside the campaign."""
+        machines = []
+        build_system = executor_module.build_system
+
+        def recording_build(*args, **kwargs):
+            system = build_system(*args, **kwargs)
+            machines.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(executor_module, "build_system", recording_build)
+        SerialExecutor().map([small_spec(references=60, seed=seed)
+                              for seed in (1, 2, 3)])
+        assert len(machines) == 3
+        assert [ref() is None for ref in machines] == [True, True, True]
 
     def test_make_executor_selects_kind(self):
         assert isinstance(make_executor(0), SerialExecutor)
@@ -260,6 +299,25 @@ class TestRunnerCLI:
         text = text_path.read_text()
         assert "Table 2" in text and "Figure 2" in text
         assert runner.SECTION_SEPARATOR.strip("\n") in text
+
+    def test_memos_block_is_execution_side(self, tmp_path):
+        """The runner surfaces memo_stats() next to the kernel block, and
+        compare_reports strips it: reports stay byte-comparable."""
+        path = tmp_path / "report.json"
+        assert runner.main(["--only", "fig2", "--quick",
+                            "--json", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert {"stream_hits", "stream_misses"} <= set(payload["memos"])
+
+        doctored = tmp_path / "doctored.json"
+        edited = dict(payload)
+        edited["memos"] = {k: v + 17 for k, v in payload["memos"].items()}
+        doctored.write_text(json.dumps(edited))
+        proc = subprocess.run(
+            [sys.executable, "tools/compare_reports.py",
+             str(path), str(doctored)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_report_sections_follow_registry_order(self):
         results = runner.run_campaign(only=["fig2", "table2"])

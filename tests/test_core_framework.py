@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import List
 
 import pytest
 
 from repro.core.catalog import TABLE1_MECHANISMS, mechanism_for, table1_rows
-from repro.core.detection import RecoveryRateInjector, transaction_timeout_cycles
 from repro.core.events import MisspeculationEvent, RecoveryRecord, SpeculationKind
 from repro.core.forward_progress import (
     CombinedPolicy,
@@ -16,10 +16,14 @@ from repro.core.forward_progress import (
     SlowStartGate,
     SlowStartPolicy,
 )
-from repro.core.framework import SpeculationFramework
 from repro.safetynet.manager import SafetyNet
 from repro.sim.config import CheckpointConfig, SpeculationConfig
 from repro.sim.engine import Simulator
+from repro.speculation.detectors import (
+    PeriodicInjectionSpeculation,
+    transaction_timeout_cycles,
+)
+from repro.speculation.manager import SpeculationManager
 
 
 def _event(kind=SpeculationKind.DIRECTORY_P2P_ORDER, at=0) -> MisspeculationEvent:
@@ -31,7 +35,16 @@ def make_framework():
     safetynet = SafetyNet(sim, CheckpointConfig(
         directory_interval_cycles=1_000, recovery_latency_cycles=100,
         register_checkpoint_latency_cycles=10), num_nodes=1, interval_cycles=1_000)
-    return sim, safetynet, SpeculationFramework(sim, safetynet)
+    return sim, safetynet, SpeculationManager(sim, safetynet)
+
+
+def make_injector(sim: Simulator, report, *, rate_per_second: float,
+                  cycles_per_second: float) -> PeriodicInjectionSpeculation:
+    """An injector reporting to ``report`` instead of a built system's
+    manager (the injector only reads ``sim`` and ``report`` from it)."""
+    return PeriodicInjectionSpeculation(
+        SimpleNamespace(sim=sim, report=report),
+        rate_per_second=rate_per_second, cycles_per_second=cycles_per_second)
 
 
 class TestFramework:
@@ -176,18 +189,18 @@ class TestDetectionHelpers:
 
     def test_injector_period(self):
         sim = Simulator()
-        injector = RecoveryRateInjector(sim, lambda e: None, rate_per_second=10,
-                                        cycles_per_second=1e6)
+        injector = make_injector(sim, lambda e: None, rate_per_second=10,
+                                 cycles_per_second=1e6)
         assert injector.period_cycles == 100_000
-        zero = RecoveryRateInjector(sim, lambda e: None, rate_per_second=0,
-                                    cycles_per_second=1e6)
+        zero = make_injector(sim, lambda e: None, rate_per_second=0,
+                             cycles_per_second=1e6)
         assert zero.period_cycles is None
 
     def test_injector_fires_at_rate(self):
         sim = Simulator()
         events = []
-        injector = RecoveryRateInjector(sim, events.append, rate_per_second=5,
-                                        cycles_per_second=10_000)
+        injector = make_injector(sim, events.append, rate_per_second=5,
+                                 cycles_per_second=10_000)
         injector.start()
         sim.schedule(10_000, lambda: None)
         sim.run(until=10_000)
@@ -197,8 +210,8 @@ class TestDetectionHelpers:
     def test_injector_stop(self):
         sim = Simulator()
         events = []
-        injector = RecoveryRateInjector(sim, events.append, rate_per_second=5,
-                                        cycles_per_second=10_000)
+        injector = make_injector(sim, events.append, rate_per_second=5,
+                                 cycles_per_second=10_000)
         injector.start()
         injector.stop()
         sim.run(until=10_000)
@@ -207,11 +220,11 @@ class TestDetectionHelpers:
     def test_injector_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            RecoveryRateInjector(sim, lambda e: None, rate_per_second=-1,
-                                 cycles_per_second=1e6)
+            make_injector(sim, lambda e: None, rate_per_second=-1,
+                          cycles_per_second=1e6)
         with pytest.raises(ValueError):
-            RecoveryRateInjector(sim, lambda e: None, rate_per_second=1,
-                                 cycles_per_second=0)
+            make_injector(sim, lambda e: None, rate_per_second=1,
+                          cycles_per_second=0)
 
 
 class TestCatalog:

@@ -17,6 +17,7 @@ from repro.interconnect.deadlock import (
     WaitForGraph,
     detect_endpoint_deadlock,
 )
+from repro.system import build_system
 
 
 class TestWaitForGraph:
@@ -133,7 +134,8 @@ class TestCommonHelpers:
 
     def test_transaction_completion_is_idempotent(self):
         calls = []
-        txn = Transaction(node=0, address=0, op=MemoryOp.STORE, started_at=0)
+        txn = Transaction(node=0, address=0, op=MemoryOp.STORE, started_at=0,
+                          txn_id=0)
         txn.on_complete = calls.append
         txn.complete()
         txn.complete()
@@ -141,14 +143,20 @@ class TestCommonHelpers:
 
     def test_transaction_satisfied_requires_data_and_acks(self):
         txn = Transaction(node=0, address=0, op=MemoryOp.STORE, started_at=0,
-                          acks_needed=2)
+                          txn_id=0, acks_needed=2)
         assert not txn.satisfied
         txn.data_received = True
         assert not txn.satisfied
         txn.acks_received = 2
         assert txn.satisfied
 
-    def test_transaction_ids_unique(self):
-        a = Transaction(node=0, address=0, op=MemoryOp.LOAD, started_at=0)
-        b = Transaction(node=0, address=0, op=MemoryOp.LOAD, started_at=0)
-        assert a.txn_id != b.txn_id
+    def test_transaction_ids_unique(self, small_config):
+        """Every controller of a system draws from the system's one
+        counter, so no two of its transactions share an id; each system
+        has a counter of its own."""
+        first = build_system(small_config)
+        second = build_system(small_config)
+        assert first.txn_ids is not second.txn_ids
+        for system in (first, second):
+            assert all(ctrl._txn_ids is system.txn_ids
+                       for ctrl in system.cache_controllers())

@@ -9,6 +9,7 @@ the WritebackAck exactly as an adaptively routed network would.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 import pytest
@@ -41,12 +42,13 @@ class DirectHarness:
         self.caches: Dict[int, CacheArray] = {}
         self.cache_ctrls: Dict[int, DirectoryCacheController] = {}
         self.directories: Dict[int, DirectoryController] = {}
+        txn_ids = itertools.count()
         for node in range(num_nodes):
             cache = CacheArray(f"l2.{node}", self.config.l2, CacheState.INVALID)
             self.caches[node] = cache
             self.cache_ctrls[node] = DirectoryCacheController(
                 node, self.sim, self.config, cache,
-                self._make_send(node), self._home,
+                self._make_send(node), self._home, txn_ids=txn_ids,
                 misspeculation_reporter=self.events.append)
             self.directories[node] = DirectoryController(
                 node, self.sim, self.config, self._make_send(node))

@@ -287,21 +287,20 @@ class TestTierParity:
 
     def test_full_registry_grid_byte_identical(self):
         """Every workload family x both protocols x {vc, no-vc}, both tiers,
-        serial and multiplexed.
+        one spec at a time and as one executor batch.
 
         The exhaustive (small-reference) companion to the seeded sample
         above: with the coherence controllers, processor issue loop, L1 and
         now the snooping transition handlers compiled, a divergence confined
         to one protocol or one workload family's access pattern must not be
         able to hide behind the sample.  Each tier additionally re-runs the
-        whole grid under :class:`MultiplexExecutor`, so the interleaved
-        build/execute schedule and the C snooping handlers are held to the
-        same byte-for-byte oracle as plain serial execution.  Byte-for-byte
-        on the result JSON, which includes ``events_executed`` and every
-        counter — the strictest cheap oracle we have.
+        whole grid as one :class:`SerialExecutor` batch, so warm memos and
+        cache set-lists recycled from earlier machines are held to the
+        same byte-for-byte oracle as one-spec-at-a-time execution.
+        Byte-for-byte on the result JSON, which includes ``events_executed``
+        and every counter — the strictest cheap oracle we have.
         """
-        from repro.campaign.executor import execute_spec
-        from repro.campaign.multiplex import MultiplexExecutor
+        from repro.campaign.executor import SerialExecutor, execute_spec
         from repro.campaign.spec import RunSpec
         from repro.experiments.workload_matrix import (
             MAX_CYCLES,
@@ -322,11 +321,11 @@ class TestTierParity:
                 label=_point_label(workload, protocol, s3),
                 max_cycles=MAX_CYCLES) for workload, protocol, s3 in grid]
 
-        def run_tier(tier: str, multiplexed: bool = False):
+        def run_tier(tier: str, in_executor: bool = False):
             kernel.set_kernel_tier(tier)
             specs = grid_specs()
-            if multiplexed:
-                results = MultiplexExecutor().map(specs)
+            if in_executor:
+                results = SerialExecutor().map(specs)
             else:
                 results = [execute_spec(spec) for spec in specs]
             return [json.dumps(r.to_json(), sort_keys=True) for r in results]
@@ -334,8 +333,8 @@ class TestTierParity:
         pure = run_tier("pure")
         legs = [
             ("compiled", run_tier("compiled")),
-            ("pure/multiplexed", run_tier("pure", multiplexed=True)),
-            ("compiled/multiplexed", run_tier("compiled", multiplexed=True)),
+            ("pure/executor", run_tier("pure", in_executor=True)),
+            ("compiled/executor", run_tier("compiled", in_executor=True)),
         ]
         for leg, outputs in legs:
             for (workload, protocol, s3), a, b in zip(grid, pure, outputs):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.interconnect.deadlock import detect_network_deadlock, detect_switch_deadlock
 from repro.interconnect.message import MessageClass, VirtualNetwork
-from repro.interconnect.network import OrderingTracker, TorusNetwork, make_message
+from repro.interconnect.network import InterconnectNetwork, OrderingTracker, make_message
 from repro.sim.config import InterconnectConfig, RoutingPolicy
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
@@ -21,7 +21,7 @@ def build_network(policy=RoutingPolicy.STATIC, *, width=4, height=4,
         link_bandwidth_bytes_per_sec=bandwidth, link_latency_cycles=4,
         switch_buffer_capacity=buffer_capacity,
         speculative_no_vc=speculative_no_vc, nic_injection_limit=nic_limit)
-    network = TorusNetwork(sim, config, frequency_hz=4e9, rng=DeterministicRng(1))
+    network = InterconnectNetwork(sim, config, frequency_hz=4e9, rng=DeterministicRng(1))
     received = []
     for node in range(width * height):
         network.attach(node, lambda m, node=node: received.append((node, m)))
@@ -76,7 +76,7 @@ class TestDelivery:
     def test_send_requires_attached_endpoints(self):
         sim = Simulator()
         config = InterconnectConfig(mesh_width=2, mesh_height=2)
-        network = TorusNetwork(sim, config)
+        network = InterconnectNetwork(sim, config)
         with pytest.raises(ValueError):
             network.send(make_message(0, 1, MessageClass.ACK, config=config))
 

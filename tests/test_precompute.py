@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.campaign import (
-    BatchExecutor,
     ResultCache,
     RunSpec,
     SerialExecutor,
-    artifact_keys,
     canonical_json,
     clear_memos,
     execute_spec,
@@ -143,10 +143,7 @@ class TestColdWarmDeterminism:
         clear_memos()
         memoized = execute_spec(spec)
         cfg = spec.config
-        system_result = None
         from repro.system import build_system
-        from repro.campaign import reset_global_ids
-        reset_global_ids()
         system = build_system(cfg, label=spec.label)
         workload = make_workload(cfg.workload.name,
                                  num_processors=cfg.num_processors,
@@ -159,34 +156,24 @@ class TestColdWarmDeterminism:
 
 
 class TestBatchExecutor:
-    def test_batched_matches_serial_in_spec_order(self):
-        specs = [small_spec(references=120),
-                 small_spec(references=120, seed=2),
-                 small_spec(references=100),
-                 small_spec(references=120)]  # same artifacts as spec 0
-        serial = [result_bytes(r) for r in SerialExecutor().map(specs)]
-        clear_memos()
-        batched = [result_bytes(r) for r in BatchExecutor().map(specs)]
-        assert batched == serial
-
-    def test_groups_share_artifact_keys(self):
-        a = small_spec(references=120)
-        b = small_spec(references=120)
-        c = small_spec(references=120, seed=2)
-        assert artifact_keys(a.config) == artifact_keys(b.config)
-        assert artifact_keys(a.config) != artifact_keys(c.config)
-
     def test_make_executor_selects_batched(self):
-        assert isinstance(make_executor(batched=True), BatchExecutor)
-        assert isinstance(make_executor(), SerialExecutor)
-        assert not isinstance(make_executor(), BatchExecutor)
+        """The default executor runs a batch in one process, sharing the
+        memos across its specs; no separate batched strategy remains."""
+        executor = make_executor()
+        assert isinstance(executor, SerialExecutor)
+        with pytest.raises(TypeError):
+            make_executor(batched=True)
+        clear_memos()
+        executor.map([small_spec(references=80, seed=7),
+                      small_spec(references=80, seed=7, max_cycles=10_000_000)])
+        assert memo_stats()["stream_hits"] >= 1
 
 
 class TestResultCacheCounters:
     def test_stats_track_hits_misses_and_stores(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         spec = small_spec(references=100)
-        executor = BatchExecutor(cache=cache)
+        executor = SerialExecutor(cache=cache)
         first = executor.run(spec)
         assert cache.stats() == {"hits": 0, "misses": 1, "stored": 1}
         second = executor.run(spec)

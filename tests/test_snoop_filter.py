@@ -65,7 +65,7 @@ def footprint(controller: SnoopingCacheController, whole_cache: bool,
                    for cache_set in sets for line in cache_set.values())
     records = sorted((addr, record.phase, record.value, record.request.value)
                      for addr, record in controller.writebacks.items())
-    forwards = sorted((addr, [r.request_id for r in pending])
+    forwards = sorted((addr, [id(r) for r in pending])
                       for addr, pending in controller._pending_forwards.items())
     txn = controller.transaction
     txn_state = None if txn is None else tuple(

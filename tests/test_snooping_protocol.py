@@ -7,6 +7,7 @@ Section 3.2 corner case — can be exercised deterministically.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 import pytest
@@ -39,10 +40,12 @@ class SnoopHarness:
         self.ctrls: Dict[int, SnoopingCacheController] = {}
         self.memory = SnoopingMemoryController(
             self.sim, memory_latency_cycles=100, deliver_data=self._deliver)
+        self.txn_ids = itertools.count()
         for node in range(num_nodes):
             cache = CacheArray(f"snoop-l2.{node}", self.config.l2, SnoopState.INVALID)
             ctrl = SnoopingCacheController(
                 node, self.sim, self.config, cache, self.bus, self._deliver,
+                txn_ids=self.txn_ids,
                 misspeculation_reporter=self.events.append)
             self.caches[node] = cache
             self.ctrls[node] = ctrl
@@ -283,7 +286,7 @@ class TestBusAndMemory:
                              h.config.l2.associativity)
         cache = CacheArray("snoop-l2.4", larger, SnoopState.INVALID)
         ctrl = SnoopingCacheController(4, h.sim, h.config, cache, h.bus,
-                                       h._deliver)
+                                       h._deliver, txn_ids=h.txn_ids)
         with pytest.raises(ValueError, match="geometry"):
             h.bus.attach_controller(ctrl)
 

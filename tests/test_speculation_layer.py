@@ -51,7 +51,7 @@ from repro.speculation import (
     get_speculation,
     speculation_names,
 )
-from repro.system import AnySystem, DirectorySystem, SnoopingSystem, System, build_system
+from repro.system import DirectorySystem, SnoopingSystem, System, build_system
 from repro.system.results import RunResult
 
 #: Content hash of the Figure 4 jbb baseline design point as produced by
@@ -317,7 +317,6 @@ class TestSystemBase:
                                                             DirectorySystem)
         assert isinstance(snooping, System) and isinstance(snooping,
                                                            SnoopingSystem)
-        assert AnySystem is System
 
     def test_shared_surface(self):
         for config in (small_config(),

@@ -16,7 +16,7 @@ from repro.sim.config import (
     WorkloadConfig,
 )
 from repro.sim.rng import DeterministicRng
-from repro.sim.stats import Counter, Histogram, IntervalSampler, StatsRegistry, weighted_mean
+from repro.sim.stats import Counter, Histogram, StatsRegistry, weighted_mean
 
 
 class TestCounters:
@@ -89,13 +89,6 @@ class TestHistogram:
 
 
 class TestSamplerAndHelpers:
-    def test_sampler_mean_and_peak(self):
-        sampler = IntervalSampler("util")
-        sampler.record(0, 0.2)
-        sampler.record(10, 0.6)
-        assert sampler.mean == pytest.approx(0.4)
-        assert sampler.peak == pytest.approx(0.6)
-
     def test_weighted_mean(self):
         assert weighted_mean([(1.0, 1.0), (3.0, 3.0)]) == pytest.approx(2.5)
         assert weighted_mean([]) == 0.0

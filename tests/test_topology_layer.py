@@ -20,7 +20,7 @@ from repro.core.events import SpeculationKind
 from repro.experiments import topology_scale
 from repro.experiments.common import benchmark_config
 from repro.interconnect.message import MessageClass
-from repro.interconnect.network import InterconnectNetwork, TorusNetwork, make_message
+from repro.interconnect.network import InterconnectNetwork, make_message
 from repro.interconnect.topology import (
     Direction,
     MeshTopology,
@@ -271,9 +271,6 @@ class TestNetworksOnNewTopologies:
         corner = network.switch(0)
         assert set(corner.output_links) == {Direction.EAST, Direction.SOUTH}
         assert Direction.WEST not in corner.input_channels
-
-    def test_torus_network_alias_still_works(self):
-        assert TorusNetwork is InterconnectNetwork
 
 
 # --------------------------------------------------------------- system scaling

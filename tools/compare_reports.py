@@ -1,15 +1,15 @@
 #!/usr/bin/env python
 """Byte-compare two runner ``--json`` reports modulo execution-side keys.
 
-The determinism contract says serial, parallel, batched, cached, sharded —
-and pure- vs compiled-tier — execution produce *the same report*.  The only
-permitted differences are the execution-side top-level blocks: ``cache``
-(this process's hit/miss/store traffic, present only under ``--cache``) and
-``kernel`` (the executing kernel tier + compiler tag), both of which
-describe how the campaign ran rather than what it computed.  This tool
-strips exactly those blocks from both documents, canonicalises them (sorted
-keys, tight separators — the same encoding the spec layer hashes), and
-compares the resulting bytes.  When the two reports ran on different kernel
+The determinism contract says serial, parallel, cached, sharded — and pure-
+vs compiled-tier — execution produce *the same report*.  The only permitted
+differences are the execution-side top-level blocks: ``cache`` (this
+process's hit/miss/store traffic, present only under ``--cache``),
+``kernel`` (the executing kernel tier + compiler tag) and ``memos`` (the
+artifact-memo traffic), all of which describe how the campaign ran rather
+than what it computed.  This tool strips exactly those blocks from both
+documents, canonicalises them (sorted keys, tight separators — the same
+encoding the spec layer hashes), and compares the resulting bytes.  When the two reports ran on different kernel
 tiers a note is printed (comparison proceeds normally — cross-tier identity
 is the point of the contract).
 
@@ -33,8 +33,8 @@ from typing import Any, Dict, List, Optional
 #: per-process hit/miss summary of ``--cache`` runs; ``kernel`` records the
 #: executing kernel tier (+ compiler tag), which legitimately differs when
 #: the same campaign is run on the pure and the compiled tier; ``memos`` is
-#: the artifact-memo hit/miss tally, which legitimately differs between
-#: cold (serial/parallel) and warm (batched/multiplexed) execution.
+#: the artifact-memo hit/miss tally, which legitimately differs between one
+#: warm process (serial) and several cold ones (parallel, sharded).
 EXECUTION_KEYS = ("cache", "kernel", "memos")
 
 

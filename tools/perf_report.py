@@ -49,16 +49,14 @@ SCHEMA_V1 = "repro.bench_kernel/v1"
 #: Benchmark-result keys that carry throughput (higher is better) and cost
 #: (lower is better), used for speedup derivation and delta printing.
 RATE_KEYS = ("events_per_sec", "references_per_sec", "records_per_sec",
-             "decisions_per_sec", "batched_speedup", "multiplex_speedup",
-             "sharded_speedup")
+             "decisions_per_sec", "sharded_speedup")
 COST_KEYS = ("wall_seconds",)
 
 #: Parallel-speedup metrics whose ceiling is ``min(workers, cpus)``: on a
 #: machine whose recorded ``cpus`` field is 1, a sub-1.0 value is the
 #: *expected* outcome (process spawn + store polling with zero extra
 #: parallelism), so the regression surface skips them there.
-PARALLEL_SPEEDUP_KEYS = ("batched_speedup", "multiplex_speedup",
-                         "sharded_speedup")
+PARALLEL_SPEEDUP_KEYS = ("sharded_speedup",)
 
 #: ``--check`` warns (never gates) when a ``speedup_vs_baseline`` entry sits
 #: below this: quick-sized CI numbers are noisy, so only a pronounced drop
