@@ -11,8 +11,20 @@ tier is always sufficient, so build errors for the extension are reported
 but not fatal.
 """
 
+import hashlib
+import os
+
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
+
+SOURCE = "src/repro/_ckernelmodule.c"
+
+
+def source_sha256() -> str:
+    """sha256 of the C source, compiled into the module as SOURCE_SHA256."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), SOURCE)
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 class optional_build_ext(build_ext):
@@ -48,7 +60,10 @@ setup(
     ext_modules=[
         Extension(
             "repro._ckernel",
-            sources=["src/repro/_ckernelmodule.c"],
+            sources=[SOURCE],
+            # repro.kernel refuses a build whose digest differs from the
+            # source it sits next to (DESIGN.md §10).
+            define_macros=[("CKERNEL_SOURCE_SHA256", f'"{source_sha256()}"')],
             # -g0 drops the -g inherited from Python's CFLAGS: a faster
             # compile, and the same machine code.
             extra_compile_args=["-O2", "-g0"],

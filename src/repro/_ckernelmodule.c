@@ -38,6 +38,12 @@
 #define CKERNEL_COMPILER "unknown"
 #endif
 
+/* sha256 of this file, passed by setup.py; repro.kernel refuses a build
+ * whose digest differs from the source next to it (a stale build). */
+#ifndef CKERNEL_SOURCE_SHA256
+#define CKERNEL_SOURCE_SHA256 ""
+#endif
+
 #define FREELIST_MAX 8192
 #define COMPACT_MIN_ENTRIES 512
 #define TIME_SENTINEL (1LL << 62)
@@ -5237,18 +5243,20 @@ static PyTypeObject CBusCore_Type = {
     .tp_new = BusCore_new,
 };
 
-/* ----------------------------------------------------- TransactionCore */
+/* ------------------------------------------- blocking controller lifecycle */
 
-/* Compiled DirectoryCacheController hot paths: the processor-facing
- * access() (L2 lookup + hit finish + transaction issue) and the DATA/ACK
- * response handlers (install + completion).  Ports of the pure methods in
- * repro.coherence.directory.cache_controller; every cold or rare branch
- * (slow-start retry, full-set install, nack, forwarded requests,
- * writebacks, recovery) stays pure.  Completion runs through the
- * controller's _pending_request/_pending_on_complete attributes, the same
- * protocol the pure _complete_current uses. */
+/* The transaction lifecycle of repro.coherence.controller.
+ * BlockingCacheController, written once for both L2 controllers: access()
+ * (L2 lookup + hit finish + miss issue), the reusable finish and timeout
+ * thunks, the issue path, fresh-line allocation and completion.
+ * TransactionCore and SnoopCore both begin with a CCtrlCore; the protocol
+ * supplies its miss request and its part of completion through the two
+ * hooks.  Every cold or rare branch (slow-start retry, full-set install,
+ * recovery) stays pure.  Completion runs through the controller's
+ * _pending_request/_pending_on_complete attributes, the same protocol the
+ * pure _complete_current uses. */
 
-/* Interned attribute names used by the transaction/memory-complete cores. */
+/* Interned attribute names used by the controller/memory-complete cores. */
 static struct {
     PyObject *transaction, *timeout_cycles, *pending_request,
         *pending_on_complete, *data_received, *acks_needed, *acks_received,
@@ -5258,40 +5266,28 @@ static struct {
         *min_name, *max_name, *bucket_width, *cancel, *load_hits,
         *store_hits, *load_misses, *store_misses, *transactions_issued,
         *transactions_completed, *stale_data, *duplicate_data, *stale_acks,
-        *memory_references;
+        *memory_references, *value_hint;
 } TS;
 
-typedef struct _CTxnCore CTxnCore;
+typedef struct CCtrlCoreT CCtrlCore;
 
-/* Reusable finish thunk: the _finish() closure of the single outstanding
- * reference (blocking processor => at most one in flight per controller). */
-typedef struct {
+struct CCtrlCoreT {
     PyObject_HEAD
-    CTxnCore *core;             /* strong (cycle collected via GC) */
-    PyObject *request, *cb;     /* armed payload; NULL when idle */
-} CTxnFinishThunk;
-
-/* Reusable timeout thunk: the `lambda: self._transaction_timeout(txn)`
- * of the single outstanding transaction. */
-typedef struct {
-    PyObject_HEAD
-    CTxnCore *core;             /* strong */
-    PyObject *txn;
-} CTxnTimeoutThunk;
-
-struct _CTxnCore {
-    PyObject_HEAD
+    /* _request(txn): send the miss request of a new transaction. */
+    int (*request)(CCtrlCore *self, PyObject *txn, PyObject *addr_obj,
+                   long long addr, int is_load);
+    /* _transaction_done(txn); NULL when the protocol has no part in it. */
+    int (*done)(CCtrlCore *self, PyObject *txn, PyObject *taddr_obj,
+                long long taddr);
     PyObject *ctrl;
     CSimulator *sim;            /* strong */
     CEventQueue *cqueue;        /* strong */
-    PyObject *name_obj;         /* ctrl.name (event label of _finish) */
-    PyObject *timeout_label;    /* f"{ctrl.name}.timeout" */
+    PyObject *name_obj;         /* ctrl.name (event label) */
     PyObject *node_obj;         /* PyLong ctrl.node_id */
-    long long num_nodes, home_block;
     PyObject *load_op, *store_op;
     PyObject *invalid_state, *shared_state, *modified_state;
-    PyObject *cls_req_ro, *cls_req_rw, *cls_final;
-    PyObject *payload_cls, *txn_cls, *line_cls;
+    PyObject *writable;         /* ctrl.WRITABLE (tuple of states) */
+    PyObject *txn_cls, *line_cls;
     PyObject *txn_ids;          /* ctrl._txn_ids (the system's id stream) */
     PyObject *cache;            /* ctrl.cache (CacheArray) */
     PyObject *l2_sets;          /* cache._sets */
@@ -5299,7 +5295,6 @@ struct _CTxnCore {
     PyObject *observer;         /* cache._observer (Py_None when unset) */
     long long l2_hit_cycles;
     PyObject *l2_hit_obj;
-    PyObject *send;             /* ctrl.send (post-rebind MessageSendCore) */
     PyObject *may_issue, *on_retire;
     PyObject *counters_dict, *count_meth;
     PyObject *complete_cb;      /* bound ctrl._complete_current */
@@ -5308,17 +5303,27 @@ struct _CTxnCore {
     PyObject *pure_install;     /* bound ctrl._install_line */
     PyObject *finish_meth;      /* bound ctrl._finish */
     PyObject *timeout_meth;     /* bound ctrl._transaction_timeout */
-    PyObject *hist_meth;        /* bound ctrl.stats.histogram */
-    PyObject *hist_args;        /* ("l2.miss_latency",) */
-    PyObject *hist_kwargs;      /* {"bucket_width": 64} */
     PyObject *zero_obj;
-    PyObject *finish_thunk;     /* CTxnFinishThunk */
-    PyObject *timeout_thunk;    /* CTxnTimeoutThunk */
+    PyObject *finish_thunk;     /* CFinishThunk */
+    PyObject *timeout_thunk;    /* CTimeoutThunk */
 };
 
-static PyTypeObject CTxnCore_Type;
-static PyTypeObject CTxnFinishThunk_Type;
-static PyTypeObject CTxnTimeoutThunk_Type;
+/* Reusable finish thunk: the _finish() closure of the single outstanding
+ * reference (blocking processor => at most one in flight per controller). */
+typedef struct {
+    PyObject_HEAD
+    CCtrlCore *core;            /* strong (cycle collected via GC) */
+    PyObject *request, *cb;     /* armed payload; NULL when idle */
+} CFinishThunk;
+
+/* Reusable timeout thunk: the `lambda: self._transaction_timeout(txn)`
+ * of the single outstanding transaction. */
+typedef struct {
+    PyObject_HEAD
+    CCtrlCore *core;            /* strong */
+    PyObject *txn;
+} CTimeoutThunk;
+
 static PyTypeObject CMemCore_Type;
 
 /* ------------------------------------------------------- shared helpers */
@@ -5473,7 +5478,7 @@ fail:
 /* ------------------------------------------------------- finish thunk */
 
 static int
-TxnFinish_traverse(CTxnFinishThunk *self, visitproc visit, void *arg)
+Finish_traverse(CFinishThunk *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->core);
     Py_VISIT(self->request);
@@ -5482,7 +5487,7 @@ TxnFinish_traverse(CTxnFinishThunk *self, visitproc visit, void *arg)
 }
 
 static int
-TxnFinish_clear_gc(CTxnFinishThunk *self)
+Finish_clear_gc(CFinishThunk *self)
 {
     Py_CLEAR(self->core);
     Py_CLEAR(self->request);
@@ -5491,15 +5496,15 @@ TxnFinish_clear_gc(CTxnFinishThunk *self)
 }
 
 static void
-TxnFinish_dealloc(CTxnFinishThunk *self)
+Finish_dealloc(CFinishThunk *self)
 {
     PyObject_GC_UnTrack(self);
-    TxnFinish_clear_gc(self);
+    Finish_clear_gc(self);
     PyObject_GC_Del(self);
 }
 
 static PyObject *
-TxnFinish_call(CTxnFinishThunk *self, PyObject *args, PyObject *kwds)
+Finish_call(CFinishThunk *self, PyObject *args, PyObject *kwds)
 {
     /* _finish._done: stamp completion time, then hand the request back. */
     PyObject *request = self->request;
@@ -5526,21 +5531,21 @@ TxnFinish_call(CTxnFinishThunk *self, PyObject *args, PyObject *kwds)
     Py_RETURN_NONE;
 }
 
-static PyTypeObject CTxnFinishThunk_Type = {
+static PyTypeObject CFinishThunk_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._ckernel._TxnFinishThunk",
-    .tp_basicsize = sizeof(CTxnFinishThunk),
-    .tp_dealloc = (destructor)TxnFinish_dealloc,
-    .tp_call = (ternaryfunc)TxnFinish_call,
+    .tp_name = "repro._ckernel._FinishThunk",
+    .tp_basicsize = sizeof(CFinishThunk),
+    .tp_dealloc = (destructor)Finish_dealloc,
+    .tp_call = (ternaryfunc)Finish_call,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)TxnFinish_traverse,
-    .tp_clear = (inquiry)TxnFinish_clear_gc,
+    .tp_traverse = (traverseproc)Finish_traverse,
+    .tp_clear = (inquiry)Finish_clear_gc,
 };
 
 /* ------------------------------------------------------ timeout thunk */
 
 static int
-TxnTimeout_traverse(CTxnTimeoutThunk *self, visitproc visit, void *arg)
+Timeout_traverse(CTimeoutThunk *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->core);
     Py_VISIT(self->txn);
@@ -5548,7 +5553,7 @@ TxnTimeout_traverse(CTxnTimeoutThunk *self, visitproc visit, void *arg)
 }
 
 static int
-TxnTimeout_clear_gc(CTxnTimeoutThunk *self)
+Timeout_clear_gc(CTimeoutThunk *self)
 {
     Py_CLEAR(self->core);
     Py_CLEAR(self->txn);
@@ -5556,15 +5561,15 @@ TxnTimeout_clear_gc(CTxnTimeoutThunk *self)
 }
 
 static void
-TxnTimeout_dealloc(CTxnTimeoutThunk *self)
+Timeout_dealloc(CTimeoutThunk *self)
 {
     PyObject_GC_UnTrack(self);
-    TxnTimeout_clear_gc(self);
+    Timeout_clear_gc(self);
     PyObject_GC_Del(self);
 }
 
 static PyObject *
-TxnTimeout_call(CTxnTimeoutThunk *self, PyObject *args, PyObject *kwds)
+Timeout_call(CTimeoutThunk *self, PyObject *args, PyObject *kwds)
 {
     PyObject *txn = self->txn;
     self->txn = NULL;
@@ -5577,45 +5582,40 @@ TxnTimeout_call(CTxnTimeoutThunk *self, PyObject *args, PyObject *kwds)
     return res;
 }
 
-static PyTypeObject CTxnTimeoutThunk_Type = {
+static PyTypeObject CTimeoutThunk_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._ckernel._TxnTimeoutThunk",
-    .tp_basicsize = sizeof(CTxnTimeoutThunk),
-    .tp_dealloc = (destructor)TxnTimeout_dealloc,
-    .tp_call = (ternaryfunc)TxnTimeout_call,
+    .tp_name = "repro._ckernel._TimeoutThunk",
+    .tp_basicsize = sizeof(CTimeoutThunk),
+    .tp_dealloc = (destructor)Timeout_dealloc,
+    .tp_call = (ternaryfunc)Timeout_call,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)TxnTimeout_traverse,
-    .tp_clear = (inquiry)TxnTimeout_clear_gc,
+    .tp_traverse = (traverseproc)Timeout_traverse,
+    .tp_clear = (inquiry)Timeout_clear_gc,
 };
 
-/* ---------------------------------------------------------- core type */
+/* ------------------------------------------------------- shared core */
 
 static int
-TxnCore_traverse(CTxnCore *self, visitproc visit, void *arg)
+ctrl_traverse(CCtrlCore *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->ctrl);
     Py_VISIT(self->sim);
     Py_VISIT(self->cqueue);
     Py_VISIT(self->name_obj);
-    Py_VISIT(self->timeout_label);
     Py_VISIT(self->node_obj);
     Py_VISIT(self->load_op);
     Py_VISIT(self->store_op);
     Py_VISIT(self->invalid_state);
     Py_VISIT(self->shared_state);
     Py_VISIT(self->modified_state);
-    Py_VISIT(self->cls_req_ro);
-    Py_VISIT(self->cls_req_rw);
-    Py_VISIT(self->cls_final);
-    Py_VISIT(self->payload_cls);
+    Py_VISIT(self->writable);
     Py_VISIT(self->txn_cls);
-    Py_VISIT(self->txn_ids);
     Py_VISIT(self->line_cls);
+    Py_VISIT(self->txn_ids);
     Py_VISIT(self->cache);
     Py_VISIT(self->l2_sets);
     Py_VISIT(self->observer);
     Py_VISIT(self->l2_hit_obj);
-    Py_VISIT(self->send);
     Py_VISIT(self->may_issue);
     Py_VISIT(self->on_retire);
     Py_VISIT(self->counters_dict);
@@ -5626,9 +5626,6 @@ TxnCore_traverse(CTxnCore *self, visitproc visit, void *arg)
     Py_VISIT(self->pure_install);
     Py_VISIT(self->finish_meth);
     Py_VISIT(self->timeout_meth);
-    Py_VISIT(self->hist_meth);
-    Py_VISIT(self->hist_args);
-    Py_VISIT(self->hist_kwargs);
     Py_VISIT(self->zero_obj);
     Py_VISIT(self->finish_thunk);
     Py_VISIT(self->timeout_thunk);
@@ -5636,31 +5633,26 @@ TxnCore_traverse(CTxnCore *self, visitproc visit, void *arg)
 }
 
 static int
-TxnCore_clear_gc(CTxnCore *self)
+ctrl_clear(CCtrlCore *self)
 {
     Py_CLEAR(self->ctrl);
     Py_CLEAR(self->sim);
     Py_CLEAR(self->cqueue);
     Py_CLEAR(self->name_obj);
-    Py_CLEAR(self->timeout_label);
     Py_CLEAR(self->node_obj);
     Py_CLEAR(self->load_op);
     Py_CLEAR(self->store_op);
     Py_CLEAR(self->invalid_state);
     Py_CLEAR(self->shared_state);
     Py_CLEAR(self->modified_state);
-    Py_CLEAR(self->cls_req_ro);
-    Py_CLEAR(self->cls_req_rw);
-    Py_CLEAR(self->cls_final);
-    Py_CLEAR(self->payload_cls);
+    Py_CLEAR(self->writable);
     Py_CLEAR(self->txn_cls);
-    Py_CLEAR(self->txn_ids);
     Py_CLEAR(self->line_cls);
+    Py_CLEAR(self->txn_ids);
     Py_CLEAR(self->cache);
     Py_CLEAR(self->l2_sets);
     Py_CLEAR(self->observer);
     Py_CLEAR(self->l2_hit_obj);
-    Py_CLEAR(self->send);
     Py_CLEAR(self->may_issue);
     Py_CLEAR(self->on_retire);
     Py_CLEAR(self->counters_dict);
@@ -5671,117 +5663,102 @@ TxnCore_clear_gc(CTxnCore *self)
     Py_CLEAR(self->pure_install);
     Py_CLEAR(self->finish_meth);
     Py_CLEAR(self->timeout_meth);
-    Py_CLEAR(self->hist_meth);
-    Py_CLEAR(self->hist_args);
-    Py_CLEAR(self->hist_kwargs);
     Py_CLEAR(self->zero_obj);
     Py_CLEAR(self->finish_thunk);
     Py_CLEAR(self->timeout_thunk);
     return 0;
 }
 
+/* tp_dealloc of both cores: their tp_clear releases every field. */
 static void
-TxnCore_dealloc(CTxnCore *self)
+ctrl_dealloc(CCtrlCore *self)
 {
     PyObject_GC_UnTrack(self);
-    TxnCore_clear_gc(self);
+    Py_TYPE(self)->tp_clear((PyObject *)self);
     PyObject_GC_Del(self);
 }
 
-static PyObject *
-TxnCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+/* *field = getattr(obj, name): 0, or -1 with an exception set. */
+static int
+capture_attr(PyObject **field, PyObject *obj, const char *name)
 {
-    PyObject *ctrl, *load_op, *store_op, *invalid_state, *shared_state,
-        *modified_state, *cls_req_ro, *cls_req_rw, *cls_final,
-        *payload_cls, *txn_cls, *line_cls;
-    long long num_nodes, home_block;
-    if (!PyArg_ParseTuple(args, "OLLOOOOOOOOOOO", &ctrl, &num_nodes,
-                          &home_block, &load_op, &store_op, &invalid_state,
-                          &shared_state, &modified_state, &cls_req_ro,
-                          &cls_req_rw, &cls_final, &payload_cls, &txn_cls,
-                          &line_cls))
-        return NULL;
+    *field = PyObject_GetAttrString(obj, name);
+    return *field == NULL ? -1 : 0;
+}
+
+/* Allocate a core of `type` (a struct beginning with a CCtrlCore) for the
+ * controller `ctrl` and capture the shared fields: the simulator, the
+ * cache and its geometry, the state constants ctrl.INVALID/SHARED/
+ * MODIFIED/WRITABLE, the slow-start hooks, the counters and the bound
+ * pure methods of the cold paths.  Returns a new reference, or NULL with
+ * an exception set. */
+static CCtrlCore *
+ctrl_new(PyTypeObject *type, PyObject *kwds, PyObject *ctrl,
+         PyObject *load_op, PyObject *store_op, PyObject *txn_cls,
+         PyObject *line_cls)
+{
     if (kwds && PyDict_GET_SIZE(kwds)) {
-        PyErr_SetString(PyExc_TypeError, "TransactionCore() takes no kwargs");
+        PyErr_Format(PyExc_TypeError, "%s() takes no kwargs", type->tp_name);
         return NULL;
     }
-    if (num_nodes <= 0 || home_block <= 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "node count and block size must be positive");
-        return NULL;
-    }
-    CTxnCore *self = PyObject_GC_New(CTxnCore, &CTxnCore_Type);
+    CCtrlCore *self = PyObject_GC_New(CCtrlCore, type);
     if (self == NULL)
         return NULL;
     memset(((char *)self) + sizeof(PyObject), 0,
-           sizeof(CTxnCore) - sizeof(PyObject));
+           type->tp_basicsize - sizeof(PyObject));
     PyObject_GC_Track((PyObject *)self);
 
-    Py_INCREF(ctrl);
-    self->ctrl = ctrl;
-    self->num_nodes = num_nodes;
-    self->home_block = home_block;
-    Py_INCREF(load_op);
-    self->load_op = load_op;
-    Py_INCREF(store_op);
-    self->store_op = store_op;
-    Py_INCREF(invalid_state);
-    self->invalid_state = invalid_state;
-    Py_INCREF(shared_state);
-    self->shared_state = shared_state;
-    Py_INCREF(modified_state);
-    self->modified_state = modified_state;
-    Py_INCREF(cls_req_ro);
-    self->cls_req_ro = cls_req_ro;
-    Py_INCREF(cls_req_rw);
-    self->cls_req_rw = cls_req_rw;
-    Py_INCREF(cls_final);
-    self->cls_final = cls_final;
-    Py_INCREF(payload_cls);
-    self->payload_cls = payload_cls;
-    Py_INCREF(txn_cls);
-    self->txn_cls = txn_cls;
-    Py_INCREF(line_cls);
-    self->line_cls = line_cls;
-    self->txn_ids = PyObject_GetAttrString(ctrl, "_txn_ids");
-    if (self->txn_ids == NULL)
+    self->ctrl = Py_NewRef(ctrl);
+    self->load_op = Py_NewRef(load_op);
+    self->store_op = Py_NewRef(store_op);
+    self->txn_cls = Py_NewRef(txn_cls);
+    self->line_cls = Py_NewRef(line_cls);
+    PyObject *sim;
+    if (capture_attr(&sim, ctrl, "sim") < 0)
         goto fail;
+    if (!Py_IS_TYPE(sim, &CSimulator_Type)) {
+        Py_DECREF(sim);
+        PyErr_Format(PyExc_TypeError, "%s requires a compiled Simulator",
+                     type->tp_name);
+        goto fail;
+    }
+    self->sim = (CSimulator *)sim;
+    self->cqueue = (CEventQueue *)Py_NewRef(self->sim->queue);
+    if (capture_attr(&self->name_obj, ctrl, "name") < 0 ||
+        capture_attr(&self->node_obj, ctrl, "node_id") < 0 ||
+        capture_attr(&self->invalid_state, ctrl, "INVALID") < 0 ||
+        capture_attr(&self->shared_state, ctrl, "SHARED") < 0 ||
+        capture_attr(&self->modified_state, ctrl, "MODIFIED") < 0 ||
+        capture_attr(&self->writable, ctrl, "WRITABLE") < 0 ||
+        capture_attr(&self->txn_ids, ctrl, "_txn_ids") < 0 ||
+        capture_attr(&self->cache, ctrl, "cache") < 0 ||
+        capture_attr(&self->may_issue, ctrl, "may_issue") < 0 ||
+        capture_attr(&self->on_retire, ctrl, "on_retire") < 0 ||
+        capture_attr(&self->counters_dict, ctrl, "_counters") < 0 ||
+        capture_attr(&self->count_meth, ctrl, "count") < 0 ||
+        capture_attr(&self->complete_cb, ctrl, "_complete_current") < 0 ||
+        capture_attr(&self->pure_issue, ctrl, "_issue_transaction") < 0 ||
+        capture_attr(&self->retry_meth, ctrl, "_retry_issue") < 0 ||
+        capture_attr(&self->pure_install, ctrl, "_install_line") < 0 ||
+        capture_attr(&self->finish_meth, ctrl, "_finish") < 0 ||
+        capture_attr(&self->timeout_meth, ctrl, "_transaction_timeout") < 0 ||
+        capture_attr(&self->l2_sets, self->cache, "_sets") < 0 ||
+        capture_attr(&self->observer, self->cache, "_observer") < 0)
+        goto fail;
+    if (!PyTuple_Check(self->writable)) {
+        PyErr_SetString(PyExc_TypeError, "WRITABLE must be a tuple");
+        goto fail;
+    }
     if (!PyIter_Check(self->txn_ids)) {
         PyErr_SetString(PyExc_TypeError, "_txn_ids must be an iterator");
         goto fail;
     }
-
-    PyObject *sim = PyObject_GetAttrString(ctrl, "sim");
-    if (sim == NULL)
-        goto fail;
-    if (!Py_IS_TYPE(sim, &CSimulator_Type)) {
-        Py_DECREF(sim);
-        PyErr_SetString(PyExc_TypeError,
-                        "TransactionCore requires a compiled Simulator");
+    if (!PyDict_Check(self->counters_dict)) {
+        PyErr_SetString(PyExc_TypeError, "_counters must be a dict");
         goto fail;
     }
-    self->sim = (CSimulator *)sim;
-    Py_INCREF(self->sim->queue);
-    self->cqueue = self->sim->queue;
-
-    self->name_obj = PyObject_GetAttrString(ctrl, "name");
-    if (self->name_obj == NULL)
-        goto fail;
-    self->timeout_label = PyUnicode_FromFormat("%U.timeout", self->name_obj);
-    if (self->timeout_label == NULL)
-        goto fail;
-    PyUnicode_InternInPlace(&self->timeout_label);
-    self->node_obj = PyObject_GetAttrString(ctrl, "node_id");
-    if (self->node_obj == NULL)
-        goto fail;
-
-    self->cache = PyObject_GetAttrString(ctrl, "cache");
-    if (self->cache == NULL)
-        goto fail;
-    self->l2_sets = PyObject_GetAttrString(self->cache, "_sets");
-    if (self->l2_sets == NULL || !PyList_Check(self->l2_sets)) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "_sets must be a list");
+    if (!PyList_Check(self->l2_sets)) {
+        PyErr_SetString(PyExc_TypeError, "_sets must be a list");
         goto fail;
     }
     if (getattrstr_ll(self->cache, "_block_bytes", &self->l2_block) < 0 ||
@@ -5792,9 +5769,6 @@ TxnCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                         "cache geometry must be positive");
         goto fail;
     }
-    self->observer = PyObject_GetAttrString(self->cache, "_observer");
-    if (self->observer == NULL)
-        goto fail;
 
     PyObject *config = PyObject_GetAttrString(ctrl, "config");
     if (config == NULL)
@@ -5821,94 +5795,47 @@ TxnCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->l2_hit_obj = PyLong_FromLongLong(self->l2_hit_cycles);
     if (self->l2_hit_obj == NULL)
         goto fail;
-
-    self->send = PyObject_GetAttrString(ctrl, "send");
-    if (self->send == NULL)
-        goto fail;
-    self->may_issue = PyObject_GetAttrString(ctrl, "may_issue");
-    if (self->may_issue == NULL)
-        goto fail;
-    self->on_retire = PyObject_GetAttrString(ctrl, "on_retire");
-    if (self->on_retire == NULL)
-        goto fail;
-    self->counters_dict = PyObject_GetAttrString(ctrl, "_counters");
-    if (self->counters_dict == NULL || !PyDict_Check(self->counters_dict)) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "_counters must be a dict");
-        goto fail;
-    }
-    self->count_meth = PyObject_GetAttrString(ctrl, "count");
-    if (self->count_meth == NULL)
-        goto fail;
-    self->complete_cb = PyObject_GetAttrString(ctrl, "_complete_current");
-    if (self->complete_cb == NULL)
-        goto fail;
-    self->pure_issue = PyObject_GetAttrString(ctrl, "_issue_transaction");
-    if (self->pure_issue == NULL)
-        goto fail;
-    self->retry_meth = PyObject_GetAttrString(ctrl, "_retry_issue");
-    if (self->retry_meth == NULL)
-        goto fail;
-    self->pure_install = PyObject_GetAttrString(ctrl, "_install_line");
-    if (self->pure_install == NULL)
-        goto fail;
-    self->finish_meth = PyObject_GetAttrString(ctrl, "_finish");
-    if (self->finish_meth == NULL)
-        goto fail;
-    self->timeout_meth = PyObject_GetAttrString(ctrl, "_transaction_timeout");
-    if (self->timeout_meth == NULL)
-        goto fail;
-
-    PyObject *stats = PyObject_GetAttrString(ctrl, "stats");
-    if (stats == NULL)
-        goto fail;
-    self->hist_meth = PyObject_GetAttrString(stats, "histogram");
-    Py_DECREF(stats);
-    if (self->hist_meth == NULL)
-        goto fail;
-    self->hist_args = Py_BuildValue("(s)", "l2.miss_latency");
-    if (self->hist_args == NULL)
-        goto fail;
-    self->hist_kwargs = Py_BuildValue("{s:i}", "bucket_width", 64);
-    if (self->hist_kwargs == NULL)
-        goto fail;
     self->zero_obj = PyLong_FromLong(0);
     if (self->zero_obj == NULL)
         goto fail;
 
-    CTxnFinishThunk *ft = PyObject_GC_New(CTxnFinishThunk,
-                                          &CTxnFinishThunk_Type);
+    CFinishThunk *ft = PyObject_GC_New(CFinishThunk, &CFinishThunk_Type);
     if (ft == NULL)
         goto fail;
     ft->request = NULL;
     ft->cb = NULL;
-    Py_INCREF(self);
-    ft->core = self;
+    ft->core = (CCtrlCore *)Py_NewRef(self);
     PyObject_GC_Track((PyObject *)ft);
     self->finish_thunk = (PyObject *)ft;
 
-    CTxnTimeoutThunk *tt = PyObject_GC_New(CTxnTimeoutThunk,
-                                           &CTxnTimeoutThunk_Type);
+    CTimeoutThunk *tt = PyObject_GC_New(CTimeoutThunk, &CTimeoutThunk_Type);
     if (tt == NULL)
         goto fail;
     tt->txn = NULL;
-    Py_INCREF(self);
-    tt->core = self;
+    tt->core = (CCtrlCore *)Py_NewRef(self);
     PyObject_GC_Track((PyObject *)tt);
     self->timeout_thunk = (PyObject *)tt;
-    return (PyObject *)self;
+    return self;
 
 fail:
     Py_DECREF(self);
     return NULL;
 }
 
+/* The L2 set holding `addr` (borrowed). */
+static inline PyObject *
+ctrl_set_for(CCtrlCore *self, long long addr)
+{
+    return PyList_GET_ITEM(
+        self->l2_sets, (Py_ssize_t)((addr / self->l2_block) % self->l2_nsets));
+}
+
 /* _finish(request, on_complete, l2_hit_cycles): arm the reusable thunk
  * (fall back to the pure method if it is somehow busy). */
 static int
-txn_finish_schedule(CTxnCore *self, PyObject *request, PyObject *on_complete)
+ctrl_finish(CCtrlCore *self, PyObject *request, PyObject *on_complete)
 {
-    CTxnFinishThunk *ft = (CTxnFinishThunk *)self->finish_thunk;
+    CFinishThunk *ft = (CFinishThunk *)self->finish_thunk;
     if (ft->request != NULL) {
         PyObject *res = PyObject_CallFunctionObjArgs(
             self->finish_meth, request, on_complete, self->l2_hit_obj, NULL);
@@ -5933,8 +5860,8 @@ txn_finish_schedule(CTxnCore *self, PyObject *request, PyObject *on_complete)
 /* _issue_transaction fast path.  Caller guarantees ctrl.transaction is
  * None (it routes to the pure method otherwise, which raises). */
 static int
-txn_issue(CTxnCore *self, PyObject *request, PyObject *on_complete,
-          PyObject *addr_obj, long long addr, int is_load)
+ctrl_issue(CCtrlCore *self, PyObject *request, PyObject *on_complete,
+           PyObject *addr_obj, long long addr, int is_load)
 {
     PyObject *gate = PyObject_CallOneArg(self->may_issue, self->node_obj);
     if (gate == NULL)
@@ -5982,13 +5909,12 @@ txn_issue(CTxnCore *self, PyObject *request, PyObject *on_complete,
         Py_DECREF(tc);
         if (cycles == -1 && PyErr_Occurred())
             goto fail;
-        CTxnTimeoutThunk *tt = (CTxnTimeoutThunk *)self->timeout_thunk;
+        CTimeoutThunk *tt = (CTimeoutThunk *)self->timeout_thunk;
         Py_INCREF(txn);
         Py_XSETREF(tt->txn, txn);
         PyObject *ev = queue_push_internal(self->cqueue,
                                            self->sim->now + cycles, 0,
-                                           (PyObject *)tt,
-                                           self->timeout_label);
+                                           (PyObject *)tt, self->name_obj);
         if (ev == NULL)
             goto fail;
         int rc = PyObject_SetAttr(txn, TS.timeout_event, ev);
@@ -5999,30 +5925,8 @@ txn_issue(CTxnCore *self, PyObject *request, PyObject *on_complete,
     else
         Py_DECREF(tc);
 
-    PyObject *txn_id = PyObject_GetAttr(txn, TS.txn_id);
-    if (txn_id == NULL)
-        goto fail;
-    PyObject *payload = PyObject_CallFunctionObjArgs(
-        self->payload_cls, self->node_obj, self->zero_obj, Py_None,
-        txn_id, NULL);
-    Py_DECREF(txn_id);
-    if (payload == NULL)
-        goto fail;
-    PyObject *home = PyLong_FromLongLong(
-        (addr / self->home_block) % self->num_nodes);
-    if (home == NULL) {
-        Py_DECREF(payload);
-        goto fail;
-    }
-    PyObject *res = PyObject_CallFunctionObjArgs(
-        self->send, home, is_load ? self->cls_req_ro : self->cls_req_rw,
-        addr_obj, payload, NULL);
-    Py_DECREF(home);
-    Py_DECREF(payload);
-    if (res == NULL)
-        goto fail;
-    Py_DECREF(res);
-    if (comp_count(self->counters_dict, self->count_meth,
+    if (self->request(self, txn, addr_obj, addr, is_load) < 0 ||
+        comp_count(self->counters_dict, self->count_meth,
                    TS.transactions_issued) < 0)
         goto fail;
     Py_DECREF(txn);
@@ -6033,32 +5937,14 @@ fail:
     return -1;
 }
 
-/* _install_line fast path: upgrade-in-place and fresh-allocate into a
- * non-full set; the full-set case (victim choice + eviction + retry)
- * falls back to the pure method. */
+/* _allocate_line into `set`, which lacks `addr_obj`: a full set goes to
+ * the pure _install_line(txn, value) (victim choice, eviction, retry);
+ * otherwise CacheArray.allocate of a fresh `target` line (0 when `value`
+ * is None). */
 static int
-txn_install_line(CTxnCore *self, PyObject *txn, PyObject *value,
-                 PyObject *addr_obj, long long addr)
+ctrl_allocate(CCtrlCore *self, PyObject *set, PyObject *txn,
+              PyObject *value, PyObject *addr_obj, PyObject *target)
 {
-    PyObject *op = PyObject_GetAttr(txn, TS.op);
-    if (op == NULL)
-        return -1;
-    PyObject *target = (op == self->load_op) ? self->shared_state
-                                             : self->modified_state;
-    Py_DECREF(op);
-    PyObject *set = PyList_GET_ITEM(
-        self->l2_sets, (Py_ssize_t)((addr / self->l2_block) % self->l2_nsets));
-    PyObject *existing = PyDict_GetItemWithError(set, addr_obj);
-    if (existing == NULL && PyErr_Occurred())
-        return -1;
-    if (existing != NULL) {
-        if (txn_set_state(self->observer, existing, addr_obj, target) < 0)
-            return -1;
-        if (value != Py_None &&
-            txn_set_value(self->observer, existing, addr_obj, value) < 0)
-            return -1;
-        return 0;
-    }
     if (PyDict_GET_SIZE(set) >= (Py_ssize_t)self->assoc) {
         PyObject *res = PyObject_CallFunctionObjArgs(
             self->pure_install, txn, value, NULL);
@@ -6089,176 +5975,113 @@ txn_install_line(CTxnCore *self, PyObject *txn, PyObject *value,
     if (txn_notify(self->observer, addr_obj, PS.state, self->invalid_state,
                    target) < 0)
         return -1;
-    /* allocate() only notifies the value when one was supplied; the pure
-     * _install_line always supplies one (0 when the payload carried None). */
     return txn_notify(self->observer, addr_obj, S.value, Py_None,
                       install_value);
 }
 
-/* _transaction_done for the controller's single outstanding transaction
- * (inlined _complete_current). */
+/* _complete_current: retire the controller's single outstanding
+ * transaction and hand its request back to the processor. */
 static int
-txn_done(CTxnCore *self, PyObject *txn)
+ctrl_complete(CCtrlCore *self, PyObject *txn)
 {
-    if (PyObject_SetAttr(self->ctrl, TS.transaction, Py_None) < 0)
-        return -1;
-    PyObject *res = PyObject_CallOneArg(self->on_retire, self->node_obj);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    PyObject *taddr_obj = PyObject_GetAttr(txn, PS.address);
-    if (taddr_obj == NULL)
-        return -1;
-    long long taddr = PyLong_AsLongLong(taddr_obj);
-    if (taddr == -1 && PyErr_Occurred())
-        goto fail_addr;
-    PyObject *txn_id = PyObject_GetAttr(txn, TS.txn_id);
-    if (txn_id == NULL)
-        goto fail_addr;
-    PyObject *payload = PyObject_CallFunctionObjArgs(
-        self->payload_cls, self->node_obj, self->zero_obj, Py_None,
-        txn_id, NULL);
-    Py_DECREF(txn_id);
-    if (payload == NULL)
-        goto fail_addr;
-    PyObject *home = PyLong_FromLongLong(
-        (taddr / self->home_block) % self->num_nodes);
-    if (home == NULL) {
-        Py_DECREF(payload);
-        goto fail_addr;
-    }
-    res = PyObject_CallFunctionObjArgs(self->send, home, self->cls_final,
-                                       taddr_obj, payload, NULL);
-    Py_DECREF(home);
-    Py_DECREF(payload);
-    if (res == NULL)
-        goto fail_addr;
-    Py_DECREF(res);
-    if (comp_count(self->counters_dict, self->count_meth,
-                   TS.transactions_completed) < 0)
-        goto fail_addr;
-
-    PyObject *hist = PyObject_GetAttr(self->ctrl, TS.miss_hist);
-    if (hist == NULL)
-        goto fail_addr;
-    if (hist == Py_None) {
-        Py_DECREF(hist);
-        hist = PyObject_Call(self->hist_meth, self->hist_args,
-                             self->hist_kwargs);
-        if (hist == NULL)
-            goto fail_addr;
-        if (PyObject_SetAttr(self->ctrl, TS.miss_hist, hist) < 0) {
-            Py_DECREF(hist);
-            goto fail_addr;
-        }
-    }
-    long long started;
-    if (getattr_ll(txn, TS.started_at, &started) < 0) {
-        Py_DECREF(hist);
-        goto fail_addr;
-    }
-    int rc = hist_record_ll(hist, self->sim->now - started);
-    Py_DECREF(hist);
-    if (rc < 0)
-        goto fail_addr;
-
     PyObject *request = PyObject_GetAttr(self->ctrl, TS.pending_request);
     if (request == NULL)
-        goto fail_addr;
+        return -1;
     PyObject *oc = PyObject_GetAttr(self->ctrl, TS.pending_on_complete);
-    if (oc == NULL)
-        goto fail_req;
+    if (oc == NULL) {
+        Py_DECREF(request);
+        return -1;
+    }
+    PyObject *taddr_obj = NULL;
+    if (PyObject_SetAttr(self->ctrl, TS.transaction, Py_None) < 0)
+        goto fail;
+    PyObject *res = PyObject_CallOneArg(self->on_retire, self->node_obj);
+    if (res == NULL)
+        goto fail;
+    Py_DECREF(res);
+    taddr_obj = PyObject_GetAttr(txn, PS.address);
+    if (taddr_obj == NULL)
+        goto fail;
+    long long taddr = PyLong_AsLongLong(taddr_obj);
+    if (taddr == -1 && PyErr_Occurred())
+        goto fail;
+    if (self->done != NULL && self->done(self, txn, taddr_obj, taddr) < 0)
+        goto fail;
+    if (comp_count(self->counters_dict, self->count_meth,
+                   TS.transactions_completed) < 0)
+        goto fail;
+    PyObject *set = ctrl_set_for(self, taddr);
+    PyObject *line = PyDict_GetItemWithError(set, taddr_obj);
+    if (line == NULL && PyErr_Occurred())
+        goto fail;
     PyObject *req_op = PyObject_GetAttr(request, TS.op);
     if (req_op == NULL)
-        goto fail_oc;
-    PyObject *set = PyList_GET_ITEM(
-        self->l2_sets,
-        (Py_ssize_t)((taddr / self->l2_block) % self->l2_nsets));
-    PyObject *line = PyDict_GetItemWithError(set, taddr_obj);
-    if (line == NULL && PyErr_Occurred()) {
-        Py_DECREF(req_op);
-        goto fail_oc;
-    }
-    if (req_op == self->store_op) {
-        Py_DECREF(req_op);
+        goto fail;
+    int is_store = (req_op == self->store_op);
+    Py_DECREF(req_op);
+    if (is_store) {
+        /* Apply the store's value now that the block is writable here. */
         if (line != NULL) {
             PyObject *rvalue = PyObject_GetAttr(request, S.value);
             if (rvalue == NULL)
-                goto fail_oc;
-            if (rvalue != Py_None &&
-                txn_set_value(self->observer, line, taddr_obj, rvalue) < 0) {
-                Py_DECREF(rvalue);
-                goto fail_oc;
-            }
+                goto fail;
+            int rc = (rvalue == Py_None) ? 0 :
+                txn_set_value(self->observer, line, taddr_obj, rvalue);
             Py_DECREF(rvalue);
+            if (rc < 0)
+                goto fail;
         }
     }
     else {
-        Py_DECREF(req_op);
-        /* _read_value: the loaded value observed by correctness checks. */
-        PyObject *lvalue;
+        PyObject *lvalue = NULL;
         if (line != NULL) {
             lvalue = PyObject_GetAttr(line, S.value);
             if (lvalue == NULL)
-                goto fail_oc;
+                goto fail;
         }
-        else {
-            lvalue = Py_None;
-            Py_INCREF(lvalue);
+        if (lvalue == NULL || lvalue == Py_None) {
+            /* Late-invalidated load (snooping): the data satisfied the
+             * load but the line was not retained. */
+            Py_XDECREF(lvalue);
+            lvalue = PyObject_GetAttr(txn, TS.value_hint);
+            if (lvalue == NULL)
+                goto fail;
         }
-        rc = PyObject_SetAttr(request, S.value, lvalue);
+        int rc = PyObject_SetAttr(request, S.value, lvalue);
         Py_DECREF(lvalue);
         if (rc < 0)
-            goto fail_oc;
+            goto fail;
     }
     if (setattr_ll(request, TS.completed_at, self->sim->now) < 0)
-        goto fail_oc;
+        goto fail;
     res = PyObject_CallOneArg(oc, request);
+    Py_DECREF(taddr_obj);
     Py_DECREF(oc);
     Py_DECREF(request);
-    Py_DECREF(taddr_obj);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
     return 0;
 
-fail_oc:
+fail:
+    Py_XDECREF(taddr_obj);
     Py_DECREF(oc);
-fail_req:
     Py_DECREF(request);
-fail_addr:
-    Py_DECREF(taddr_obj);
     return -1;
 }
 
-/* _maybe_complete + Transaction.complete. */
+/* Transaction.complete(): mark it complete, cancel its timeout and run its
+ * on_complete, the shared completion when it is our own callback. */
 static int
-txn_maybe_complete(CTxnCore *self, PyObject *txn)
+ctrl_txn_complete(CCtrlCore *self, PyObject *txn)
 {
-    PyObject *tmp = PyObject_GetAttr(txn, TS.data_received);
-    if (tmp == NULL)
-        return -1;
-    int data = PyObject_IsTrue(tmp);
-    Py_DECREF(tmp);
-    if (data < 0)
-        return -1;
-    if (!data)
-        return 0;
-    long long got, need;
-    if (getattr_ll(txn, TS.acks_received, &got) < 0 ||
-        getattr_ll(txn, TS.acks_needed, &need) < 0)
-        return -1;
-    if (got < need)
-        return 0;
-    tmp = PyObject_GetAttr(txn, TS.completed);
+    PyObject *tmp = PyObject_GetAttr(txn, TS.completed);
     if (tmp == NULL)
         return -1;
     int done = PyObject_IsTrue(tmp);
     Py_DECREF(tmp);
-    if (done < 0)
-        return -1;
-    if (done)
-        return 0;
+    if (done != 0)
+        return done < 0 ? -1 : 0;
     if (PyObject_SetAttr(txn, TS.completed, Py_True) < 0)
         return -1;
     PyObject *te = PyObject_GetAttr(txn, TS.timeout_event);
@@ -6284,7 +6107,7 @@ txn_maybe_complete(CTxnCore *self, PyObject *txn)
     }
     if (oc == self->complete_cb) {
         Py_DECREF(oc);
-        return txn_done(self, txn);
+        return ctrl_complete(self, txn);
     }
     /* A transaction issued by the pure path (slow-start retry) completes
      * through its own bound _complete_current. */
@@ -6296,9 +6119,9 @@ txn_maybe_complete(CTxnCore *self, PyObject *txn)
     return 0;
 }
 
-/* access(request, on_complete) */
+/* access(request, on_complete): both cores' processor-facing entry. */
 static PyObject *
-TxnCore_access(CTxnCore *self, PyObject *const *args, Py_ssize_t nargs)
+CtrlCore_access(CCtrlCore *self, PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 2) {
         PyErr_SetString(PyExc_TypeError,
@@ -6313,16 +6136,14 @@ TxnCore_access(CTxnCore *self, PyObject *const *args, Py_ssize_t nargs)
     if (addr_obj == NULL)
         return NULL;
     long long addr = PyLong_AsLongLong(addr_obj);
-    if (addr == -1 && PyErr_Occurred()) {
-        Py_DECREF(addr_obj);
-        return NULL;
-    }
-    /* CacheArray.lookup: probe + LRU touch even when the access misses. */
-    PyObject *set = PyList_GET_ITEM(
-        self->l2_sets, (Py_ssize_t)((addr / self->l2_block) % self->l2_nsets));
-    PyObject *line = PyDict_GetItemWithError(set, addr_obj);
+    if (addr == -1 && PyErr_Occurred())
+        goto fail_addr;
+    /* CacheArray.lookup: probe + LRU touch when the line is present. */
+    PyObject *line = PyDict_GetItemWithError(ctrl_set_for(self, addr),
+                                             addr_obj);
     if (line == NULL && PyErr_Occurred())
         goto fail_addr;
+    PyObject *state;
     if (line != NULL) {
         long long tick;
         if (getattr_ll(self->cache, TS.tick, &tick) < 0)
@@ -6331,9 +6152,6 @@ TxnCore_access(CTxnCore *self, PyObject *const *args, Py_ssize_t nargs)
         if (setattr_ll(self->cache, TS.tick, tick) < 0 ||
             setattr_ll(line, TS.last_used, tick) < 0)
             goto fail_addr;
-    }
-    PyObject *state;
-    if (line != NULL) {
         state = PyObject_GetAttr(line, PS.state);
         if (state == NULL)
             goto fail_addr;
@@ -6361,23 +6179,33 @@ TxnCore_access(CTxnCore *self, PyObject *const *args, Py_ssize_t nargs)
             goto fail_addr;
         int rc = PyObject_SetAttr(request, S.value, lvalue);
         Py_DECREF(lvalue);
-        if (rc < 0 || txn_finish_schedule(self, request, on_complete) < 0)
+        if (rc < 0 || ctrl_finish(self, request, on_complete) < 0)
             goto fail_addr;
         Py_DECREF(addr_obj);
         Py_RETURN_NONE;
     }
-    if (!is_load && state == self->modified_state) {
+    int writable = 0;
+    for (Py_ssize_t i = 0; !is_load && i < PyTuple_GET_SIZE(self->writable);
+         i++)
+        writable |= (state == PyTuple_GET_ITEM(self->writable, i));
+    if (writable) {
+        /* Store hit; a writable state other than Modified upgrades. */
+        int rc = addattr_ll(self->cache, PS.hits, 1);
+        if (rc == 0)
+            rc = comp_count(self->counters_dict, self->count_meth,
+                            TS.store_hits);
+        if (rc == 0 && state != self->modified_state)
+            rc = txn_set_state(self->observer, line, addr_obj,
+                               self->modified_state);
         Py_DECREF(state);
-        if (addattr_ll(self->cache, PS.hits, 1) < 0 ||
-            comp_count(self->counters_dict, self->count_meth,
-                       TS.store_hits) < 0)
+        if (rc < 0)
             goto fail_addr;
         PyObject *rvalue = PyObject_GetAttr(request, S.value);
         if (rvalue == NULL)
             goto fail_addr;
-        int rc = txn_set_value(self->observer, line, addr_obj, rvalue);
+        rc = txn_set_value(self->observer, line, addr_obj, rvalue);
         Py_DECREF(rvalue);
-        if (rc < 0 || txn_finish_schedule(self, request, on_complete) < 0)
+        if (rc < 0 || ctrl_finish(self, request, on_complete) < 0)
             goto fail_addr;
         Py_DECREF(addr_obj);
         Py_RETURN_NONE;
@@ -6392,19 +6220,18 @@ TxnCore_access(CTxnCore *self, PyObject *const *args, Py_ssize_t nargs)
     PyObject *txn = PyObject_GetAttr(self->ctrl, TS.transaction);
     if (txn == NULL)
         goto fail_addr;
-    if (txn != Py_None) {
+    int busy = (txn != Py_None);
+    Py_DECREF(txn);
+    if (busy) {
         /* The pure method raises the "second reference" error. */
-        Py_DECREF(txn);
         PyObject *res = PyObject_CallFunctionObjArgs(
             self->pure_issue, request, on_complete, NULL);
-        Py_DECREF(addr_obj);
         if (res == NULL)
-            return NULL;
+            goto fail_addr;
         Py_DECREF(res);
-        Py_RETURN_NONE;
     }
-    Py_DECREF(txn);
-    if (txn_issue(self, request, on_complete, addr_obj, addr, is_load) < 0)
+    else if (ctrl_issue(self, request, on_complete, addr_obj, addr,
+                        is_load) < 0)
         goto fail_addr;
     Py_DECREF(addr_obj);
     Py_RETURN_NONE;
@@ -6412,6 +6239,273 @@ TxnCore_access(CTxnCore *self, PyObject *const *args, Py_ssize_t nargs)
 fail_addr:
     Py_DECREF(addr_obj);
     return NULL;
+}
+
+/* The outstanding transaction if it is live for `address`: 1 with a new
+ * reference in *out, 0 when it is absent, elsewhere or completed, -1 on
+ * error. */
+static int
+ctrl_live_txn(CCtrlCore *self, PyObject *address, PyObject **out)
+{
+    PyObject *txn = PyObject_GetAttr(self->ctrl, TS.transaction);
+    if (txn == NULL)
+        return -1;
+    int dead = (txn == Py_None);
+    if (!dead) {
+        PyObject *taddr = PyObject_GetAttr(txn, PS.address);
+        dead = taddr == NULL ? -1
+                             : PyObject_RichCompareBool(taddr, address, Py_NE);
+        Py_XDECREF(taddr);
+    }
+    if (dead == 0) {
+        PyObject *tmp = PyObject_GetAttr(txn, TS.completed);
+        dead = tmp == NULL ? -1 : PyObject_IsTrue(tmp);
+        Py_XDECREF(tmp);
+    }
+    if (dead != 0) {
+        Py_DECREF(txn);
+        return dead < 0 ? -1 : 0;
+    }
+    *out = txn;
+    return 1;
+}
+
+/* The data-arrival prologue both protocols share: 1 with the live
+ * transaction in *out (new reference) and its data_received set, 0 after
+ * counting a stale or duplicate delivery, -1 on error. */
+static int
+ctrl_data_txn(CCtrlCore *self, PyObject *address, PyObject *stale_name,
+              PyObject *duplicate_name, PyObject **out)
+{
+    PyObject *txn;
+    int live = ctrl_live_txn(self, address, &txn);
+    if (live <= 0)
+        return live < 0 ? -1 : comp_count(self->counters_dict,
+                                          self->count_meth, stale_name);
+    PyObject *tmp = PyObject_GetAttr(txn, TS.data_received);
+    int dup = tmp == NULL ? -1 : PyObject_IsTrue(tmp);
+    Py_XDECREF(tmp);
+    if (dup == 0 && PyObject_SetAttr(txn, TS.data_received, Py_True) == 0) {
+        *out = txn;
+        return 1;
+    }
+    Py_DECREF(txn);
+    if (dup <= 0)
+        return -1;
+    return comp_count(self->counters_dict, self->count_meth, duplicate_name);
+}
+
+/* ----------------------------------------------------- TransactionCore */
+
+/* Compiled DirectoryCacheController: the shared lifecycle above plus the
+ * DATA/ACK response handlers (install + completion).  Ports of the pure
+ * methods in repro.coherence.directory.cache_controller; forwarded
+ * requests, nacks and writebacks stay pure. */
+typedef struct {
+    CCtrlCore base;
+    long long num_nodes, home_block;
+    PyObject *cls_req_ro, *cls_req_rw, *cls_final;
+    PyObject *payload_cls;
+    PyObject *send;             /* ctrl.send (post-rebind MessageSendCore) */
+    PyObject *hist_meth;        /* bound ctrl.stats.histogram */
+    PyObject *hist_args;        /* ("l2.miss_latency",) */
+    PyObject *hist_kwargs;      /* {"bucket_width": 64} */
+} CTxnCore;
+
+static int
+TxnCore_traverse(CTxnCore *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->cls_req_ro);
+    Py_VISIT(self->cls_req_rw);
+    Py_VISIT(self->cls_final);
+    Py_VISIT(self->payload_cls);
+    Py_VISIT(self->send);
+    Py_VISIT(self->hist_meth);
+    Py_VISIT(self->hist_args);
+    Py_VISIT(self->hist_kwargs);
+    return ctrl_traverse(&self->base, visit, arg);
+}
+
+static int
+TxnCore_clear_gc(CTxnCore *self)
+{
+    Py_CLEAR(self->cls_req_ro);
+    Py_CLEAR(self->cls_req_rw);
+    Py_CLEAR(self->cls_final);
+    Py_CLEAR(self->payload_cls);
+    Py_CLEAR(self->send);
+    Py_CLEAR(self->hist_meth);
+    Py_CLEAR(self->hist_args);
+    Py_CLEAR(self->hist_kwargs);
+    return ctrl_clear(&self->base);
+}
+
+/* send(home(addr), msg_class, addr, CoherencePayload(node, txn_id=...)). */
+static int
+txn_send_home(CTxnCore *self, PyObject *msg_class, PyObject *txn,
+              PyObject *addr_obj, long long addr)
+{
+    PyObject *txn_id = PyObject_GetAttr(txn, TS.txn_id);
+    if (txn_id == NULL)
+        return -1;
+    PyObject *payload = PyObject_CallFunctionObjArgs(
+        self->payload_cls, self->base.node_obj, self->base.zero_obj, Py_None,
+        txn_id, NULL);
+    Py_DECREF(txn_id);
+    if (payload == NULL)
+        return -1;
+    PyObject *home = PyLong_FromLongLong(
+        (addr / self->home_block) % self->num_nodes);
+    if (home == NULL) {
+        Py_DECREF(payload);
+        return -1;
+    }
+    PyObject *res = PyObject_CallFunctionObjArgs(self->send, home, msg_class,
+                                                 addr_obj, payload, NULL);
+    Py_DECREF(home);
+    Py_DECREF(payload);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* _request: RequestReadOnly/ReadWrite to the block's home directory. */
+static int
+txn_request(CCtrlCore *core, PyObject *txn, PyObject *addr_obj,
+            long long addr, int is_load)
+{
+    CTxnCore *self = (CTxnCore *)core;
+    return txn_send_home(self, is_load ? self->cls_req_ro : self->cls_req_rw,
+                         txn, addr_obj, addr);
+}
+
+/* _transaction_done: the FinalAck that unblocks the directory, and the
+ * miss-latency histogram. */
+static int
+txn_done(CCtrlCore *core, PyObject *txn, PyObject *taddr_obj,
+         long long taddr)
+{
+    CTxnCore *self = (CTxnCore *)core;
+    if (txn_send_home(self, self->cls_final, txn, taddr_obj, taddr) < 0)
+        return -1;
+    PyObject *hist = PyObject_GetAttr(core->ctrl, TS.miss_hist);
+    if (hist == NULL)
+        return -1;
+    if (hist == Py_None) {
+        Py_DECREF(hist);
+        hist = PyObject_Call(self->hist_meth, self->hist_args,
+                             self->hist_kwargs);
+        if (hist == NULL)
+            return -1;
+        if (PyObject_SetAttr(core->ctrl, TS.miss_hist, hist) < 0) {
+            Py_DECREF(hist);
+            return -1;
+        }
+    }
+    long long started;
+    int rc = getattr_ll(txn, TS.started_at, &started);
+    if (rc == 0)
+        rc = hist_record_ll(hist, core->sim->now - started);
+    Py_DECREF(hist);
+    return rc;
+}
+
+static PyObject *
+TxnCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *ctrl, *load_op, *store_op, *cls_req_ro, *cls_req_rw,
+        *cls_final, *payload_cls, *txn_cls, *line_cls;
+    long long num_nodes, home_block;
+    if (!PyArg_ParseTuple(args, "OLLOOOOOOOO", &ctrl, &num_nodes,
+                          &home_block, &load_op, &store_op, &cls_req_ro,
+                          &cls_req_rw, &cls_final, &payload_cls, &txn_cls,
+                          &line_cls))
+        return NULL;
+    if (num_nodes <= 0 || home_block <= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "node count and block size must be positive");
+        return NULL;
+    }
+    CTxnCore *self = (CTxnCore *)ctrl_new(type, kwds, ctrl, load_op,
+                                          store_op, txn_cls, line_cls);
+    if (self == NULL)
+        return NULL;
+    self->base.request = txn_request;
+    self->base.done = txn_done;
+    self->num_nodes = num_nodes;
+    self->home_block = home_block;
+    self->cls_req_ro = Py_NewRef(cls_req_ro);
+    self->cls_req_rw = Py_NewRef(cls_req_rw);
+    self->cls_final = Py_NewRef(cls_final);
+    self->payload_cls = Py_NewRef(payload_cls);
+    if (capture_attr(&self->send, ctrl, "send") < 0)
+        goto fail;
+    PyObject *stats = PyObject_GetAttrString(ctrl, "stats");
+    if (stats == NULL)
+        goto fail;
+    self->hist_meth = PyObject_GetAttrString(stats, "histogram");
+    Py_DECREF(stats);
+    if (self->hist_meth == NULL)
+        goto fail;
+    self->hist_args = Py_BuildValue("(s)", "l2.miss_latency");
+    if (self->hist_args == NULL)
+        goto fail;
+    self->hist_kwargs = Py_BuildValue("{s:i}", "bucket_width", 64);
+    if (self->hist_kwargs == NULL)
+        goto fail;
+    return (PyObject *)self;
+
+fail:
+    Py_DECREF(self);
+    return NULL;
+}
+
+/* _install_line fast path: upgrade in place (keeping our own data when
+ * DATA carries None), else allocate. */
+static int
+txn_install_line(CTxnCore *self, PyObject *txn, PyObject *value,
+                 PyObject *addr_obj, long long addr)
+{
+    CCtrlCore *core = &self->base;
+    PyObject *op = PyObject_GetAttr(txn, TS.op);
+    if (op == NULL)
+        return -1;
+    PyObject *target = (op == core->load_op) ? core->shared_state
+                                             : core->modified_state;
+    Py_DECREF(op);
+    PyObject *set = ctrl_set_for(core, addr);
+    PyObject *existing = PyDict_GetItemWithError(set, addr_obj);
+    if (existing == NULL && PyErr_Occurred())
+        return -1;
+    if (existing == NULL)
+        return ctrl_allocate(core, set, txn, value, addr_obj, target);
+    if (txn_set_state(core->observer, existing, addr_obj, target) < 0)
+        return -1;
+    if (value != Py_None &&
+        txn_set_value(core->observer, existing, addr_obj, value) < 0)
+        return -1;
+    return 0;
+}
+
+/* _maybe_complete: complete once the data and every ack are in. */
+static int
+txn_maybe_complete(CTxnCore *self, PyObject *txn)
+{
+    PyObject *tmp = PyObject_GetAttr(txn, TS.data_received);
+    if (tmp == NULL)
+        return -1;
+    int data = PyObject_IsTrue(tmp);
+    Py_DECREF(tmp);
+    if (data <= 0)
+        return data;
+    long long got, need;
+    if (getattr_ll(txn, TS.acks_received, &got) < 0 ||
+        getattr_ll(txn, TS.acks_needed, &need) < 0)
+        return -1;
+    if (got < need)
+        return 0;
+    return ctrl_txn_complete(&self->base, txn);
 }
 
 /* handle_data(address, payload) */
@@ -6425,52 +6519,13 @@ TxnCore_handle_data(CTxnCore *self, PyObject *const *args, Py_ssize_t nargs)
     }
     PyObject *address = args[0];
     PyObject *payload = args[1];
-    PyObject *txn = PyObject_GetAttr(self->ctrl, TS.transaction);
-    if (txn == NULL)
+    PyObject *txn;
+    int live = ctrl_data_txn(&self->base, address, TS.stale_data,
+                             TS.duplicate_data, &txn);
+    if (live < 0)
         return NULL;
-    int stale = (txn == Py_None);
-    if (!stale) {
-        PyObject *taddr = PyObject_GetAttr(txn, PS.address);
-        if (taddr == NULL)
-            goto fail;
-        int differs = PyObject_RichCompareBool(taddr, address, Py_NE);
-        Py_DECREF(taddr);
-        if (differs < 0)
-            goto fail;
-        stale = differs;
-    }
-    if (!stale) {
-        PyObject *tmp = PyObject_GetAttr(txn, TS.completed);
-        if (tmp == NULL)
-            goto fail;
-        stale = PyObject_IsTrue(tmp);
-        Py_DECREF(tmp);
-        if (stale < 0)
-            goto fail;
-    }
-    if (stale) {
-        Py_DECREF(txn);
-        if (comp_count(self->counters_dict, self->count_meth,
-                       TS.stale_data) < 0)
-            return NULL;
+    if (live == 0)
         Py_RETURN_NONE;
-    }
-    PyObject *tmp = PyObject_GetAttr(txn, TS.data_received);
-    if (tmp == NULL)
-        goto fail;
-    int dup = PyObject_IsTrue(tmp);
-    Py_DECREF(tmp);
-    if (dup < 0)
-        goto fail;
-    if (dup) {
-        Py_DECREF(txn);
-        if (comp_count(self->counters_dict, self->count_meth,
-                       TS.duplicate_data) < 0)
-            return NULL;
-        Py_RETURN_NONE;
-    }
-    if (PyObject_SetAttr(txn, TS.data_received, Py_True) < 0)
-        goto fail;
     long long needed, expected;
     if (getattr_ll(txn, TS.acks_needed, &needed) < 0 ||
         getattr_ll(payload, TS.acks_expected, &expected) < 0)
@@ -6507,51 +6562,28 @@ TxnCore_handle_ack(CTxnCore *self, PyObject *const *args, Py_ssize_t nargs)
                         "handle_ack() takes exactly 2 arguments");
         return NULL;
     }
-    PyObject *address = args[0];
-    PyObject *txn = PyObject_GetAttr(self->ctrl, TS.transaction);
-    if (txn == NULL)
+    PyObject *txn;
+    int live = ctrl_live_txn(&self->base, args[0], &txn);
+    if (live < 0)
         return NULL;
-    int stale = (txn == Py_None);
-    if (!stale) {
-        PyObject *taddr = PyObject_GetAttr(txn, PS.address);
-        if (taddr == NULL)
-            goto fail;
-        int differs = PyObject_RichCompareBool(taddr, address, Py_NE);
-        Py_DECREF(taddr);
-        if (differs < 0)
-            goto fail;
-        stale = differs;
-    }
-    if (!stale) {
-        PyObject *tmp = PyObject_GetAttr(txn, TS.completed);
-        if (tmp == NULL)
-            goto fail;
-        stale = PyObject_IsTrue(tmp);
-        Py_DECREF(tmp);
-        if (stale < 0)
-            goto fail;
-    }
-    if (stale) {
-        Py_DECREF(txn);
-        if (comp_count(self->counters_dict, self->count_meth,
+    if (live == 0) {
+        if (comp_count(self->base.counters_dict, self->base.count_meth,
                        TS.stale_acks) < 0)
             return NULL;
         Py_RETURN_NONE;
     }
-    if (addattr_ll(txn, TS.acks_received, 1) < 0 ||
-        txn_maybe_complete(self, txn) < 0)
-        goto fail;
+    int rc = addattr_ll(txn, TS.acks_received, 1);
+    if (rc == 0)
+        rc = txn_maybe_complete(self, txn);
     Py_DECREF(txn);
+    if (rc < 0)
+        return NULL;
     Py_RETURN_NONE;
-
-fail:
-    Py_DECREF(txn);
-    return NULL;
 }
 
 static PyMethodDef TxnCore_methods[] = {
-    {"access", (PyCFunction)(void (*)(void))TxnCore_access,
-     METH_FASTCALL, "Compiled DirectoryCacheController.access."},
+    {"access", (PyCFunction)(void (*)(void))CtrlCore_access,
+     METH_FASTCALL, "Compiled BlockingCacheController.access."},
     {"handle_data", (PyCFunction)(void (*)(void))TxnCore_handle_data,
      METH_FASTCALL, "Compiled DirectoryCacheController._handle_data."},
     {"handle_ack", (PyCFunction)(void (*)(void))TxnCore_handle_ack,
@@ -6563,7 +6595,7 @@ static PyTypeObject CTxnCore_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro._ckernel.TransactionCore",
     .tp_basicsize = sizeof(CTxnCore),
-    .tp_dealloc = (destructor)TxnCore_dealloc,
+    .tp_dealloc = (destructor)ctrl_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "Compiled directory cache-controller transaction path "
               "(access + DATA/ACK handlers).",
@@ -6904,44 +6936,37 @@ static PyTypeObject CMemCore_Type = {
 
 /* ------------------------------------------------------------ SnoopCore */
 
-/* Compiled SnoopingCacheController hot paths: the processor-facing
- * access() (MOESI L2 lookup + hit finish + transaction issue), the
+/* Compiled SnoopingCacheController: the shared lifecycle above, the
  * snoop() the bus's snoop filter calls (installed as ctrl.snoop)
  * (own/foreign GETS/GETX/Writeback, including the Section 3.2
  * writeback-race bookkeeping) and the data-network receive_data()
  * install/complete path.  Ports of the pure methods in
- * repro.coherence.snooping.cache_controller; every cold or rare branch
- * (slow-start retry, full-set install, the corner case, pending-forward
- * service, recovery) stays pure.  Completion runs through the
- * controller's _pending_request/_pending_on_complete attributes, the
- * same protocol the pure _complete_current uses. */
+ * repro.coherence.snooping.cache_controller; the corner case and
+ * pending-forward service stay pure. */
 
 /* Interned attribute names used by the snooping core. */
 static struct {
     PyObject *requestor, *rtype, *phase, *record_request, *bus_ordered,
-        *invalidate_on_install, *value_hint, *writebacks_ordered,
-        *own_request_ordered, *cache_to_cache_transfers, *forwards_deferred,
-        *late_invalidates, *writeback_race_first_getx, *stale_data,
-        *duplicate_data;
+        *invalidate_on_install, *writebacks_ordered, *own_request_ordered,
+        *cache_to_cache_transfers, *forwards_deferred, *late_invalidates,
+        *writeback_race_first_getx, *stale_data, *duplicate_data;
 } SN;
 
-typedef struct _CSnoopCore CSnoopCore;
-
-/* Reusable finish thunk: the _finish() closure of the single outstanding
- * reference (blocking processor => at most one in flight per controller). */
 typedef struct {
-    PyObject_HEAD
-    CSnoopCore *core;           /* strong */
-    PyObject *request, *cb;     /* armed payload; NULL when idle */
-} CSnoopFinishThunk;
-
-/* Reusable timeout thunk: the `lambda: self._transaction_timeout(txn)`
- * of the single outstanding transaction. */
-typedef struct {
-    PyObject_HEAD
-    CSnoopCore *core;           /* strong */
-    PyObject *txn;
-} CSnoopTimeoutThunk;
+    CCtrlCore base;
+    PyObject *exclusive_state, *owned_state;
+    PyObject *gets_type, *getx_type, *wb_type;
+    PyObject *waiting_phase, *lost_phase;
+    PyObject *busreq_cls;
+    long long c2c_cycles;
+    PyObject *bus_issue;        /* bus.issue (post-rebind BusCore.issue) */
+    PyObject *deliver;          /* ctrl.deliver_data */
+    PyObject *writebacks_dict;  /* ctrl.writebacks */
+    PyObject *forwards_dict;    /* ctrl._pending_forwards */
+    PyObject *passed_set;       /* ctrl._ownership_passed */
+    PyObject *corner_meth;      /* bound ctrl._corner_case */
+    PyObject *forwards_meth;    /* bound ctrl._process_pending_forwards */
+} CSnoopCore;
 
 /* Per-occurrence supply thunk: cache-to-cache deliveries overlap (any
  * number of foreign requests can be in flight), so each carries its own
@@ -6960,173 +6985,8 @@ typedef struct {
     PyObject *addr, *value;
 } CSnoopRecvThunk;
 
-struct _CSnoopCore {
-    PyObject_HEAD
-    PyObject *ctrl;
-    CSimulator *sim;            /* strong */
-    CEventQueue *cqueue;        /* strong */
-    PyObject *name_obj;         /* ctrl.name (default event label) */
-    PyObject *node_obj;         /* PyLong ctrl.node_id */
-    long long node_id;
-    PyObject *load_op, *store_op;
-    PyObject *invalid_state, *shared_state, *exclusive_state, *owned_state,
-        *modified_state;
-    PyObject *gets_type, *getx_type, *wb_type;
-    PyObject *waiting_phase, *lost_phase;
-    PyObject *busreq_cls, *txn_cls, *line_cls;
-    PyObject *txn_ids;          /* ctrl._txn_ids (the system's id stream) */
-    PyObject *cache;            /* ctrl.cache (CacheArray) */
-    PyObject *l2_sets;          /* cache._sets */
-    long long l2_block, l2_nsets, assoc;
-    PyObject *observer;         /* cache._observer (Py_None when unset) */
-    long long l2_hit_cycles, c2c_cycles;
-    PyObject *l2_hit_obj;
-    PyObject *bus_issue;        /* bus.issue (post-rebind BusCore.issue) */
-    PyObject *deliver;          /* ctrl.deliver_data */
-    PyObject *may_issue, *on_retire;
-    PyObject *counters_dict, *count_meth;
-    PyObject *writebacks_dict;  /* ctrl.writebacks */
-    PyObject *forwards_dict;    /* ctrl._pending_forwards */
-    PyObject *passed_set;       /* ctrl._ownership_passed */
-    PyObject *complete_cb;      /* bound ctrl._complete_current */
-    PyObject *pure_issue;       /* bound ctrl._issue_transaction */
-    PyObject *retry_meth;       /* bound ctrl._retry_issue */
-    PyObject *pure_install;     /* bound ctrl._install_line */
-    PyObject *finish_meth;      /* bound ctrl._finish */
-    PyObject *timeout_meth;     /* bound ctrl._transaction_timeout */
-    PyObject *corner_meth;      /* bound ctrl._corner_case */
-    PyObject *forwards_meth;    /* bound ctrl._process_pending_forwards */
-    PyObject *zero_obj;
-    PyObject *finish_thunk;     /* CSnoopFinishThunk */
-    PyObject *timeout_thunk;    /* CSnoopTimeoutThunk */
-};
-
-static PyTypeObject CSnoopCore_Type;
-static PyTypeObject CSnoopFinishThunk_Type;
-static PyTypeObject CSnoopTimeoutThunk_Type;
-static PyTypeObject CSupplyThunk_Type;
-static PyTypeObject CSnoopRecvThunk_Type;
-
 static int snoop_receive_impl(CSnoopCore *self, PyObject *addr_obj,
                               PyObject *value);
-
-/* ------------------------------------------------------- finish thunk */
-
-static int
-SnoopFinish_traverse(CSnoopFinishThunk *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->core);
-    Py_VISIT(self->request);
-    Py_VISIT(self->cb);
-    return 0;
-}
-
-static int
-SnoopFinish_clear_gc(CSnoopFinishThunk *self)
-{
-    Py_CLEAR(self->core);
-    Py_CLEAR(self->request);
-    Py_CLEAR(self->cb);
-    return 0;
-}
-
-static void
-SnoopFinish_dealloc(CSnoopFinishThunk *self)
-{
-    PyObject_GC_UnTrack(self);
-    SnoopFinish_clear_gc(self);
-    PyObject_GC_Del(self);
-}
-
-static PyObject *
-SnoopFinish_call(CSnoopFinishThunk *self, PyObject *args, PyObject *kwds)
-{
-    /* _finish._done: stamp completion time, then hand the request back. */
-    PyObject *request = self->request;
-    PyObject *cb = self->cb;
-    self->request = NULL;
-    self->cb = NULL;
-    if (request == NULL || cb == NULL) {
-        Py_XDECREF(request);
-        Py_XDECREF(cb);
-        PyErr_SetString(PyExc_RuntimeError, "finish thunk fired while idle");
-        return NULL;
-    }
-    if (setattr_ll(request, TS.completed_at, self->core->sim->now) < 0) {
-        Py_DECREF(request);
-        Py_DECREF(cb);
-        return NULL;
-    }
-    PyObject *res = PyObject_CallOneArg(cb, request);
-    Py_DECREF(request);
-    Py_DECREF(cb);
-    if (res == NULL)
-        return NULL;
-    Py_DECREF(res);
-    Py_RETURN_NONE;
-}
-
-static PyTypeObject CSnoopFinishThunk_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._ckernel._SnoopFinishThunk",
-    .tp_basicsize = sizeof(CSnoopFinishThunk),
-    .tp_dealloc = (destructor)SnoopFinish_dealloc,
-    .tp_call = (ternaryfunc)SnoopFinish_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)SnoopFinish_traverse,
-    .tp_clear = (inquiry)SnoopFinish_clear_gc,
-};
-
-/* ------------------------------------------------------ timeout thunk */
-
-static int
-SnoopTimeout_traverse(CSnoopTimeoutThunk *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->core);
-    Py_VISIT(self->txn);
-    return 0;
-}
-
-static int
-SnoopTimeout_clear_gc(CSnoopTimeoutThunk *self)
-{
-    Py_CLEAR(self->core);
-    Py_CLEAR(self->txn);
-    return 0;
-}
-
-static void
-SnoopTimeout_dealloc(CSnoopTimeoutThunk *self)
-{
-    PyObject_GC_UnTrack(self);
-    SnoopTimeout_clear_gc(self);
-    PyObject_GC_Del(self);
-}
-
-static PyObject *
-SnoopTimeout_call(CSnoopTimeoutThunk *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *txn = self->txn;
-    self->txn = NULL;
-    if (txn == NULL) {
-        PyErr_SetString(PyExc_RuntimeError, "timeout thunk fired while idle");
-        return NULL;
-    }
-    PyObject *res = PyObject_CallOneArg(self->core->timeout_meth, txn);
-    Py_DECREF(txn);
-    return res;
-}
-
-static PyTypeObject CSnoopTimeoutThunk_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._ckernel._SnoopTimeoutThunk",
-    .tp_basicsize = sizeof(CSnoopTimeoutThunk),
-    .tp_dealloc = (destructor)SnoopTimeout_dealloc,
-    .tp_call = (ternaryfunc)SnoopTimeout_call,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)SnoopTimeout_traverse,
-    .tp_clear = (inquiry)SnoopTimeout_clear_gc,
-};
 
 /* ------------------------------------------------------- supply thunk */
 
@@ -7228,344 +7088,114 @@ static PyTypeObject CSnoopRecvThunk_Type = {
 static int
 SnoopCore_traverse(CSnoopCore *self, visitproc visit, void *arg)
 {
-    Py_VISIT(self->ctrl);
-    Py_VISIT(self->sim);
-    Py_VISIT(self->cqueue);
-    Py_VISIT(self->name_obj);
-    Py_VISIT(self->node_obj);
-    Py_VISIT(self->load_op);
-    Py_VISIT(self->store_op);
-    Py_VISIT(self->invalid_state);
-    Py_VISIT(self->shared_state);
     Py_VISIT(self->exclusive_state);
     Py_VISIT(self->owned_state);
-    Py_VISIT(self->modified_state);
     Py_VISIT(self->gets_type);
     Py_VISIT(self->getx_type);
     Py_VISIT(self->wb_type);
     Py_VISIT(self->waiting_phase);
     Py_VISIT(self->lost_phase);
     Py_VISIT(self->busreq_cls);
-    Py_VISIT(self->txn_cls);
-    Py_VISIT(self->txn_ids);
-    Py_VISIT(self->line_cls);
-    Py_VISIT(self->cache);
-    Py_VISIT(self->l2_sets);
-    Py_VISIT(self->observer);
-    Py_VISIT(self->l2_hit_obj);
     Py_VISIT(self->bus_issue);
     Py_VISIT(self->deliver);
-    Py_VISIT(self->may_issue);
-    Py_VISIT(self->on_retire);
-    Py_VISIT(self->counters_dict);
-    Py_VISIT(self->count_meth);
     Py_VISIT(self->writebacks_dict);
     Py_VISIT(self->forwards_dict);
     Py_VISIT(self->passed_set);
-    Py_VISIT(self->complete_cb);
-    Py_VISIT(self->pure_issue);
-    Py_VISIT(self->retry_meth);
-    Py_VISIT(self->pure_install);
-    Py_VISIT(self->finish_meth);
-    Py_VISIT(self->timeout_meth);
     Py_VISIT(self->corner_meth);
     Py_VISIT(self->forwards_meth);
-    Py_VISIT(self->zero_obj);
-    Py_VISIT(self->finish_thunk);
-    Py_VISIT(self->timeout_thunk);
-    return 0;
+    return ctrl_traverse(&self->base, visit, arg);
 }
 
 static int
 SnoopCore_clear_gc(CSnoopCore *self)
 {
-    Py_CLEAR(self->ctrl);
-    Py_CLEAR(self->sim);
-    Py_CLEAR(self->cqueue);
-    Py_CLEAR(self->name_obj);
-    Py_CLEAR(self->node_obj);
-    Py_CLEAR(self->load_op);
-    Py_CLEAR(self->store_op);
-    Py_CLEAR(self->invalid_state);
-    Py_CLEAR(self->shared_state);
     Py_CLEAR(self->exclusive_state);
     Py_CLEAR(self->owned_state);
-    Py_CLEAR(self->modified_state);
     Py_CLEAR(self->gets_type);
     Py_CLEAR(self->getx_type);
     Py_CLEAR(self->wb_type);
     Py_CLEAR(self->waiting_phase);
     Py_CLEAR(self->lost_phase);
     Py_CLEAR(self->busreq_cls);
-    Py_CLEAR(self->txn_cls);
-    Py_CLEAR(self->txn_ids);
-    Py_CLEAR(self->line_cls);
-    Py_CLEAR(self->cache);
-    Py_CLEAR(self->l2_sets);
-    Py_CLEAR(self->observer);
-    Py_CLEAR(self->l2_hit_obj);
     Py_CLEAR(self->bus_issue);
     Py_CLEAR(self->deliver);
-    Py_CLEAR(self->may_issue);
-    Py_CLEAR(self->on_retire);
-    Py_CLEAR(self->counters_dict);
-    Py_CLEAR(self->count_meth);
     Py_CLEAR(self->writebacks_dict);
     Py_CLEAR(self->forwards_dict);
     Py_CLEAR(self->passed_set);
-    Py_CLEAR(self->complete_cb);
-    Py_CLEAR(self->pure_issue);
-    Py_CLEAR(self->retry_meth);
-    Py_CLEAR(self->pure_install);
-    Py_CLEAR(self->finish_meth);
-    Py_CLEAR(self->timeout_meth);
     Py_CLEAR(self->corner_meth);
     Py_CLEAR(self->forwards_meth);
-    Py_CLEAR(self->zero_obj);
-    Py_CLEAR(self->finish_thunk);
-    Py_CLEAR(self->timeout_thunk);
-    return 0;
+    return ctrl_clear(&self->base);
 }
 
-static void
-SnoopCore_dealloc(CSnoopCore *self)
+/* _request: a GETS/GETX on the address bus. */
+static int
+snoop_request(CCtrlCore *core, PyObject *txn, PyObject *addr_obj,
+              long long addr, int is_load)
 {
-    PyObject_GC_UnTrack(self);
-    SnoopCore_clear_gc(self);
-    PyObject_GC_Del(self);
+    CSnoopCore *self = (CSnoopCore *)core;
+    PyObject *busreq = PyObject_CallFunctionObjArgs(
+        self->busreq_cls, core->node_obj, addr_obj,
+        is_load ? self->gets_type : self->getx_type, NULL);
+    if (busreq == NULL)
+        return -1;
+    PyObject *res = PyObject_CallOneArg(self->bus_issue, busreq);
+    Py_DECREF(busreq);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
 }
 
 static PyObject *
 SnoopCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    PyObject *ctrl, *load_op, *store_op, *invalid_state, *shared_state,
-        *exclusive_state, *owned_state, *modified_state, *gets_type,
-        *getx_type, *wb_type, *waiting_phase, *lost_phase, *busreq_cls,
-        *txn_cls, *line_cls;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOOOO", &ctrl, &load_op,
-                          &store_op, &invalid_state, &shared_state,
-                          &exclusive_state, &owned_state, &modified_state,
+    PyObject *ctrl, *load_op, *store_op, *exclusive_state, *owned_state,
+        *gets_type, *getx_type, *wb_type, *waiting_phase, *lost_phase,
+        *busreq_cls, *txn_cls, *line_cls;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOO", &ctrl, &load_op,
+                          &store_op, &exclusive_state, &owned_state,
                           &gets_type, &getx_type, &wb_type, &waiting_phase,
                           &lost_phase, &busreq_cls, &txn_cls, &line_cls))
         return NULL;
-    if (kwds && PyDict_GET_SIZE(kwds)) {
-        PyErr_SetString(PyExc_TypeError, "SnoopCore() takes no kwargs");
-        return NULL;
-    }
-    CSnoopCore *self = PyObject_GC_New(CSnoopCore, &CSnoopCore_Type);
+    CSnoopCore *self = (CSnoopCore *)ctrl_new(type, kwds, ctrl, load_op,
+                                              store_op, txn_cls, line_cls);
     if (self == NULL)
         return NULL;
-    memset(((char *)self) + sizeof(PyObject), 0,
-           sizeof(CSnoopCore) - sizeof(PyObject));
-    PyObject_GC_Track((PyObject *)self);
-
-    Py_INCREF(ctrl);
-    self->ctrl = ctrl;
-    Py_INCREF(load_op);
-    self->load_op = load_op;
-    Py_INCREF(store_op);
-    self->store_op = store_op;
-    Py_INCREF(invalid_state);
-    self->invalid_state = invalid_state;
-    Py_INCREF(shared_state);
-    self->shared_state = shared_state;
-    Py_INCREF(exclusive_state);
-    self->exclusive_state = exclusive_state;
-    Py_INCREF(owned_state);
-    self->owned_state = owned_state;
-    Py_INCREF(modified_state);
-    self->modified_state = modified_state;
-    Py_INCREF(gets_type);
-    self->gets_type = gets_type;
-    Py_INCREF(getx_type);
-    self->getx_type = getx_type;
-    Py_INCREF(wb_type);
-    self->wb_type = wb_type;
-    Py_INCREF(waiting_phase);
-    self->waiting_phase = waiting_phase;
-    Py_INCREF(lost_phase);
-    self->lost_phase = lost_phase;
-    Py_INCREF(busreq_cls);
-    self->busreq_cls = busreq_cls;
-    Py_INCREF(txn_cls);
-    self->txn_cls = txn_cls;
-    Py_INCREF(line_cls);
-    self->line_cls = line_cls;
-    self->txn_ids = PyObject_GetAttrString(ctrl, "_txn_ids");
-    if (self->txn_ids == NULL)
-        goto fail;
-    if (!PyIter_Check(self->txn_ids)) {
-        PyErr_SetString(PyExc_TypeError, "_txn_ids must be an iterator");
-        goto fail;
-    }
-
-    PyObject *sim = PyObject_GetAttrString(ctrl, "sim");
-    if (sim == NULL)
-        goto fail;
-    if (!Py_IS_TYPE(sim, &CSimulator_Type)) {
-        Py_DECREF(sim);
-        PyErr_SetString(PyExc_TypeError,
-                        "SnoopCore requires a compiled Simulator");
-        goto fail;
-    }
-    self->sim = (CSimulator *)sim;
-    Py_INCREF(self->sim->queue);
-    self->cqueue = self->sim->queue;
-
-    self->name_obj = PyObject_GetAttrString(ctrl, "name");
-    if (self->name_obj == NULL)
-        goto fail;
-    self->node_obj = PyObject_GetAttrString(ctrl, "node_id");
-    if (self->node_obj == NULL)
-        goto fail;
-    self->node_id = PyLong_AsLongLong(self->node_obj);
-    if (self->node_id == -1 && PyErr_Occurred())
-        goto fail;
-
-    self->cache = PyObject_GetAttrString(ctrl, "cache");
-    if (self->cache == NULL)
-        goto fail;
-    self->l2_sets = PyObject_GetAttrString(self->cache, "_sets");
-    if (self->l2_sets == NULL || !PyList_Check(self->l2_sets)) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "_sets must be a list");
-        goto fail;
-    }
-    if (getattrstr_ll(self->cache, "_block_bytes", &self->l2_block) < 0 ||
-        getattrstr_ll(self->cache, "_num_sets", &self->l2_nsets) < 0)
-        goto fail;
-    if (self->l2_block <= 0 || self->l2_nsets <= 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "cache geometry must be positive");
-        goto fail;
-    }
-    self->observer = PyObject_GetAttrString(self->cache, "_observer");
-    if (self->observer == NULL)
-        goto fail;
-
-    PyObject *config = PyObject_GetAttrString(ctrl, "config");
-    if (config == NULL)
-        goto fail;
-    PyObject *l2cfg = PyObject_GetAttrString(config, "l2");
-    if (l2cfg == NULL) {
-        Py_DECREF(config);
-        goto fail;
-    }
-    int rc = getattrstr_ll(l2cfg, "associativity", &self->assoc);
-    Py_DECREF(l2cfg);
-    if (rc < 0) {
-        Py_DECREF(config);
-        goto fail;
-    }
-    PyObject *pcfg = PyObject_GetAttrString(config, "processor");
-    Py_DECREF(config);
-    if (pcfg == NULL)
-        goto fail;
-    rc = getattrstr_ll(pcfg, "l2_hit_cycles", &self->l2_hit_cycles);
-    Py_DECREF(pcfg);
-    if (rc < 0)
-        goto fail;
-    self->l2_hit_obj = PyLong_FromLongLong(self->l2_hit_cycles);
-    if (self->l2_hit_obj == NULL)
-        goto fail;
+    self->base.request = snoop_request;
+    self->exclusive_state = Py_NewRef(exclusive_state);
+    self->owned_state = Py_NewRef(owned_state);
+    self->gets_type = Py_NewRef(gets_type);
+    self->getx_type = Py_NewRef(getx_type);
+    self->wb_type = Py_NewRef(wb_type);
+    self->waiting_phase = Py_NewRef(waiting_phase);
+    self->lost_phase = Py_NewRef(lost_phase);
+    self->busreq_cls = Py_NewRef(busreq_cls);
     if (getattrstr_ll(ctrl, "CACHE_TO_CACHE_CYCLES", &self->c2c_cycles) < 0)
         goto fail;
-
     PyObject *bus = PyObject_GetAttrString(ctrl, "bus");
     if (bus == NULL)
         goto fail;
     self->bus_issue = PyObject_GetAttrString(bus, "issue");
     Py_DECREF(bus);
-    if (self->bus_issue == NULL)
+    if (self->bus_issue == NULL ||
+        capture_attr(&self->deliver, ctrl, "deliver_data") < 0 ||
+        capture_attr(&self->writebacks_dict, ctrl, "writebacks") < 0 ||
+        capture_attr(&self->forwards_dict, ctrl, "_pending_forwards") < 0 ||
+        capture_attr(&self->passed_set, ctrl, "_ownership_passed") < 0 ||
+        capture_attr(&self->corner_meth, ctrl, "_corner_case") < 0 ||
+        capture_attr(&self->forwards_meth, ctrl,
+                     "_process_pending_forwards") < 0)
         goto fail;
-    self->deliver = PyObject_GetAttrString(ctrl, "deliver_data");
-    if (self->deliver == NULL)
-        goto fail;
-    self->may_issue = PyObject_GetAttrString(ctrl, "may_issue");
-    if (self->may_issue == NULL)
-        goto fail;
-    self->on_retire = PyObject_GetAttrString(ctrl, "on_retire");
-    if (self->on_retire == NULL)
-        goto fail;
-    self->counters_dict = PyObject_GetAttrString(ctrl, "_counters");
-    if (self->counters_dict == NULL || !PyDict_Check(self->counters_dict)) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "_counters must be a dict");
+    if (!PyDict_Check(self->writebacks_dict) ||
+        !PyDict_Check(self->forwards_dict)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "writebacks and _pending_forwards must be dicts");
         goto fail;
     }
-    self->count_meth = PyObject_GetAttrString(ctrl, "count");
-    if (self->count_meth == NULL)
-        goto fail;
-    self->writebacks_dict = PyObject_GetAttrString(ctrl, "writebacks");
-    if (self->writebacks_dict == NULL ||
-        !PyDict_Check(self->writebacks_dict)) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "writebacks must be a dict");
+    if (!PyAnySet_Check(self->passed_set)) {
+        PyErr_SetString(PyExc_TypeError, "_ownership_passed must be a set");
         goto fail;
     }
-    self->forwards_dict = PyObject_GetAttrString(ctrl, "_pending_forwards");
-    if (self->forwards_dict == NULL || !PyDict_Check(self->forwards_dict)) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError,
-                            "_pending_forwards must be a dict");
-        goto fail;
-    }
-    self->passed_set = PyObject_GetAttrString(ctrl, "_ownership_passed");
-    if (self->passed_set == NULL || !PyAnySet_Check(self->passed_set)) {
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError,
-                            "_ownership_passed must be a set");
-        goto fail;
-    }
-    self->complete_cb = PyObject_GetAttrString(ctrl, "_complete_current");
-    if (self->complete_cb == NULL)
-        goto fail;
-    self->pure_issue = PyObject_GetAttrString(ctrl, "_issue_transaction");
-    if (self->pure_issue == NULL)
-        goto fail;
-    self->retry_meth = PyObject_GetAttrString(ctrl, "_retry_issue");
-    if (self->retry_meth == NULL)
-        goto fail;
-    self->pure_install = PyObject_GetAttrString(ctrl, "_install_line");
-    if (self->pure_install == NULL)
-        goto fail;
-    self->finish_meth = PyObject_GetAttrString(ctrl, "_finish");
-    if (self->finish_meth == NULL)
-        goto fail;
-    self->timeout_meth = PyObject_GetAttrString(ctrl, "_transaction_timeout");
-    if (self->timeout_meth == NULL)
-        goto fail;
-    self->corner_meth = PyObject_GetAttrString(ctrl, "_corner_case");
-    if (self->corner_meth == NULL)
-        goto fail;
-    self->forwards_meth = PyObject_GetAttrString(ctrl,
-                                                 "_process_pending_forwards");
-    if (self->forwards_meth == NULL)
-        goto fail;
-    self->zero_obj = PyLong_FromLong(0);
-    if (self->zero_obj == NULL)
-        goto fail;
-
-    CSnoopFinishThunk *ft = PyObject_GC_New(CSnoopFinishThunk,
-                                            &CSnoopFinishThunk_Type);
-    if (ft == NULL)
-        goto fail;
-    ft->request = NULL;
-    ft->cb = NULL;
-    Py_INCREF(self);
-    ft->core = self;
-    PyObject_GC_Track((PyObject *)ft);
-    self->finish_thunk = (PyObject *)ft;
-
-    CSnoopTimeoutThunk *tt = PyObject_GC_New(CSnoopTimeoutThunk,
-                                             &CSnoopTimeoutThunk_Type);
-    if (tt == NULL)
-        goto fail;
-    tt->txn = NULL;
-    Py_INCREF(self);
-    tt->core = self;
-    PyObject_GC_Track((PyObject *)tt);
-    self->timeout_thunk = (PyObject *)tt;
     return (PyObject *)self;
 
 fail:
@@ -7574,14 +7204,6 @@ fail:
 }
 
 /* ------------------------------------------------------------- helpers */
-
-/* The set holding `addr` (borrowed). */
-static inline PyObject *
-snoop_set_for(CSnoopCore *self, long long addr)
-{
-    return PyList_GET_ITEM(
-        self->l2_sets, (Py_ssize_t)((addr / self->l2_block) % self->l2_nsets));
-}
 
 /* CacheArray.set_state(addr, Invalid) on a line known present: state
  * first, then the value undo record, then the state undo record, then
@@ -7596,17 +7218,17 @@ snoop_invalidate(CSnoopCore *self, PyObject *set, PyObject *line,
         Py_DECREF(line);
         return -1;
     }
-    if (PyObject_SetAttr(line, PS.state, self->invalid_state) < 0)
+    if (PyObject_SetAttr(line, PS.state, self->base.invalid_state) < 0)
         goto fail;
     PyObject *val = PyObject_GetAttr(line, S.value);
     if (val == NULL)
         goto fail;
-    int rc = txn_notify(self->observer, addr_obj, S.value, val, Py_None);
+    int rc = txn_notify(self->base.observer, addr_obj, S.value, val, Py_None);
     Py_DECREF(val);
     if (rc < 0)
         goto fail;
-    if (txn_notify(self->observer, addr_obj, PS.state, old,
-                   self->invalid_state) < 0)
+    if (txn_notify(self->base.observer, addr_obj, PS.state, old,
+                   self->base.invalid_state) < 0)
         goto fail;
     Py_DECREF(old);
     Py_DECREF(line);
@@ -7622,7 +7244,7 @@ fail:
 static int
 snoop_supply(CSnoopCore *self, PyObject *request, PyObject *value)
 {
-    if (comp_count(self->counters_dict, self->count_meth,
+    if (comp_count(self->base.counters_dict, self->base.count_meth,
                    SN.cache_to_cache_transfers) < 0)
         return -1;
     PyObject *dst = PyObject_GetAttr(request, SN.requestor);
@@ -7643,42 +7265,14 @@ snoop_supply(CSnoopCore *self, PyObject *request, PyObject *value)
     t->deliver = self->deliver;
     t->dst = dst;               /* reference transferred */
     t->addr = addr;             /* reference transferred */
-    PyObject *v = (value == Py_None) ? self->zero_obj : value;
+    PyObject *v = (value == Py_None) ? self->base.zero_obj : value;
     Py_INCREF(v);
     t->value = v;
     PyObject_GC_Track((PyObject *)t);
-    PyObject *ev = queue_push_internal(self->cqueue,
-                                       self->sim->now + self->c2c_cycles, 0,
-                                       (PyObject *)t, self->name_obj);
+    PyObject *ev = queue_push_internal(self->base.cqueue,
+                                       self->base.sim->now + self->c2c_cycles, 0,
+                                       (PyObject *)t, self->base.name_obj);
     Py_DECREF(t);
-    if (ev == NULL)
-        return -1;
-    Py_DECREF(ev);
-    return 0;
-}
-
-/* _finish(request, on_complete, l2_hit_cycles): arm the reusable thunk
- * (fall back to the pure method if it is somehow busy). */
-static int
-snoop_finish_schedule(CSnoopCore *self, PyObject *request,
-                      PyObject *on_complete)
-{
-    CSnoopFinishThunk *ft = (CSnoopFinishThunk *)self->finish_thunk;
-    if (ft->request != NULL) {
-        PyObject *res = PyObject_CallFunctionObjArgs(
-            self->finish_meth, request, on_complete, self->l2_hit_obj, NULL);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-        return 0;
-    }
-    Py_INCREF(request);
-    ft->request = request;
-    Py_INCREF(on_complete);
-    ft->cb = on_complete;
-    PyObject *ev = queue_push_internal(self->cqueue,
-                                       self->sim->now + self->l2_hit_cycles,
-                                       0, (PyObject *)ft, self->name_obj);
     if (ev == NULL)
         return -1;
     Py_DECREF(ev);
@@ -7709,7 +7303,7 @@ snoop_pending_store(CSnoopCore *self, PyObject *txn, PyObject *addr_obj)
     PyObject *op = PyObject_GetAttr(txn, TS.op);
     if (op == NULL)
         return -1;
-    int is_store = (op == self->store_op);
+    int is_store = (op == self->base.store_op);
     Py_DECREF(op);
     if (!is_store)
         return 0;
@@ -7757,7 +7351,7 @@ snoop_pending_ordered_load(CSnoopCore *self, PyObject *txn,
     PyObject *op = PyObject_GetAttr(txn, TS.op);
     if (op == NULL)
         return -1;
-    int is_load = (op == self->load_op);
+    int is_load = (op == self->base.load_op);
     Py_DECREF(op);
     if (!is_load)
         return 0;
@@ -7797,199 +7391,40 @@ snoop_defer_forward(CSnoopCore *self, PyObject *addr_obj, PyObject *request)
     return rc;
 }
 
-/* _transaction_done for the controller's single outstanding transaction
- * (inlined _complete_current). */
-static int
-snoop_txn_done(CSnoopCore *self, PyObject *txn)
-{
-    if (PyObject_SetAttr(self->ctrl, TS.transaction, Py_None) < 0)
-        return -1;
-    PyObject *res = PyObject_CallOneArg(self->on_retire, self->node_obj);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    if (comp_count(self->counters_dict, self->count_meth,
-                   TS.transactions_completed) < 0)
-        return -1;
-    PyObject *request = PyObject_GetAttr(self->ctrl, TS.pending_request);
-    if (request == NULL)
-        return -1;
-    PyObject *oc = PyObject_GetAttr(self->ctrl, TS.pending_on_complete);
-    if (oc == NULL) {
-        Py_DECREF(request);
-        return -1;
-    }
-    PyObject *taddr_obj = PyObject_GetAttr(txn, PS.address);
-    if (taddr_obj == NULL)
-        goto fail_oc;
-    long long taddr = PyLong_AsLongLong(taddr_obj);
-    if (taddr == -1 && PyErr_Occurred())
-        goto fail_addr;
-    PyObject *set = snoop_set_for(self, taddr);
-    PyObject *line = PyDict_GetItemWithError(set, taddr_obj);
-    if (line == NULL && PyErr_Occurred())
-        goto fail_addr;
-    PyObject *req_op = PyObject_GetAttr(request, TS.op);
-    if (req_op == NULL)
-        goto fail_addr;
-    if (req_op == self->store_op) {
-        Py_DECREF(req_op);
-        if (line != NULL) {
-            PyObject *rvalue = PyObject_GetAttr(request, S.value);
-            if (rvalue == NULL)
-                goto fail_addr;
-            if (rvalue != Py_None &&
-                txn_set_value(self->observer, line, taddr_obj, rvalue) < 0) {
-                Py_DECREF(rvalue);
-                goto fail_addr;
-            }
-            Py_DECREF(rvalue);
-        }
-    }
-    else {
-        Py_DECREF(req_op);
-        PyObject *lvalue = NULL;
-        if (line != NULL) {
-            lvalue = PyObject_GetAttr(line, S.value);
-            if (lvalue == NULL)
-                goto fail_addr;
-        }
-        if (lvalue == NULL || lvalue == Py_None) {
-            /* Late-invalidated load: the data satisfied the load but the
-             * line was not retained. */
-            Py_XDECREF(lvalue);
-            lvalue = PyObject_GetAttr(txn, SN.value_hint);
-            if (lvalue == NULL)
-                goto fail_addr;
-        }
-        int rc = PyObject_SetAttr(request, S.value, lvalue);
-        Py_DECREF(lvalue);
-        if (rc < 0)
-            goto fail_addr;
-    }
-    if (setattr_ll(request, TS.completed_at, self->sim->now) < 0)
-        goto fail_addr;
-    res = PyObject_CallOneArg(oc, request);
-    Py_DECREF(oc);
-    Py_DECREF(request);
-    Py_DECREF(taddr_obj);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
-
-fail_addr:
-    Py_DECREF(taddr_obj);
-fail_oc:
-    Py_DECREF(oc);
-    Py_DECREF(request);
-    return -1;
-}
-
-/* _install_line fast path: upgrade-in-place and fresh-allocate into a
- * non-full set; the full-set case (victim choice + eviction + retry)
- * falls back to the pure method. */
+/* _install_line fast path: upgrade in place (always writing the
+ * delivered value), else allocate. */
 static int
 snoop_install(CSnoopCore *self, PyObject *txn, PyObject *value,
               PyObject *addr_obj, long long addr)
 {
+    CCtrlCore *core = &self->base;
     PyObject *op = PyObject_GetAttr(txn, TS.op);
     if (op == NULL)
         return -1;
-    PyObject *target = (op == self->load_op) ? self->shared_state
-                                             : self->modified_state;
+    PyObject *target = (op == core->load_op) ? core->shared_state
+                                             : core->modified_state;
     Py_DECREF(op);
-    PyObject *set = snoop_set_for(self, addr);
+    PyObject *set = ctrl_set_for(core, addr);
     PyObject *existing = PyDict_GetItemWithError(set, addr_obj);
     if (existing == NULL && PyErr_Occurred())
         return -1;
-    if (existing != NULL) {
-        if (txn_set_state(self->observer, existing, addr_obj, target) < 0)
-            return -1;
-        return txn_set_value(self->observer, existing, addr_obj, value);
-    }
-    if (PyDict_GET_SIZE(set) >= (Py_ssize_t)self->assoc) {
-        PyObject *res = PyObject_CallFunctionObjArgs(
-            self->pure_install, txn, value, NULL);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-        return 0;
-    }
-    /* CacheArray.allocate into a non-full set. */
-    long long tick;
-    if (getattr_ll(self->cache, TS.tick, &tick) < 0)
+    if (existing == NULL)
+        return ctrl_allocate(core, set, txn, value, addr_obj, target);
+    if (txn_set_state(core->observer, existing, addr_obj, target) < 0)
         return -1;
-    tick += 1;
-    if (setattr_ll(self->cache, TS.tick, tick) < 0)
-        return -1;
-    PyObject *tick_obj = PyLong_FromLongLong(tick);
-    if (tick_obj == NULL)
-        return -1;
-    PyObject *line = PyObject_CallFunctionObjArgs(
-        self->line_cls, addr_obj, target, value, tick_obj, NULL);
-    Py_DECREF(tick_obj);
-    if (line == NULL)
-        return -1;
-    int rc = PyDict_SetItem(set, addr_obj, line);
-    Py_DECREF(line);
-    if (rc < 0)
-        return -1;
-    if (txn_notify(self->observer, addr_obj, PS.state, self->invalid_state,
-                   target) < 0)
-        return -1;
-    if (value != Py_None &&
-        txn_notify(self->observer, addr_obj, S.value, Py_None, value) < 0)
-        return -1;
-    return 0;
+    return txn_set_value(core->observer, existing, addr_obj, value);
 }
 
 /* receive_data(address, value): install + complete + pending forwards. */
 static int
 snoop_receive_impl(CSnoopCore *self, PyObject *addr_obj, PyObject *value)
 {
-    PyObject *txn = PyObject_GetAttr(self->ctrl, TS.transaction);
-    if (txn == NULL)
-        return -1;
-    int stale = (txn == Py_None);
-    if (!stale) {
-        PyObject *taddr = PyObject_GetAttr(txn, PS.address);
-        if (taddr == NULL)
-            goto fail;
-        int differs = PyObject_RichCompareBool(taddr, addr_obj, Py_NE);
-        Py_DECREF(taddr);
-        if (differs < 0)
-            goto fail;
-        stale = differs;
-    }
-    if (!stale) {
-        PyObject *tmp = PyObject_GetAttr(txn, TS.completed);
-        if (tmp == NULL)
-            goto fail;
-        stale = PyObject_IsTrue(tmp);
-        Py_DECREF(tmp);
-        if (stale < 0)
-            goto fail;
-    }
-    if (stale) {
-        Py_DECREF(txn);
-        return comp_count(self->counters_dict, self->count_meth,
-                          SN.stale_data);
-    }
-    PyObject *tmp = PyObject_GetAttr(txn, TS.data_received);
-    if (tmp == NULL)
-        goto fail;
-    int dup = PyObject_IsTrue(tmp);
-    Py_DECREF(tmp);
-    if (dup < 0)
-        goto fail;
-    if (dup) {
-        Py_DECREF(txn);
-        return comp_count(self->counters_dict, self->count_meth,
-                          SN.duplicate_data);
-    }
-    if (PyObject_SetAttr(txn, TS.data_received, Py_True) < 0 ||
-        PyObject_SetAttr(txn, SN.value_hint, value) < 0)
+    PyObject *txn;
+    int live = ctrl_data_txn(&self->base, addr_obj, SN.stale_data,
+                             SN.duplicate_data, &txn);
+    if (live <= 0)
+        return live;
+    if (PyObject_SetAttr(txn, TS.value_hint, value) < 0)
         goto fail;
     long long addr = PyLong_AsLongLong(addr_obj);
     if (addr == -1 && PyErr_Occurred())
@@ -8005,58 +7440,15 @@ snoop_receive_impl(CSnoopCore *self, PyObject *addr_obj, PyObject *value)
     if (inval < 0)
         goto fail;
     if (inval) {
-        PyObject *set = snoop_set_for(self, addr);
+        PyObject *set = ctrl_set_for(&self->base, addr);
         PyObject *line = PyDict_GetItemWithError(set, addr_obj);
         if (line == NULL && PyErr_Occurred())
             goto fail;
         if (line != NULL && snoop_invalidate(self, set, line, addr_obj) < 0)
             goto fail;
     }
-    /* Transaction.complete(). */
-    tmp = PyObject_GetAttr(txn, TS.completed);
-    if (tmp == NULL)
+    if (ctrl_txn_complete(&self->base, txn) < 0)
         goto fail;
-    int done = PyObject_IsTrue(tmp);
-    Py_DECREF(tmp);
-    if (done < 0)
-        goto fail;
-    if (!done) {
-        if (PyObject_SetAttr(txn, TS.completed, Py_True) < 0)
-            goto fail;
-        PyObject *te = PyObject_GetAttr(txn, TS.timeout_event);
-        if (te == NULL)
-            goto fail;
-        if (te != Py_None) {
-            PyObject *res = PyObject_CallMethodNoArgs(te, TS.cancel);
-            Py_DECREF(te);
-            if (res == NULL)
-                goto fail;
-            Py_DECREF(res);
-            if (PyObject_SetAttr(txn, TS.timeout_event, Py_None) < 0)
-                goto fail;
-        }
-        else
-            Py_DECREF(te);
-        PyObject *oc = PyObject_GetAttr(txn, TS.on_complete_attr);
-        if (oc == NULL)
-            goto fail;
-        if (oc == self->complete_cb) {
-            Py_DECREF(oc);
-            if (snoop_txn_done(self, txn) < 0)
-                goto fail;
-        }
-        else if (oc != Py_None) {
-            /* A transaction issued by the pure path (slow-start retry)
-             * completes through its own bound _complete_current. */
-            PyObject *res = PyObject_CallOneArg(oc, txn);
-            Py_DECREF(oc);
-            if (res == NULL)
-                goto fail;
-            Py_DECREF(res);
-        }
-        else
-            Py_DECREF(oc);
-    }
     /* _process_pending_forwards: the pure method pops + supplies; when
      * nothing is pending only the ownership-passed entry is dropped. */
     if (PyDict_GET_SIZE(self->forwards_dict) != 0) {
@@ -8084,223 +7476,6 @@ fail:
     return -1;
 }
 
-/* _issue_transaction fast path.  Caller guarantees ctrl.transaction is
- * None (it routes to the pure method otherwise, which raises). */
-static int
-snoop_issue(CSnoopCore *self, PyObject *request, PyObject *on_complete,
-            PyObject *addr_obj, int is_load)
-{
-    PyObject *gate = PyObject_CallOneArg(self->may_issue, self->node_obj);
-    if (gate == NULL)
-        return -1;
-    int allowed = PyObject_IsTrue(gate);
-    Py_DECREF(gate);
-    if (allowed < 0)
-        return -1;
-    if (!allowed) {
-        PyObject *res = PyObject_CallFunctionObjArgs(
-            self->retry_meth, request, on_complete, NULL);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-        return 0;
-    }
-    PyObject *now_obj = PyLong_FromLongLong(self->sim->now);
-    if (now_obj == NULL)
-        return -1;
-    PyObject *op = PyObject_GetAttr(request, TS.op);
-    if (op == NULL) {
-        Py_DECREF(now_obj);
-        return -1;
-    }
-    PyObject *id_obj = next_txn_id(self->txn_ids);
-    PyObject *txn = id_obj == NULL ? NULL : PyObject_CallFunctionObjArgs(
-        self->txn_cls, self->node_obj, addr_obj, op, now_obj, id_obj, NULL);
-    Py_XDECREF(id_obj);
-    Py_DECREF(op);
-    Py_DECREF(now_obj);
-    if (txn == NULL)
-        return -1;
-    if (PyObject_SetAttr(self->ctrl, TS.pending_request, request) < 0 ||
-        PyObject_SetAttr(self->ctrl, TS.pending_on_complete,
-                         on_complete) < 0 ||
-        PyObject_SetAttr(txn, TS.on_complete_attr, self->complete_cb) < 0 ||
-        PyObject_SetAttr(self->ctrl, TS.transaction, txn) < 0)
-        goto fail;
-
-    PyObject *tc = PyObject_GetAttr(self->ctrl, TS.timeout_cycles);
-    if (tc == NULL)
-        goto fail;
-    if (tc != Py_None) {
-        long long cycles = PyLong_AsLongLong(tc);
-        Py_DECREF(tc);
-        if (cycles == -1 && PyErr_Occurred())
-            goto fail;
-        CSnoopTimeoutThunk *tt = (CSnoopTimeoutThunk *)self->timeout_thunk;
-        Py_INCREF(txn);
-        Py_XSETREF(tt->txn, txn);
-        PyObject *ev = queue_push_internal(self->cqueue,
-                                           self->sim->now + cycles, 0,
-                                           (PyObject *)tt, self->name_obj);
-        if (ev == NULL)
-            goto fail;
-        int rc = PyObject_SetAttr(txn, TS.timeout_event, ev);
-        Py_DECREF(ev);
-        if (rc < 0)
-            goto fail;
-    }
-    else
-        Py_DECREF(tc);
-
-    PyObject *busreq = PyObject_CallFunctionObjArgs(
-        self->busreq_cls, self->node_obj, addr_obj,
-        is_load ? self->gets_type : self->getx_type, NULL);
-    if (busreq == NULL)
-        goto fail;
-    PyObject *res = PyObject_CallOneArg(self->bus_issue, busreq);
-    Py_DECREF(busreq);
-    if (res == NULL)
-        goto fail;
-    Py_DECREF(res);
-    if (comp_count(self->counters_dict, self->count_meth,
-                   TS.transactions_issued) < 0)
-        goto fail;
-    Py_DECREF(txn);
-    return 0;
-
-fail:
-    Py_DECREF(txn);
-    return -1;
-}
-
-/* access(request, on_complete): the snooping controller's entry point. */
-static PyObject *
-SnoopCore_access(CSnoopCore *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "access expects (request, on_complete)");
-        return NULL;
-    }
-    PyObject *request = args[0];
-    PyObject *on_complete = args[1];
-    if (setattr_ll(request, PS.issued_at, self->sim->now) < 0)
-        return NULL;
-    PyObject *addr_obj = PyObject_GetAttr(request, PS.address);
-    if (addr_obj == NULL)
-        return NULL;
-    long long addr = PyLong_AsLongLong(addr_obj);
-    if (addr == -1 && PyErr_Occurred())
-        goto fail;
-    PyObject *set = snoop_set_for(self, addr);
-    PyObject *line = PyDict_GetItemWithError(set, addr_obj);  /* borrowed */
-    if (line == NULL && PyErr_Occurred())
-        goto fail;
-    PyObject *state = NULL;  /* new ref */
-    if (line != NULL) {
-        /* lookup() touches LRU state. */
-        long long tick;
-        if (getattr_ll(self->cache, TS.tick, &tick) < 0)
-            goto fail;
-        tick += 1;
-        if (setattr_ll(self->cache, TS.tick, tick) < 0 ||
-            setattr_ll(line, TS.last_used, tick) < 0)
-            goto fail;
-        state = PyObject_GetAttr(line, PS.state);
-        if (state == NULL)
-            goto fail;
-    }
-    else {
-        state = self->invalid_state;
-        Py_INCREF(state);
-    }
-    PyObject *op = PyObject_GetAttr(request, TS.op);
-    if (op == NULL) {
-        Py_DECREF(state);
-        goto fail;
-    }
-    int is_load = (op == self->load_op);
-    Py_DECREF(op);
-
-    if (is_load && state != self->invalid_state) {
-        /* Load hit: any valid state has readable data. */
-        Py_DECREF(state);
-        if (addattr_ll(self->cache, PS.hits, 1) < 0 ||
-            comp_count(self->counters_dict, self->count_meth,
-                       TS.load_hits) < 0)
-            goto fail;
-        PyObject *lvalue = PyObject_GetAttr(line, S.value);
-        if (lvalue == NULL)
-            goto fail;
-        int rc = PyObject_SetAttr(request, S.value, lvalue);
-        Py_DECREF(lvalue);
-        if (rc < 0)
-            goto fail;
-        if (snoop_finish_schedule(self, request, on_complete) < 0)
-            goto fail;
-        Py_DECREF(addr_obj);
-        Py_RETURN_NONE;
-    }
-    if (!is_load &&
-        (state == self->modified_state || state == self->exclusive_state)) {
-        /* Store hit with write permission. */
-        if (addattr_ll(self->cache, PS.hits, 1) < 0 ||
-            comp_count(self->counters_dict, self->count_meth,
-                       TS.store_hits) < 0) {
-            Py_DECREF(state);
-            goto fail;
-        }
-        if (state == self->exclusive_state &&
-            txn_set_state(self->observer, line, addr_obj,
-                          self->modified_state) < 0) {
-            Py_DECREF(state);
-            goto fail;
-        }
-        Py_DECREF(state);
-        PyObject *rvalue = PyObject_GetAttr(request, S.value);
-        if (rvalue == NULL)
-            goto fail;
-        int rc = txn_set_value(self->observer, line, addr_obj, rvalue);
-        Py_DECREF(rvalue);
-        if (rc < 0)
-            goto fail;
-        if (snoop_finish_schedule(self, request, on_complete) < 0)
-            goto fail;
-        Py_DECREF(addr_obj);
-        Py_RETURN_NONE;
-    }
-    Py_DECREF(state);
-
-    /* Miss. */
-    if (addattr_ll(self->cache, TS.misses, 1) < 0 ||
-        comp_count(self->counters_dict, self->count_meth,
-                   is_load ? TS.load_misses : TS.store_misses) < 0)
-        goto fail;
-    PyObject *txn = PyObject_GetAttr(self->ctrl, TS.transaction);
-    if (txn == NULL)
-        goto fail;
-    if (txn != Py_None) {
-        /* Busy controller: the pure method raises the protocol error. */
-        Py_DECREF(txn);
-        PyObject *res = PyObject_CallFunctionObjArgs(
-            self->pure_issue, request, on_complete, NULL);
-        if (res == NULL)
-            goto fail;
-        Py_DECREF(res);
-        Py_DECREF(addr_obj);
-        Py_RETURN_NONE;
-    }
-    Py_DECREF(txn);
-    if (snoop_issue(self, request, on_complete, addr_obj, is_load) < 0)
-        goto fail;
-    Py_DECREF(addr_obj);
-    Py_RETURN_NONE;
-
-fail:
-    Py_DECREF(addr_obj);
-    return NULL;
-}
-
 /* snoop(request) -> bool: own-request ordering + foreign MOESI snoops. */
 static PyObject *
 SnoopCore_snoop(CSnoopCore *self, PyObject *request)
@@ -8308,7 +7483,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
     PyObject *req_node = PyObject_GetAttr(request, SN.requestor);
     if (req_node == NULL)
         return NULL;
-    int own = PyObject_RichCompareBool(req_node, self->node_obj, Py_EQ);
+    int own = PyObject_RichCompareBool(req_node, self->base.node_obj, Py_EQ);
     Py_DECREF(req_node);
     if (own < 0)
         return NULL;
@@ -8332,14 +7507,14 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
             if (record != NULL) {
                 if (PyDict_DelItem(self->writebacks_dict, addr_obj) < 0)
                     goto done;
-                if (comp_count(self->counters_dict, self->count_meth,
+                if (comp_count(self->base.counters_dict, self->base.count_meth,
                                SN.writebacks_ordered) < 0)
                     goto done;
             }
             result = Py_False;
             goto done;
         }
-        PyObject *txn = PyObject_GetAttr(self->ctrl, TS.transaction);
+        PyObject *txn = PyObject_GetAttr(self->base.ctrl, TS.transaction);
         if (txn == NULL)
             goto done;
         int matches = 0;
@@ -8361,7 +7536,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
             result = Py_False;
             goto done;
         }
-        if (comp_count(self->counters_dict, self->count_meth,
+        if (comp_count(self->base.counters_dict, self->base.count_meth,
                        SN.own_request_ordered) < 0 ||
             PyObject_SetAttr(txn, SN.bus_ordered, Py_True) < 0) {
             Py_DECREF(txn);
@@ -8371,7 +7546,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
         long long addr = PyLong_AsLongLong(addr_obj);
         if (addr == -1 && PyErr_Occurred())
             goto done;
-        PyObject *set = snoop_set_for(self, addr);
+        PyObject *set = ctrl_set_for(&self->base, addr);
         PyObject *line = PyDict_GetItemWithError(set, addr_obj);
         if (line == NULL && PyErr_Occurred())
             goto done;
@@ -8379,7 +7554,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
             PyObject *state = PyObject_GetAttr(line, PS.state);
             if (state == NULL)
                 goto done;
-            int valid = (state != self->invalid_state);
+            int valid = (state != self->base.invalid_state);
             Py_DECREF(state);
             if (valid) {
                 /* Hit own valid copy at order time: self-deliver at +1. */
@@ -8387,7 +7562,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
                 if (lvalue == NULL)
                     goto done;
                 if (lvalue == Py_None)
-                    Py_SETREF(lvalue, Py_NewRef(self->zero_obj));
+                    Py_SETREF(lvalue, Py_NewRef(self->base.zero_obj));
                 CSnoopRecvThunk *rt = PyObject_GC_New(CSnoopRecvThunk,
                                                       &CSnoopRecvThunk_Type);
                 if (rt == NULL) {
@@ -8400,10 +7575,10 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
                 rt->addr = addr_obj;
                 rt->value = lvalue;  /* steal */
                 PyObject_GC_Track((PyObject *)rt);
-                PyObject *ev = queue_push_internal(self->cqueue,
-                                                   self->sim->now + 1, 0,
+                PyObject *ev = queue_push_internal(self->base.cqueue,
+                                                   self->base.sim->now + 1, 0,
                                                    (PyObject *)rt,
-                                                   self->name_obj);
+                                                   self->base.name_obj);
                 Py_DECREF(rt);
                 if (ev == NULL)
                     goto done;
@@ -8424,7 +7599,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
     long long addr = PyLong_AsLongLong(addr_obj);
     if (addr == -1 && PyErr_Occurred())
         goto done;
-    PyObject *set = snoop_set_for(self, addr);
+    PyObject *set = ctrl_set_for(&self->base, addr);
     PyObject *line = PyDict_GetItemWithError(set, addr_obj);  /* borrowed */
     if (line == NULL && PyErr_Occurred())
         goto done;
@@ -8438,7 +7613,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
         }
     }
     else {
-        state = self->invalid_state;
+        state = self->base.invalid_state;
         Py_INCREF(state);
     }
     PyObject *record = PyDict_GetItemWithError(self->writebacks_dict,
@@ -8449,15 +7624,15 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
         goto done;
     }
     Py_XINCREF(record);
-    int is_owner = (state == self->modified_state ||
+    int is_owner = (state == self->base.modified_state ||
                     state == self->owned_state ||
                     state == self->exclusive_state);
 
     if (rtype == self->gets_type) {
         if (is_owner) {
-            if ((state == self->modified_state ||
+            if ((state == self->base.modified_state ||
                  state == self->exclusive_state) &&
-                txn_set_state(self->observer, line, addr_obj,
+                txn_set_state(self->base.observer, line, addr_obj,
                               self->owned_state) < 0)
                 goto fail_foreign;
             PyObject *lvalue = PyObject_GetAttr(line, S.value);
@@ -8488,7 +7663,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
                 goto done_foreign;
             }
         }
-        PyObject *txn = PyObject_GetAttr(self->ctrl, TS.transaction);
+        PyObject *txn = PyObject_GetAttr(self->base.ctrl, TS.transaction);
         if (txn == NULL)
             goto fail_foreign;
         int pending = snoop_pending_store(self, txn, addr_obj);
@@ -8497,7 +7672,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
             goto fail_foreign;
         if (pending) {
             if (snoop_defer_forward(self, addr_obj, request) < 0 ||
-                comp_count(self->counters_dict, self->count_meth,
+                comp_count(self->base.counters_dict, self->base.count_meth,
                            SN.forwards_deferred) < 0)
                 goto fail_foreign;
             result = Py_True;
@@ -8520,11 +7695,11 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
                 goto fail_foreign;
             supplied = 1;
         }
-        if (state != self->invalid_state) {
+        if (state != self->base.invalid_state) {
             if (snoop_invalidate(self, set, line, addr_obj) < 0)
                 goto fail_foreign;
         }
-        PyObject *txn = PyObject_GetAttr(self->ctrl, TS.transaction);
+        PyObject *txn = PyObject_GetAttr(self->base.ctrl, TS.transaction);
         if (txn == NULL)
             goto fail_foreign;
         int pending = snoop_pending_store(self, txn, addr_obj);
@@ -8537,7 +7712,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
              * ownership already passed to this requestor. */
             if (snoop_defer_forward(self, addr_obj, request) < 0 ||
                 PySet_Add(self->passed_set, addr_obj) < 0 ||
-                comp_count(self->counters_dict, self->count_meth,
+                comp_count(self->base.counters_dict, self->base.count_meth,
                            SN.forwards_deferred) < 0) {
                 Py_DECREF(txn);
                 goto fail_foreign;
@@ -8554,7 +7729,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
             if (ordered_load) {
                 if (PyObject_SetAttr(txn, SN.invalidate_on_install,
                                      Py_True) < 0 ||
-                    comp_count(self->counters_dict, self->count_meth,
+                    comp_count(self->base.counters_dict, self->base.count_meth,
                                SN.late_invalidates) < 0) {
                     Py_DECREF(txn);
                     goto fail_foreign;
@@ -8586,7 +7761,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
                 Py_DECREF(rreq);
                 if (rc < 0)
                     goto fail_foreign;
-                if (comp_count(self->counters_dict, self->count_meth,
+                if (comp_count(self->base.counters_dict, self->base.count_meth,
                                SN.writeback_race_first_getx) < 0)
                     goto fail_foreign;
                 supplied = 1;
@@ -8639,8 +7814,8 @@ SnoopCore_receive_data(CSnoopCore *self, PyObject *const *args,
 }
 
 static PyMethodDef SnoopCore_methods[] = {
-    {"access", (PyCFunction)(void (*)(void))SnoopCore_access,
-     METH_FASTCALL, "compiled SnoopingCacheController.access"},
+    {"access", (PyCFunction)(void (*)(void))CtrlCore_access,
+     METH_FASTCALL, "compiled BlockingCacheController.access"},
     {"snoop", (PyCFunction)SnoopCore_snoop, METH_O,
      "compiled SnoopingCacheController.snoop"},
     {"receive_data", (PyCFunction)(void (*)(void))SnoopCore_receive_data,
@@ -8655,7 +7830,7 @@ static PyTypeObject CSnoopCore_Type = {
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "Compiled snooping cache-controller transition handlers",
     .tp_new = SnoopCore_new,
-    .tp_dealloc = (destructor)SnoopCore_dealloc,
+    .tp_dealloc = (destructor)ctrl_dealloc,
     .tp_traverse = (traverseproc)SnoopCore_traverse,
     .tp_clear = (inquiry)SnoopCore_clear_gc,
     .tp_methods = SnoopCore_methods,
@@ -8702,13 +7877,11 @@ PyInit__ckernel(void)
         PyType_Ready(&CRecvCore_Type) < 0 ||
         PyType_Ready(&CBusCore_Type) < 0 ||
         PyType_Ready(&CBusSnoopThunk_Type) < 0 ||
+        PyType_Ready(&CFinishThunk_Type) < 0 ||
+        PyType_Ready(&CTimeoutThunk_Type) < 0 ||
         PyType_Ready(&CTxnCore_Type) < 0 ||
-        PyType_Ready(&CTxnFinishThunk_Type) < 0 ||
-        PyType_Ready(&CTxnTimeoutThunk_Type) < 0 ||
         PyType_Ready(&CMemCore_Type) < 0 ||
         PyType_Ready(&CSnoopCore_Type) < 0 ||
-        PyType_Ready(&CSnoopFinishThunk_Type) < 0 ||
-        PyType_Ready(&CSnoopTimeoutThunk_Type) < 0 ||
         PyType_Ready(&CSupplyThunk_Type) < 0 ||
         PyType_Ready(&CSnoopRecvThunk_Type) < 0)
         return NULL;
@@ -8856,6 +8029,7 @@ PyInit__ckernel(void)
     INTERN(duplicate_data, "duplicate_data_messages");
     INTERN(stale_acks, "stale_acks");
     INTERN(memory_references, "memory_references");
+    INTERN(value_hint, "value_hint");
 #undef INTERN
 #define INTERN(field, text)                                             \
     do {                                                                \
@@ -8869,7 +8043,6 @@ PyInit__ckernel(void)
     INTERN(record_request, "request");
     INTERN(bus_ordered, "bus_ordered");
     INTERN(invalidate_on_install, "invalidate_on_install");
-    INTERN(value_hint, "value_hint");
     INTERN(writebacks_ordered, "writebacks_ordered");
     INTERN(own_request_ordered, "own_request_ordered");
     INTERN(cache_to_cache_transfers, "cache_to_cache_transfers");
@@ -8919,7 +8092,9 @@ PyInit__ckernel(void)
                               (PyObject *)&CMemCore_Type) < 0 ||
         PyModule_AddObjectRef(mod, "SnoopCore",
                               (PyObject *)&CSnoopCore_Type) < 0 ||
-        PyModule_AddStringConstant(mod, "COMPILER", CKERNEL_COMPILER) < 0) {
+        PyModule_AddStringConstant(mod, "COMPILER", CKERNEL_COMPILER) < 0 ||
+        PyModule_AddStringConstant(mod, "SOURCE_SHA256",
+                                   CKERNEL_SOURCE_SHA256) < 0) {
         Py_DECREF(mod);
         return NULL;
     }

@@ -22,22 +22,21 @@ recovery through the mis-speculation reporter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.coherence.cache import CacheArray, CacheLine
-from repro.coherence.common import BlockAddress, MemoryOp, MemoryRequest, Transaction
+from repro.coherence.common import BlockAddress, MemoryOp, Transaction
+from repro.coherence.controller import BlockingCacheController, MisspeculationReporter
 from repro.coherence.directory.messages import CoherencePayload
 from repro.coherence.directory.states import CacheState
 from repro.core.events import MisspeculationEvent, SpeculationKind
 from repro.interconnect.message import MessageClass, NetworkMessage
-from repro.sim.component import Component
 from repro.sim.config import ProtocolVariant, SystemConfig
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
 
 SendFn = Callable[[int, MessageClass, BlockAddress, CoherencePayload], None]
 HomeFn = Callable[[BlockAddress], int]
-MisspeculationReporter = Callable[[MisspeculationEvent], None]
 
 
 @dataclass
@@ -52,18 +51,23 @@ class WritebackRecord:
     issued_at: int = 0
 
 
-class DirectoryCacheController(Component):
+class DirectoryCacheController(BlockingCacheController):
     """Per-node L2 cache controller speaking the MOSI directory protocol."""
+
+    INVALID = CacheState.INVALID
+    SHARED = CacheState.SHARED
+    MODIFIED = CacheState.MODIFIED
+    WRITABLE = (CacheState.MODIFIED,)
 
     def __init__(self, node_id: int, sim: Simulator, config: SystemConfig,
                  cache: CacheArray, send: SendFn, home: HomeFn, *,
                  txn_ids: Iterator[int],
                  misspeculation_reporter: Optional[MisspeculationReporter] = None,
                  stats: Optional[StatsRegistry] = None) -> None:
-        super().__init__(f"l2ctrl{node_id}", sim, stats)
-        self.node_id = node_id
-        self.config = config
-        self.variant = config.variant
+        super().__init__(f"l2ctrl{node_id}", node_id, sim, config, cache,
+                         txn_ids=txn_ids,
+                         misspeculation_reporter=misspeculation_reporter,
+                         stats=stats)
         #: Whether the S1 detection path is live: the speculative variant
         #: with the ``directory-p2p-order`` design enabled.  Derived from
         #: the configuration so directly constructed controllers (unit
@@ -74,37 +78,10 @@ class DirectoryCacheController(Component):
             config.variant == ProtocolVariant.SPECULATIVE
             and config.speculation.speculates(
                 SpeculationKind.DIRECTORY_P2P_ORDER.value))
-        self.cache = cache
         self.send = send
         self.home = home
-        self.misspeculation_reporter = misspeculation_reporter
-        #: The owning system's transaction id stream (shared by every
-        #: controller of one system; the compiled core draws from it too).
-        self._txn_ids = txn_ids
-        #: At most one outstanding demand transaction (blocking processor).
-        self.transaction: Optional[Transaction] = None
-        #: Outstanding writebacks by address.
-        self.writebacks: Dict[BlockAddress, WritebackRecord] = {}
-        #: Hook installed by the system to bound outstanding transactions
-        #: during slow-start; returns True when a new transaction may issue.
-        self.may_issue: Callable[[int], bool] = lambda node: True
-        #: Hook called when a transaction is retired (slow-start accounting).
-        self.on_retire: Callable[[int], None] = lambda node: None
-        #: Timeout configuration; installed by the system builder.
-        self.timeout_cycles: Optional[int] = None
-        self.detected_misspeculations = 0
-        #: Bumped on every recovery; delayed actions from before a recovery
-        #: (slow-start retries, install retries) are dropped when they fire.
-        self.generation = 0
         #: Lazily bound miss-latency histogram (bound once per controller).
         self._miss_latency_hist = None
-        #: Completion context of the outstanding transaction.  The blocking
-        #: processor guarantees at most one, so the (request, on_complete)
-        #: pair lives on the controller instead of a per-transaction closure
-        #: (one closure per miss is measurable at protocol rates, and the
-        #: compiled transaction core completes through the same attributes).
-        self._pending_request: Optional[MemoryRequest] = None
-        self._pending_on_complete: Optional[Callable[[MemoryRequest], None]] = None
         #: Message dispatch table, built once (a fresh dict per message is
         #: measurable at protocol rates).
         self._handlers: Dict[MessageClass, Callable[[BlockAddress, CoherencePayload], None]] = {
@@ -117,134 +94,27 @@ class DirectoryCacheController(Component):
             MessageClass.NACK: self._handle_nack,
         }
 
-    # ================================================================ processor
-    def access(self, request: MemoryRequest,
-               on_complete: Callable[[MemoryRequest], None]) -> None:
-        """Handle one processor memory reference.
-
-        ``on_complete`` is called (possibly after coherence activity) exactly
-        once when the reference retires.  The caller (processor model) only
-        ever has one reference outstanding.
-        """
-        address = request.address
-        request.issued_at = self.sim._now
-        cache = self.cache
-        line = cache.lookup(address)
-        state = line.state if line is not None else CacheState.INVALID
-
-        # Identity tests on the enum members (hot path: once per L1 miss;
-        # str-enum `==` and the state properties route through str compare).
-        is_load = request.op is MemoryOp.LOAD
-        if is_load and state is not CacheState.INVALID:
-            cache.hits += 1
-            self.count("load_hits")
-            request.value = line.value
-            self._finish(request, on_complete, self.config.processor.l2_hit_cycles)
-            return
-        if not is_load and state is CacheState.MODIFIED:
-            cache.hits += 1
-            self.count("store_hits")
-            cache.set_value(address, request.value)
-            self._finish(request, on_complete, self.config.processor.l2_hit_cycles)
-            return
-
-        # Miss (or upgrade): issue a coherence transaction.
-        cache.misses += 1
-        self.count("load_misses" if is_load else "store_misses")
-        self._issue_transaction(request, on_complete)
-
-    def _finish(self, request: MemoryRequest,
-                on_complete: Callable[[MemoryRequest], None], delay: int) -> None:
-        def _done() -> None:
-            request.completed_at = self.sim.now
-            on_complete(request)
-        self.schedule(delay, _done)
-
     # ============================================================= transactions
-    def _issue_transaction(self, request: MemoryRequest,
-                           on_complete: Callable[[MemoryRequest], None]) -> None:
-        if self.transaction is not None:
-            raise RuntimeError(
-                f"{self.name}: blocking processor issued a second reference")
-        if not self.may_issue(self.node_id):
-            self._retry_issue(request, on_complete)
-            return
-
-        txn = Transaction(node=self.node_id, address=request.address,
-                          op=request.op, started_at=self.sim._now,
-                          txn_id=next(self._txn_ids))
-        self._pending_request = request
-        self._pending_on_complete = on_complete
-        txn.on_complete = self._complete_current
-        self.transaction = txn
-
-        if self.timeout_cycles is not None:
-            txn.timeout_event = self.schedule(
-                self.timeout_cycles, lambda: self._transaction_timeout(txn),
-                label=f"{self.name}.timeout")
-
-        msg_class = (MessageClass.REQUEST_READ_ONLY if request.op is MemoryOp.LOAD
+    def _request(self, txn: Transaction) -> None:
+        msg_class = (MessageClass.REQUEST_READ_ONLY if txn.op is MemoryOp.LOAD
                      else MessageClass.REQUEST_READ_WRITE)
-        self.send(self.home(request.address), msg_class, request.address,
+        self.send(self.home(txn.address), msg_class, txn.address,
                   CoherencePayload(requestor=self.node_id, txn_id=txn.txn_id))
-        self.count("transactions_issued")
 
-    def _retry_issue(self, request: MemoryRequest,
-                     on_complete: Callable[[MemoryRequest], None]) -> None:
-        # Slow-start gating: retry shortly (void if a recovery intervenes,
-        # because the rolled-back processor will re-issue the reference).
-        generation = self.generation
-        self.schedule(50, lambda: (self._issue_transaction(request, on_complete)
-                                   if generation == self.generation else None))
-
-    def _complete_current(self, txn: Transaction) -> None:
-        """``on_complete`` of the controller's single outstanding transaction."""
-        self._transaction_done(txn, self._pending_request,
-                               self._pending_on_complete)
-
-    def _transaction_done(self, txn: Transaction, request: MemoryRequest,
-                          on_complete: Callable[[MemoryRequest], None]) -> None:
-        self.transaction = None
-        self.on_retire(self.node_id)
+    def _transaction_done(self, txn: Transaction) -> None:
         # Send the FinalAck that unblocks the directory for this block.
         self.send(self.home(txn.address), MessageClass.FINAL_ACK, txn.address,
                   CoherencePayload(requestor=self.node_id, txn_id=txn.txn_id))
-        self.count("transactions_completed")
         hist = self._miss_latency_hist
         if hist is None:
             hist = self._miss_latency_hist = self.stats.histogram(
                 "l2.miss_latency", bucket_width=64)
         hist.record(self.sim._now - txn.started_at)
-        if request.op is MemoryOp.STORE:
-            # Apply the store's value now that the block is writable here.
-            if self.cache.contains(txn.address) and request.value is not None:
-                self.cache.set_value(txn.address, request.value)
-        else:
-            request.value = self._read_value(txn.address)
-        request.completed_at = self.sim.now
-        on_complete(request)
 
-    def _read_value(self, address: BlockAddress) -> Optional[int]:
-        line = self.cache.peek(address)
-        return line.value if line is not None else None
-
-    def _transaction_timeout(self, txn: Transaction) -> None:
-        """A coherence transaction timed out: the Section 4 deadlock detector."""
-        # The timeout event has fired: its handle is dead (the kernel pools
-        # fired events) and must not be cancelled later.
-        txn.timeout_event = None
-        if txn.completed or self.transaction is not txn:
-            return
-        self.detected_misspeculations += 1
-        self.count("timeout_detections")
-        self._report(MisspeculationEvent(
-            kind=SpeculationKind.INTERCONNECT_DEADLOCK,
-            detected_at=self.sim.now,
-            node=self.node_id,
-            address=txn.address,
-            description=(f"transaction {txn.txn_id} ({txn.op.value} {txn.address:#x}) "
-                         f"timed out after {self.timeout_cycles} cycles"),
-            details={"txn_id": txn.txn_id}))
+    def _timeout_description(self, txn: Transaction) -> Tuple[str, Dict[str, Any]]:
+        return (f"transaction {txn.txn_id} ({txn.op.value} {txn.address:#x}) "
+                f"timed out after {self.timeout_cycles} cycles",
+                {"txn_id": txn.txn_id})
 
     # ============================================================ network input
     def handle_message(self, message: NetworkMessage) -> None:
@@ -378,11 +248,7 @@ class DirectoryCacheController(Component):
         if txn is None or txn.address != address:
             return
         self.count("nacks")
-        msg_class = (MessageClass.REQUEST_READ_ONLY if txn.op == MemoryOp.LOAD
-                     else MessageClass.REQUEST_READ_WRITE)
-        self.schedule(100, lambda: self.send(
-            self.home(address), msg_class, address,
-            CoherencePayload(requestor=self.node_id, txn_id=txn.txn_id)))
+        self.schedule(100, lambda: self._request(txn))
 
     def _maybe_complete(self, txn: Transaction) -> None:
         if txn.satisfied and not txn.completed:
@@ -390,34 +256,14 @@ class DirectoryCacheController(Component):
 
     # ----------------------------------------------------------- line handling
     def _install_line(self, txn: Transaction, value: Optional[int]) -> None:
-        target_state = (CacheState.SHARED if txn.op is MemoryOp.LOAD
-                        else CacheState.MODIFIED)
-        existing = self.cache.peek(txn.address)
-        if existing is not None:
+        target_state = self.SHARED if txn.op is MemoryOp.LOAD else self.MODIFIED
+        if self.cache.contains(txn.address):
             # Upgrade: keep our (fresher) data when the directory sent None.
             self.cache.set_state(txn.address, target_state)
             if value is not None:
                 self.cache.set_value(txn.address, value)
             return
-        install_value = value if value is not None else 0
-        victim = self.cache.find_victim(
-            txn.address, evictable=lambda line: self._evictable(line))
-        cache_set_full = (self.cache.occupancy_of_set(txn.address)
-                          >= self.config.l2.associativity)
-        if cache_set_full and victim is None:
-            # Every line in the set is mid-transaction; extremely rare with
-            # 4-way sets and a blocking processor.  Retry shortly.
-            generation = self.generation
-            self.schedule(20, lambda: (self._install_line(txn, value)
-                                       if generation == self.generation else None))
-            return
-        if cache_set_full and victim is not None:
-            self._evict(victim)
-        self.cache.allocate(txn.address, target_state, install_value)
-
-    def _evictable(self, line: CacheLine) -> bool:
-        return line.address not in self.writebacks and (
-            self.transaction is None or line.address != self.transaction.address)
+        self._allocate_line(txn, target_state, value)
 
     def _evict(self, victim: CacheLine) -> None:
         """Evict a line chosen by LRU, issuing a Writeback if it is dirty."""
@@ -440,31 +286,3 @@ class DirectoryCacheController(Component):
         self.send(requestor, MessageClass.DATA, address,
                   CoherencePayload(requestor=requestor, acks_expected=acks,
                                    value=value if value is not None else 0))
-
-    # ---------------------------------------------------------------- recovery
-    def squash_transient_state(self) -> None:
-        """Drop outstanding transactions and writebacks (system recovery).
-
-        The processor that owns the squashed transaction is rolled back by
-        the recovery manager and will re-issue its reference; cache stable
-        state is restored from the SafetyNet undo log.
-        """
-        self.generation += 1
-        if self.transaction is not None and self.transaction.timeout_event is not None:
-            self.transaction.timeout_event.cancel()
-            self.transaction.timeout_event = None
-        self.transaction = None
-        self.writebacks.clear()
-
-    # --------------------------------------------------------------- reporting
-    def _report(self, event: MisspeculationEvent) -> None:
-        if self.misspeculation_reporter is not None:
-            self.misspeculation_reporter(event)
-
-    # ------------------------------------------------------------------ checks
-    def invariant_errors(self) -> List[str]:
-        errors: List[str] = []
-        for line in self.cache.lines():
-            if line.state == CacheState.INVALID:
-                errors.append(f"{self.name}: invalid line left in array {line.address:#x}")
-        return errors

@@ -23,19 +23,18 @@ Speculative vs. full variant:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.coherence.cache import CacheArray, CacheLine
-from repro.coherence.common import BlockAddress, MemoryOp, MemoryRequest, Transaction
+from repro.coherence.common import BlockAddress, MemoryOp, Transaction
+from repro.coherence.controller import BlockingCacheController, MisspeculationReporter
 from repro.coherence.snooping.bus import AddressBus, BusRequest, BusRequestType
 from repro.coherence.snooping.states import SnoopState, WritebackPhase
 from repro.core.events import MisspeculationEvent, SpeculationKind
-from repro.sim.component import Component
 from repro.sim.config import ProtocolVariant, SystemConfig
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
 
-MisspeculationReporter = Callable[[MisspeculationEvent], None]
 #: Deliver data to another node: (dst_node, address, value).
 DataDelivery = Callable[[int, BlockAddress, int], None]
 
@@ -51,8 +50,13 @@ class SnoopWritebackRecord:
     issued_at: int = 0
 
 
-class SnoopingCacheController(Component):
+class SnoopingCacheController(BlockingCacheController):
     """Per-node cache controller of the broadcast snooping system."""
+
+    INVALID = SnoopState.INVALID
+    SHARED = SnoopState.SHARED
+    MODIFIED = SnoopState.MODIFIED
+    WRITABLE = (SnoopState.MODIFIED, SnoopState.EXCLUSIVE)
 
     #: Latency of a cache-to-cache data transfer on the data network.
     CACHE_TO_CACHE_CYCLES = 40
@@ -62,10 +66,10 @@ class SnoopingCacheController(Component):
                  txn_ids: Iterator[int],
                  misspeculation_reporter: Optional[MisspeculationReporter] = None,
                  stats: Optional[StatsRegistry] = None) -> None:
-        super().__init__(f"snoopctrl{node_id}", sim, stats)
-        self.node_id = node_id
-        self.config = config
-        self.variant = config.variant
+        super().__init__(f"snoopctrl{node_id}", node_id, sim, config, cache,
+                         txn_ids=txn_ids,
+                         misspeculation_reporter=misspeculation_reporter,
+                         stats=stats)
         #: Whether the S2 detection path is live: the speculative variant
         #: with the ``snooping-corner-case`` design enabled.  Derived from
         #: the configuration so directly constructed controllers (unit
@@ -75,15 +79,8 @@ class SnoopingCacheController(Component):
             config.variant == ProtocolVariant.SPECULATIVE
             and config.speculation.speculates(
                 SpeculationKind.SNOOPING_CORNER_CASE.value))
-        self.cache = cache
         self.bus = bus
         self.deliver_data = deliver_data
-        self.misspeculation_reporter = misspeculation_reporter
-        #: The owning system's transaction id stream (shared by every
-        #: controller of one system; the compiled core draws from it too).
-        self._txn_ids = txn_ids
-        self.transaction: Optional[Transaction] = None
-        self.writebacks: Dict[BlockAddress, SnoopWritebackRecord] = {}
         #: Foreign requests ordered after our own RequestReadWrite but before
         #: our data arrived; we owe them a data forward once we install
         #: Modified (the classic IM_AD "remember to forward" transient).
@@ -91,125 +88,17 @@ class SnoopingCacheController(Component):
         #: Addresses for which ownership has already been passed on to a
         #: later RequestReadWrite (we stop collecting forwards for them).
         self._ownership_passed: set = set()
-        self.may_issue: Callable[[int], bool] = lambda node: True
-        self.on_retire: Callable[[int], None] = lambda node: None
-        self.timeout_cycles: Optional[int] = None
-        self.detected_misspeculations = 0
         self.corner_cases_handled = 0
-        #: Bumped on every recovery; delayed retries from before a recovery
-        #: are dropped when they fire.
-        self.generation = 0
-        #: Completion context of the outstanding transaction.  The blocking
-        #: processor guarantees at most one, so the (request, on_complete)
-        #: pair lives on the controller instead of a per-transaction closure
-        #: (one closure per miss is measurable at protocol rates, and the
-        #: compiled snoop core completes through the same attributes).
-        self._pending_request: Optional[MemoryRequest] = None
-        self._pending_on_complete: Optional[Callable[[MemoryRequest], None]] = None
-
-    # ================================================================ processor
-    def access(self, request: MemoryRequest,
-               on_complete: Callable[[MemoryRequest], None]) -> None:
-        """Handle one processor memory reference (blocking)."""
-        address = request.address
-        request.issued_at = self.sim.now
-        line = self.cache.lookup(address)
-        state = line.state if line is not None else SnoopState.INVALID
-
-        if request.op == MemoryOp.LOAD and state.has_valid_data:
-            self.cache.record_hit()
-            self.count("load_hits")
-            request.value = line.value
-            self._finish(request, on_complete, self.config.processor.l2_hit_cycles)
-            return
-        if request.op == MemoryOp.STORE and state.can_write:
-            self.cache.record_hit()
-            self.count("store_hits")
-            if state == SnoopState.EXCLUSIVE:
-                self.cache.set_state(address, SnoopState.MODIFIED)
-            self.cache.set_value(address, request.value)
-            self._finish(request, on_complete, self.config.processor.l2_hit_cycles)
-            return
-
-        self.cache.record_miss()
-        self.count("load_misses" if request.op == MemoryOp.LOAD else "store_misses")
-        self._issue_transaction(request, on_complete)
-
-    def _finish(self, request: MemoryRequest,
-                on_complete: Callable[[MemoryRequest], None], delay: int) -> None:
-        def _done() -> None:
-            request.completed_at = self.sim.now
-            on_complete(request)
-        self.schedule(delay, _done)
 
     # ============================================================= transactions
-    def _issue_transaction(self, request: MemoryRequest,
-                           on_complete: Callable[[MemoryRequest], None]) -> None:
-        if self.transaction is not None:
-            raise RuntimeError(f"{self.name}: second outstanding reference")
-        if not self.may_issue(self.node_id):
-            self._retry_issue(request, on_complete)
-            return
-        txn = Transaction(node=self.node_id, address=request.address,
-                          op=request.op, started_at=self.sim.now,
-                          txn_id=next(self._txn_ids))
-        self._pending_request = request
-        self._pending_on_complete = on_complete
-        txn.on_complete = self._complete_current
-        self.transaction = txn
-        if self.timeout_cycles is not None:
-            txn.timeout_event = self.schedule(
-                self.timeout_cycles, lambda: self._transaction_timeout(txn))
-        rtype = (BusRequestType.GETS if request.op == MemoryOp.LOAD
+    def _request(self, txn: Transaction) -> None:
+        rtype = (BusRequestType.GETS if txn.op is MemoryOp.LOAD
                  else BusRequestType.GETX)
-        self.bus.issue(BusRequest(requestor=self.node_id, address=request.address,
+        self.bus.issue(BusRequest(requestor=self.node_id, address=txn.address,
                                   rtype=rtype))
-        self.count("transactions_issued")
 
-    def _retry_issue(self, request: MemoryRequest,
-                     on_complete: Callable[[MemoryRequest], None]) -> None:
-        # Slow-start gating: retry shortly (void if a recovery intervenes,
-        # because the rolled-back processor will re-issue the reference).
-        generation = self.generation
-        self.schedule(50, lambda: (self._issue_transaction(request, on_complete)
-                                   if generation == self.generation else None))
-
-    def _complete_current(self, txn: Transaction) -> None:
-        """``on_complete`` of the controller's single outstanding transaction."""
-        self._transaction_done(txn, self._pending_request,
-                               self._pending_on_complete)
-
-    def _transaction_done(self, txn: Transaction, request: MemoryRequest,
-                          on_complete: Callable[[MemoryRequest], None]) -> None:
-        self.transaction = None
-        self.on_retire(self.node_id)
-        self.count("transactions_completed")
-        if request.op == MemoryOp.STORE:
-            if self.cache.contains(txn.address) and request.value is not None:
-                self.cache.set_value(txn.address, request.value)
-        else:
-            line = self.cache.peek(txn.address)
-            if line is not None and line.value is not None:
-                request.value = line.value
-            else:
-                # Late-invalidated load: the data satisfied the load but the
-                # line was not retained.
-                request.value = getattr(txn, "value_hint", None)
-        request.completed_at = self.sim.now
-        on_complete(request)
-
-    def _transaction_timeout(self, txn: Transaction) -> None:
-        # The timeout event has fired: its handle is dead (the kernel pools
-        # fired events) and must not be cancelled later.
-        txn.timeout_event = None
-        if txn.completed or self.transaction is not txn:
-            return
-        self.detected_misspeculations += 1
-        self.count("timeout_detections")
-        self._report(MisspeculationEvent(
-            kind=SpeculationKind.INTERCONNECT_DEADLOCK,
-            detected_at=self.sim.now, node=self.node_id, address=txn.address,
-            description=f"snooping transaction {txn.txn_id} timed out"))
+    def _timeout_description(self, txn: Transaction) -> Tuple[str, Dict[str, Any]]:
+        return f"snooping transaction {txn.txn_id} timed out", {}
 
     # ================================================================== snooping
     def snoop(self, request: BusRequest) -> bool:
@@ -392,27 +281,12 @@ class SnoopingCacheController(Component):
                     self.cache.set_state(address, SnoopState.OWNED)
 
     def _install_line(self, txn: Transaction, value: int) -> None:
-        target = (SnoopState.SHARED if txn.op == MemoryOp.LOAD
-                  else SnoopState.MODIFIED)
+        target = self.SHARED if txn.op is MemoryOp.LOAD else self.MODIFIED
         if self.cache.contains(txn.address):
             self.cache.set_state(txn.address, target)
             self.cache.set_value(txn.address, value)
             return
-        if (self.cache.occupancy_of_set(txn.address)
-                >= self.config.l2.associativity):
-            victim = self.cache.find_victim(
-                txn.address, evictable=lambda line: self._evictable(line))
-            if victim is None:
-                generation = self.generation
-                self.schedule(20, lambda: (self._install_line(txn, value)
-                                           if generation == self.generation else None))
-                return
-            self._evict(victim)
-        self.cache.allocate(txn.address, target, value)
-
-    def _evictable(self, line: CacheLine) -> bool:
-        return line.address not in self.writebacks and (
-            self.transaction is None or line.address != self.transaction.address)
+        self._allocate_line(txn, target, value)
 
     def _evict(self, victim: CacheLine) -> None:
         state: SnoopState = victim.state
@@ -430,25 +304,9 @@ class SnoopingCacheController(Component):
             self.count("silent_evictions")
         self.cache.set_state(victim.address, SnoopState.INVALID)
 
-    # ==================================================================== misc
+    # ================================================================ recovery
     def squash_transient_state(self) -> None:
-        """Drop outstanding transactions/writebacks (system recovery)."""
-        self.generation += 1
-        if self.transaction is not None and self.transaction.timeout_event is not None:
-            self.transaction.timeout_event.cancel()
-            self.transaction.timeout_event = None
-        self.transaction = None
-        self.writebacks.clear()
+        """Also forget the deferred forwards and passed ownerships."""
+        super().squash_transient_state()
         self._pending_forwards.clear()
         self._ownership_passed.clear()
-
-    def _report(self, event: MisspeculationEvent) -> None:
-        if self.misspeculation_reporter is not None:
-            self.misspeculation_reporter(event)
-
-    def invariant_errors(self) -> List[str]:
-        errors: List[str] = []
-        for line in self.cache.lines():
-            if line.state == SnoopState.INVALID:
-                errors.append(f"{self.name}: invalid line resident {line.address:#x}")
-        return errors

@@ -28,6 +28,11 @@ Selection
   when the extension is missing (used by the CI compiled-tier job so a
   broken build can never silently regress to measuring pure Python).
 
+A *stale* build — one whose compiled-in ``SOURCE_SHA256`` differs from the
+``_ckernelmodule.c`` next to this file — counts as missing: its cores no
+longer match the Python classes they bind, so ``auto`` falls back to pure
+with a warning and ``compiled`` raises.
+
 :func:`set_kernel_tier` overrides the environment for the current process
 (the ``--kernel-tier`` runner flag and the benchmark ``--tier`` axis use
 it).  Selection is consulted at *system construction time*, not at import
@@ -37,7 +42,9 @@ the parity tests compare them.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import warnings
 from typing import Any, Dict, Optional
 
 #: Environment variable that selects the kernel tier for the process.
@@ -52,12 +59,16 @@ _UNSET = object()
 #: then the module or ``None``).
 _compiled_module: Any = _UNSET
 
+#: Why an importable extension was refused as stale (``None`` otherwise).
+_stale_reason: Optional[str] = None
+
 #: Process-level override installed by :func:`set_kernel_tier`.
 _override: Optional[str] = None
 
 
 class KernelTierError(RuntimeError):
-    """Raised when ``REPRO_KERNEL=compiled`` but the extension is missing."""
+    """Raised when ``REPRO_KERNEL=compiled`` but the extension is missing
+    or stale."""
 
 
 def _validate(tier: str) -> str:
@@ -68,16 +79,34 @@ def _validate(tier: str) -> str:
     return tier
 
 
+def stale_build_reason(module: Any) -> Optional[str]:
+    """Why ``module`` was not built from the ``_ckernelmodule.c`` next to
+    this file, or ``None`` when it was (or no source is there to check)."""
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "_ckernelmodule.c")
+    try:
+        with open(source, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+    except FileNotFoundError:  # installed without its source
+        return None
+    if getattr(module, "SOURCE_SHA256", None) == digest:
+        return None
+    return (f"the repro._ckernel extension at {module.__file__} was built "
+            f"from another {os.path.basename(source)} (stale build)")
+
+
 def compiled_module() -> Optional[Any]:
-    """The ``repro._ckernel`` extension module, or ``None`` if not built."""
-    global _compiled_module
+    """The ``repro._ckernel`` extension module, or ``None`` if it is not
+    built or is stale."""
+    global _compiled_module, _stale_reason
     if _compiled_module is _UNSET:
         try:
             from repro import _ckernel  # type: ignore[attr-defined]
         except ImportError:
             _compiled_module = None
         else:
-            _compiled_module = _ckernel
+            _stale_reason = stale_build_reason(_ckernel)
+            _compiled_module = _ckernel if _stale_reason is None else None
     return _compiled_module
 
 
@@ -106,9 +135,9 @@ def set_kernel_tier(tier: Optional[str]) -> None:
 def active_tier() -> str:
     """Resolve the request to the tier that will actually execute.
 
-    Returns ``"pure"`` or ``"compiled"``.  ``auto`` degrades silently;
-    an explicit ``compiled`` request raises :class:`KernelTierError` when
-    the extension is absent.
+    Returns ``"pure"`` or ``"compiled"``.  ``auto`` degrades silently
+    (with a warning for a stale build); an explicit ``compiled`` request
+    raises :class:`KernelTierError` when the extension is absent or stale.
     """
     requested = requested_tier()
     if requested == "pure":
@@ -116,10 +145,16 @@ def active_tier() -> str:
     if compiled_available():
         return "compiled"
     if requested == "compiled":
+        reason = _stale_reason or (
+            "the repro._ckernel extension is not built for this interpreter")
         raise KernelTierError(
-            "REPRO_KERNEL=compiled but the repro._ckernel extension is not "
-            "built for this interpreter; run `python tools/build_kernel.py` "
-            "(requires a C compiler) or select the pure tier")
+            f"REPRO_KERNEL=compiled but {reason}; run `python "
+            "tools/build_kernel.py` (requires a C compiler) or select the "
+            "pure tier")
+    if _stale_reason is not None:
+        warnings.warn(f"{_stale_reason}; using the pure tier until `python "
+                      "tools/build_kernel.py` rebuilds it", RuntimeWarning,
+                      stacklevel=2)
     return "pure"
 
 

@@ -198,8 +198,7 @@ class DirectorySystem(System):
             # from the receive core; every other message class stays pure.
             txn_core = impl.TransactionCore(
                 node.cache_controller, cfg.num_processors, cfg.block_bytes,
-                MemoryOp.LOAD, MemoryOp.STORE, CacheState.INVALID,
-                CacheState.SHARED, CacheState.MODIFIED,
+                MemoryOp.LOAD, MemoryOp.STORE,
                 MessageClass.REQUEST_READ_ONLY,
                 MessageClass.REQUEST_READ_WRITE, MessageClass.FINAL_ACK,
                 CoherencePayload, Transaction, CacheLine)

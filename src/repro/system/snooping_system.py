@@ -134,9 +134,7 @@ class SnoopingSystem(System):
                 ctrl = node.cache_controller
                 snoop_core = impl.SnoopCore(
                     ctrl, MemoryOp.LOAD, MemoryOp.STORE,
-                    SnoopState.INVALID, SnoopState.SHARED,
                     SnoopState.EXCLUSIVE, SnoopState.OWNED,
-                    SnoopState.MODIFIED,
                     BusRequestType.GETS, BusRequestType.GETX,
                     BusRequestType.WRITEBACK,
                     WritebackPhase.WAITING_OWN_WB,

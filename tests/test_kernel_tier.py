@@ -24,6 +24,8 @@ import hashlib
 import json
 import os
 import random
+import sys
+import types
 
 import pytest
 
@@ -46,6 +48,25 @@ def _restore_tier():
 @pytest.fixture()
 def _clean_env(monkeypatch):
     monkeypatch.delenv(kernel.ENV_VAR, raising=False)
+
+
+def _source_sha256() -> str:
+    source = os.path.join(os.path.dirname(kernel.__file__), "_ckernelmodule.c")
+    with open(source, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _stub_extension(monkeypatch, digest: str) -> None:
+    """Make ``repro._ckernel`` resolve to a stub built from ``digest``."""
+    import repro
+
+    stub = types.ModuleType("repro._ckernel")
+    stub.__file__ = "stub/_ckernel.so"
+    stub.SOURCE_SHA256 = digest
+    monkeypatch.setitem(sys.modules, "repro._ckernel", stub)
+    monkeypatch.setattr(repro, "_ckernel", stub, raising=False)
+    monkeypatch.setattr(kernel, "_compiled_module", kernel._UNSET)
+    monkeypatch.setattr(kernel, "_stale_reason", None)
 
 
 # ------------------------------------------------------- selection/fallback
@@ -99,6 +120,29 @@ class TestTierSelection:
         with pytest.raises(kernel.KernelTierError,
                            match="tools/build_kernel.py"):
             kernel.active_tier()
+
+    def test_stale_build_runs_pure_under_auto(self, monkeypatch, _clean_env):
+        _stub_extension(monkeypatch, "0" * 64)
+        with pytest.warns(RuntimeWarning, match="stale build"):
+            assert kernel.active_tier() == "pure"
+        assert not kernel.compiled_available()
+
+    def test_stale_build_raises_under_compiled(self, monkeypatch):
+        _stub_extension(monkeypatch, "0" * 64)
+        kernel.set_kernel_tier("compiled")
+        with pytest.raises(kernel.KernelTierError,
+                           match=r"stale build.*python tools/build_kernel\.py"):
+            kernel.active_tier()
+
+    def test_build_from_this_source_is_accepted(self, monkeypatch):
+        _stub_extension(monkeypatch, _source_sha256())
+        assert kernel.compiled_available()
+
+    @needs_compiled
+    def test_fresh_build_digest_matches_source(self):
+        module = kernel.compiled_module()
+        assert module.SOURCE_SHA256 == _source_sha256()
+        assert kernel.stale_build_reason(module) is None
 
     def test_kernel_info_reports_unavailable_without_raising(self, monkeypatch):
         monkeypatch.setattr(kernel, "_compiled_module", None)
