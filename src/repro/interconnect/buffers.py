@@ -35,8 +35,6 @@ class FiniteBuffer(Generic[T]):
         self.capacity = capacity
         self._queue: Deque[T] = deque()
         self._reserved = 0
-        self.peak_occupancy = 0
-        self.total_enqueued = 0
 
     # ----------------------------------------------------------------- state
     def __len__(self) -> int:
@@ -80,20 +78,12 @@ class FiniteBuffer(Generic[T]):
             raise RuntimeError(f"buffer {self.name}: push without reservation")
         self._reserved -= 1
         self._queue.append(item)
-        self.total_enqueued += 1
-        occupancy = len(self._queue) + self._reserved
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
 
     def push(self, item: T) -> None:
         """Push without a prior reservation (endpoint injection)."""
         if len(self._queue) + self._reserved >= self.capacity:
             raise BufferFullError(f"buffer {self.name} is full")
         self._queue.append(item)
-        self.total_enqueued += 1
-        occupancy = len(self._queue) + self._reserved
-        if occupancy > self.peak_occupancy:
-            self.peak_occupancy = occupancy
 
     def peek(self) -> Optional[T]:
         return self._queue[0] if self._queue else None

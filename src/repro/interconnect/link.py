@@ -42,8 +42,6 @@ class Link:
         self.stats = stats if stats is not None else StatsRegistry()
         self.busy_until = 0
         self.busy_cycles = 0
-        self.messages_carried = 0
-        self.bytes_carried = 0
         #: Message sizes are drawn from a handful of values (control header,
         #: data block + header), so the serialisation delay per size is
         #: memoised instead of recomputed per occupancy.
@@ -85,8 +83,6 @@ class Link:
         busy_until = start + ser
         self.busy_until = busy_until
         self.busy_cycles += ser
-        self.messages_carried += 1
-        self.bytes_carried += size_bytes
         return busy_until + self.latency_cycles
 
     def utilization(self, elapsed_cycles: int) -> float:
@@ -97,5 +93,3 @@ class Link:
 
     def reset_stats(self) -> None:
         self.busy_cycles = 0
-        self.messages_carried = 0
-        self.bytes_carried = 0

@@ -136,8 +136,6 @@ class Switch(Component):
             direction: f"{self.name}->switch{neighbor}"
             for direction, neighbor in self.neighbors.items()}
         self.messages_forwarded = 0
-        self.messages_ejected = 0
-        self.blocked_events = 0
         # Hot counters, bound lazily on first increment (same creation
         # semantics as Component.count — a counter that never fires must not
         # appear in results).
@@ -238,10 +236,6 @@ class Switch(Component):
             self.count("injection_blocked")
             return False
         queue.append(message)
-        buf.total_enqueued += 1
-        occupancy = len(queue) + reserved
-        if occupancy > buf.peak_occupancy:
-            buf.peak_occupancy = occupancy
         self._active_mask |= bit
         counter = self._c_injected
         if counter is None:
@@ -277,10 +271,6 @@ class Switch(Component):
             raise RuntimeError(f"buffer {buf.name}: push without reservation")
         buf._reserved = reserved - 1
         queue.append(message)
-        buf.total_enqueued += 1
-        occupancy = len(queue) + reserved - 1
-        if occupancy > buf.peak_occupancy:
-            buf.peak_occupancy = occupancy
         self._active_mask |= bit
         message.hops += 1
         if not self._scan_scheduled:
@@ -358,7 +348,6 @@ class Switch(Component):
                 queue.popleft()
                 if not queue:
                     self._active_mask &= ~bit
-                self.messages_ejected += 1
                 counter = self._c_ejected
                 if counter is None:
                     counter = self._c_ejected = self.stats.counter(
@@ -393,7 +382,6 @@ class Switch(Component):
                         d_vc = (message.src * 31 + message.dst) % d_vcc
                     d_buf = d_grid[d_vn][d_vc]
                     if len(d_buf._queue) + d_buf._reserved >= d_buf.capacity:
-                        self.blocked_events += 1
                         self.count("blocked_on_buffer")
                         continue
                     if now < link.busy_until:
@@ -417,8 +405,6 @@ class Switch(Component):
                     busy_until = now + ser
                     link.busy_until = busy_until
                     link.busy_cycles += ser
-                    link.messages_carried += 1
-                    link.bytes_carried += size
                     arrival = busy_until + link.latency_cycles
                     self.messages_forwarded += 1
                     counter = self._c_forwarded

@@ -6,7 +6,9 @@ The simulation kernel ships in two interchangeable implementations:
   ``repro.interconnect.switch``, ``repro.safetynet.log``), always present;
 * the **compiled** tier — ``repro._ckernel``, a hand-written CPython
   extension that reimplements the event queue, the fused dispatch loop, the
-  switch scan/forward hot path and the undo-record append path in C.
+  switch scan/forward hot path and the undo-record append path in C
+  (``_ckernelmodule.c``), and the protocol hot paths (``_ckernel_protocol.c``;
+  ``_ckernel.h`` holds what the two files share).
 
 The two tiers are **byte-identical**: every dispatch decision is a pure
 function of the ``(time, priority, seq)`` ordering keys and every counter is
@@ -29,9 +31,9 @@ Selection
   broken build can never silently regress to measuring pure Python).
 
 A *stale* build — one whose compiled-in ``SOURCE_SHA256`` differs from the
-``_ckernelmodule.c`` next to this file — counts as missing: its cores no
-longer match the Python classes they bind, so ``auto`` falls back to pure
-with a warning and ``compiled`` raises.
+:func:`source_digest` of the C sources next to this file — counts as
+missing: its cores no longer match the Python classes they bind, so ``auto``
+falls back to pure with a warning and ``compiled`` raises.
 
 :func:`set_kernel_tier` overrides the environment for the current process
 (the ``--kernel-tier`` runner flag and the benchmark ``--tier`` axis use
@@ -42,6 +44,7 @@ the parity tests compare them.
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 import warnings
@@ -79,20 +82,36 @@ def _validate(tier: str) -> str:
     return tier
 
 
-def stale_build_reason(module: Any) -> Optional[str]:
-    """Why ``module`` was not built from the ``_ckernelmodule.c`` next to
-    this file, or ``None`` when it was (or no source is there to check)."""
-    source = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                          "_ckernelmodule.c")
-    try:
-        with open(source, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
-    except FileNotFoundError:  # installed without its source
+def source_digest(directory: Optional[str] = None) -> Optional[str]:
+    """Digest of the compiled tier's C sources: every ``_ckernel*.c`` and
+    ``_ckernel*.h`` in ``directory`` (default: next to this file).
+
+    Each file contributes its name and the sha256 of its bytes, in sorted
+    name order.  ``setup.py`` compiles the same digest into the extension as
+    ``SOURCE_SHA256``.  ``None`` when no source is there (an install
+    without its C sources).
+    """
+    directory = directory or os.path.dirname(os.path.abspath(__file__))
+    paths = sorted(glob.glob(os.path.join(directory, "_ckernel*.[ch]")))
+    if not paths:
         return None
-    if getattr(module, "SOURCE_SHA256", None) == digest:
+    digest = hashlib.sha256()
+    for path in paths:
+        with open(path, "rb") as handle:
+            body = handle.read()
+        digest.update(os.path.basename(path).encode() + b"\0")
+        digest.update(hashlib.sha256(body).digest())
+    return digest.hexdigest()
+
+
+def stale_build_reason(module: Any) -> Optional[str]:
+    """Why ``module`` was not built from the C sources next to this file,
+    or ``None`` when it was (or no source is there to check)."""
+    digest = source_digest()
+    if digest is None or getattr(module, "SOURCE_SHA256", None) == digest:
         return None
     return (f"the repro._ckernel extension at {module.__file__} was built "
-            f"from another {os.path.basename(source)} (stale build)")
+            "from other _ckernel C sources (stale build)")
 
 
 def compiled_module() -> Optional[Any]:

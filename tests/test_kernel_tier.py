@@ -21,15 +21,20 @@ Three groups:
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
+import shutil
 import sys
+import sysconfig
 import types
 
 import pytest
 
 from repro import kernel
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 HAVE_COMPILED = kernel.compiled_available()
 
@@ -48,12 +53,6 @@ def _restore_tier():
 @pytest.fixture()
 def _clean_env(monkeypatch):
     monkeypatch.delenv(kernel.ENV_VAR, raising=False)
-
-
-def _source_sha256() -> str:
-    source = os.path.join(os.path.dirname(kernel.__file__), "_ckernelmodule.c")
-    with open(source, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
 
 
 def _stub_extension(monkeypatch, digest: str) -> None:
@@ -135,14 +134,34 @@ class TestTierSelection:
             kernel.active_tier()
 
     def test_build_from_this_source_is_accepted(self, monkeypatch):
-        _stub_extension(monkeypatch, _source_sha256())
+        _stub_extension(monkeypatch, kernel.source_digest())
         assert kernel.compiled_available()
 
     @needs_compiled
     def test_fresh_build_digest_matches_source(self):
         module = kernel.compiled_module()
-        assert module.SOURCE_SHA256 == _source_sha256()
+        assert module.SOURCE_SHA256 == kernel.source_digest()
         assert kernel.stale_build_reason(module) is None
+
+    def test_digest_covers_every_c_source(self, tmp_path):
+        """One changed byte in either C file or the header makes a build
+        stale; a built artifact next to the sources does not count."""
+        source_dir = os.path.dirname(kernel.__file__)
+        names = ["_ckernel.h", "_ckernel_protocol.c", "_ckernelmodule.c"]
+        for name in names:
+            shutil.copy(os.path.join(source_dir, name), tmp_path / name)
+        fresh = kernel.source_digest(str(tmp_path))
+        assert fresh == kernel.source_digest()
+        (tmp_path / f"_ckernel{sysconfig.get_config_var('EXT_SUFFIX')}"
+         ).write_bytes(b"a build")
+        assert kernel.source_digest(str(tmp_path)) == fresh
+        for name in names:
+            path = tmp_path / name
+            body = path.read_bytes()
+            path.write_bytes(body[:-1] + bytes([body[-1] ^ 1]))
+            assert kernel.source_digest(str(tmp_path)) != fresh
+            path.write_bytes(body)
+        assert kernel.source_digest(str(tmp_path)) == fresh
 
     def test_kernel_info_reports_unavailable_without_raising(self, monkeypatch):
         monkeypatch.setattr(kernel, "_compiled_module", None)
@@ -173,6 +192,33 @@ class TestTierSelection:
         kernel.set_kernel_tier("compiled")
         assert kernel.compiler_tag()
         assert kernel.kernel_info()["compiler"] == kernel.compiler_tag()
+
+
+def _build_tool() -> types.ModuleType:
+    path = os.path.join(REPO_ROOT, "tools", "build_kernel.py")
+    spec = importlib.util.spec_from_file_location("build_kernel", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBuildTool:
+    def test_failed_compile_with_an_old_build_in_place_exits_2(self, tmp_path,
+                                                               capfd):
+        """setup.py reports a compile error as a warning and exits 0; an
+        older build left in place must not turn that into success."""
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "_ckernelmodule.c").write_text("not C\n")
+        (package / f"_ckernel{sysconfig.get_config_var('EXT_SUFFIX')}"
+         ).write_bytes(b"an older build")
+        (tmp_path / "setup.py").write_text(
+            "import sys\n"
+            "print('warning: optional extension repro._ckernel not built "
+            "(command gcc failed with exit code 1); the pure-Python kernel "
+            "tier will be used', file=sys.stderr)\n")
+        assert _build_tool().build(str(tmp_path)) == 2
+        assert "build failed" in capfd.readouterr().err
 
 
 # -------------------------------------------------------- installed-in-use
