@@ -56,6 +56,31 @@ comp_count(PyObject *counters_dict, PyObject *count_meth, PyObject *stat)
     return counter_add(counter, 1);
 }
 
+/* A CacheArray._sets entry is its set's dict of lines or, until the first
+ * install into the set, a shared read-only empty mapping, on which
+ * PyDict_GET_SIZE and PyDict_Contains are undefined.  set_get reads any
+ * non-dict entry as empty: the line for `key` (borrowed), or NULL, with an
+ * exception set only on error. */
+static inline PyObject *
+set_get(PyObject *set, PyObject *key)
+{
+    return PyDict_CheckExact(set) ? PyDict_GetItemWithError(set, key) : NULL;
+}
+
+/* Entry `index` of `sets` as a dict (borrowed): a new one replaces the
+ * empty mapping on the set's first install. */
+static PyObject *
+set_install(PyObject *sets, Py_ssize_t index)
+{
+    PyObject *set = PyList_GET_ITEM(sets, index);
+    if (PyDict_CheckExact(set))
+        return set;
+    set = PyDict_New();
+    if (set == NULL || PyList_SetItem(sets, index, set) < 0)  /* steals */
+        return NULL;
+    return set;
+}
+
 /* ------------------------------------------------------- ProcessorCore */
 
 /* Compiled BlockingProcessor._issue_next: the per-reference issue/retire
@@ -404,7 +429,7 @@ ProcCore_call(CProcCore *self, PyObject *args, PyObject *kwds)
      * (peek semantics -- no LRU side effects). */
     PyObject *l2set = PyList_GET_ITEM(
         self->l2_sets, (Py_ssize_t)((addr / self->l2_block) % self->l2_nsets));
-    PyObject *line = PyDict_GetItemWithError(l2set, addr_obj);
+    PyObject *line = set_get(l2set, addr_obj);
     if (line == NULL && PyErr_Occurred())
         goto fail_all;
     PyObject *state;
@@ -423,13 +448,13 @@ ProcCore_call(CProcCore *self, PyObject *args, PyObject *kwds)
      * chain of the pure method reduces to these compares). */
     PyObject *l1set = PyList_GET_ITEM(
         self->l1_sets, (Py_ssize_t)((addr / self->l1_block) % self->l1_nsets));
-    int present = PyDict_Contains(l1set, addr_obj);
-    if (present < 0) {
+    PyObject *tag = set_get(l1set, addr_obj);
+    if (tag == NULL && PyErr_Occurred()) {
         Py_DECREF(state);
         goto fail_all;
     }
     int hit = 0;
-    if (present) {
+    if (tag != NULL) {
         if (!is_store)
             hit = (state != self->invalid_state);
         else {
@@ -2113,14 +2138,18 @@ fail:
     return -1;
 }
 
-/* _allocate_line into `set`, which lacks `addr_obj`: a full set goes to
+/* _allocate_line of `addr_obj`, which its set lacks: a full set goes to
  * the pure _install_line(txn, value) (victim choice, eviction, retry);
  * otherwise CacheArray.allocate of a fresh `target` line (0 when `value`
  * is None). */
 static int
-ctrl_allocate(CCtrlCore *self, PyObject *set, PyObject *txn,
+ctrl_allocate(CCtrlCore *self, long long addr, PyObject *txn,
               PyObject *value, PyObject *addr_obj, PyObject *target)
 {
+    PyObject *set = set_install(
+        self->l2_sets, (Py_ssize_t)((addr / self->l2_block) % self->l2_nsets));
+    if (set == NULL)
+        return -1;
     if (PyDict_GET_SIZE(set) >= (Py_ssize_t)self->assoc) {
         PyObject *res = PyObject_CallFunctionObjArgs(
             self->pure_install, txn, value, NULL);
@@ -2186,8 +2215,7 @@ ctrl_complete(CCtrlCore *self, PyObject *txn)
     if (comp_count(self->counters_dict, self->count_meth,
                    TS.transactions_completed) < 0)
         goto fail;
-    PyObject *set = ctrl_set_for(self, taddr);
-    PyObject *line = PyDict_GetItemWithError(set, taddr_obj);
+    PyObject *line = set_get(ctrl_set_for(self, taddr), taddr_obj);
     if (line == NULL && PyErr_Occurred())
         goto fail;
     PyObject *req_op = PyObject_GetAttr(request, TS.op);
@@ -2315,8 +2343,7 @@ CtrlCore_access(CCtrlCore *self, PyObject *const *args, Py_ssize_t nargs)
     if (addr == -1 && PyErr_Occurred())
         goto fail_addr;
     /* CacheArray.lookup: probe + LRU touch when the line is present. */
-    PyObject *line = PyDict_GetItemWithError(ctrl_set_for(self, addr),
-                                             addr_obj);
+    PyObject *line = set_get(ctrl_set_for(self, addr), addr_obj);
     if (line == NULL && PyErr_Occurred())
         goto fail_addr;
     PyObject *state;
@@ -2650,12 +2677,11 @@ txn_install_line(CTxnCore *self, PyObject *txn, PyObject *value,
     PyObject *target = (op == core->load_op) ? core->shared_state
                                              : core->modified_state;
     Py_DECREF(op);
-    PyObject *set = ctrl_set_for(core, addr);
-    PyObject *existing = PyDict_GetItemWithError(set, addr_obj);
+    PyObject *existing = set_get(ctrl_set_for(core, addr), addr_obj);
     if (existing == NULL && PyErr_Occurred())
         return -1;
     if (existing == NULL)
-        return ctrl_allocate(core, set, txn, value, addr_obj, target);
+        return ctrl_allocate(core, addr, txn, value, addr_obj, target);
     if (txn_set_state(core->observer, existing, addr_obj, target) < 0)
         return -1;
     if (value != Py_None &&
@@ -2952,13 +2978,16 @@ fail:
 static int
 memcore_l1_fill(CMemCore *self, PyObject *addr_obj, long long addr)
 {
-    PyObject *set = PyList_GET_ITEM(
-        self->l1_sets, (Py_ssize_t)((addr / self->l1_block) % self->l1_nsets));
-    PyObject *existing = PyDict_GetItemWithError(set, addr_obj);
+    Py_ssize_t index = (Py_ssize_t)((addr / self->l1_block) % self->l1_nsets);
+    PyObject *existing = set_get(PyList_GET_ITEM(self->l1_sets, index),
+                                 addr_obj);
     if (existing == NULL && PyErr_Occurred())
         return -1;
     if (existing != NULL)
         return PyObject_SetAttr(existing, PS.state, self->valid_state);
+    PyObject *set = set_install(self->l1_sets, index);
+    if (set == NULL)
+        return -1;
     if (PyDict_GET_SIZE(set) >= (Py_ssize_t)self->l1_assoc) {
         /* LRU victim: first strict minimum in insertion order, exactly
          * like min() over the dict's values. */
@@ -3575,12 +3604,11 @@ snoop_install(CSnoopCore *self, PyObject *txn, PyObject *value,
     PyObject *target = (op == core->load_op) ? core->shared_state
                                              : core->modified_state;
     Py_DECREF(op);
-    PyObject *set = ctrl_set_for(core, addr);
-    PyObject *existing = PyDict_GetItemWithError(set, addr_obj);
+    PyObject *existing = set_get(ctrl_set_for(core, addr), addr_obj);
     if (existing == NULL && PyErr_Occurred())
         return -1;
     if (existing == NULL)
-        return ctrl_allocate(core, set, txn, value, addr_obj, target);
+        return ctrl_allocate(core, addr, txn, value, addr_obj, target);
     if (txn_set_state(core->observer, existing, addr_obj, target) < 0)
         return -1;
     return txn_set_value(core->observer, existing, addr_obj, value);
@@ -3612,7 +3640,7 @@ snoop_receive_impl(CSnoopCore *self, PyObject *addr_obj, PyObject *value)
         goto fail;
     if (inval) {
         PyObject *set = ctrl_set_for(&self->base, addr);
-        PyObject *line = PyDict_GetItemWithError(set, addr_obj);
+        PyObject *line = set_get(set, addr_obj);
         if (line == NULL && PyErr_Occurred())
             goto fail;
         if (line != NULL && snoop_invalidate(self, set, line, addr_obj) < 0)
@@ -3718,7 +3746,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
         if (addr == -1 && PyErr_Occurred())
             goto done;
         PyObject *set = ctrl_set_for(&self->base, addr);
-        PyObject *line = PyDict_GetItemWithError(set, addr_obj);
+        PyObject *line = set_get(set, addr_obj);
         if (line == NULL && PyErr_Occurred())
             goto done;
         if (line != NULL) {
@@ -3771,7 +3799,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
     if (addr == -1 && PyErr_Occurred())
         goto done;
     PyObject *set = ctrl_set_for(&self->base, addr);
-    PyObject *line = PyDict_GetItemWithError(set, addr_obj);  /* borrowed */
+    PyObject *line = set_get(set, addr_obj);  /* borrowed */
     if (line == NULL && PyErr_Occurred())
         goto done;
     PyObject *state;  /* new ref */

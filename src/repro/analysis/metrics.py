@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
-from repro.interconnect.message import VirtualNetwork
 from repro.system.results import RunResult
 
 

@@ -72,15 +72,6 @@ def rows_from_table(rows: Mapping[str, Mapping[str, object]], *,
     return [{label_field: label, **row} for label, row in rows.items()]
 
 
-def rows_from_series(series: Mapping[str, Mapping[str, float]], *,
-                     series_field: str = "series", x_field: str = "x",
-                     value_field: str = "value") -> List[Dict[str, object]]:
-    """Flatten figure data (``series -> x -> value``) into row dicts."""
-    return [{series_field: name, x_field: x_label, value_field: value}
-            for name, points in series.items()
-            for x_label, value in points.items()]
-
-
 def write_json_report(path: str, payload: Mapping[str, Any]) -> None:
     """Write a machine-readable report with a stable, diff-friendly encoding."""
     with open(path, "w", encoding="utf-8") as handle:

@@ -24,7 +24,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.manifest import atomic_write_json
-from repro.coherence.cache import disable_set_pool, enable_set_pool
 from repro.campaign.spec import RunSpec, SweepSpec
 from repro.system import build_system
 from repro.system.results import RunResult, RESULT_SCHEMA
@@ -44,10 +43,7 @@ def reset_perf_counters() -> None:
 
 
 def _run_point(spec: RunSpec) -> RunResult:
-    """Build and run one design point, count its work and hand its cache
-    set-lists to the pool (a no-op unless an in-process executor enabled it
-    around its batch; the next same-geometry build then reuses them instead
-    of allocating tens of thousands of fresh per-set dicts).
+    """Build and run one design point and count its work.
 
     A function of its own so that, once it returns, no frame references the
     finished machine (see :func:`execute_spec`).
@@ -58,10 +54,6 @@ def _run_point(spec: RunSpec) -> RunResult:
     result = system.run(max_cycles=spec.max_cycles)
     PERF_COUNTERS["runs"] += 1
     PERF_COUNTERS["events_executed"] += system.sim.events_executed
-    for node in system.nodes:
-        node.l2_array.recycle_sets()
-        if node.l1 is not None:
-            node.l1.tags.recycle_sets()
     return result
 
 
@@ -290,27 +282,21 @@ class Executor:
 class SerialExecutor(Executor):
     """Runs every design point in-process, one after another.
 
-    The cache set-list pool (:func:`repro.coherence.cache.enable_set_pool`)
-    is enabled for the duration of each batch: consecutive same-geometry
-    runs then recycle their cache arrays' backing lists instead of
-    reallocating them.  Purely an allocation cache — results are
-    byte-identical with the pool on or off.
+    Each point is built from scratch by :func:`execute_spec_timed` and
+    shares only the content-keyed workload and topology memos with the
+    points before it, so a batch's results do not depend on its order.
     """
 
     def map(self, specs: SpecBatch) -> List[RunResult]:
         cached = self._lookup(specs)
         results: List[Optional[RunResult]] = [None] * len(specs)
-        enable_set_pool()
-        try:
-            for index, spec in enumerate(specs):
-                if index in cached:
-                    results[index] = cached[index]
-                    continue
-                result, seconds = execute_spec_timed(spec)
-                self._store(spec, result, wall_seconds=seconds)
-                results[index] = result
-        finally:
-            disable_set_pool()
+        for index, spec in enumerate(specs):
+            if index in cached:
+                results[index] = cached[index]
+                continue
+            result, seconds = execute_spec_timed(spec)
+            self._store(spec, result, wall_seconds=seconds)
+            results[index] = result
         return results  # type: ignore[return-value]
 
 

@@ -12,8 +12,9 @@ old values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Callable, Dict, Generic, Iterator, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.coherence.common import BlockAddress
 from repro.sim.config import CacheConfig
@@ -35,39 +36,13 @@ class CacheLine(Generic[StateT]):
     dirty: bool = False
 
 
-# ------------------------------------------------------------- set-list pool
-#: Recycled ``_sets`` lists keyed by set count, populated only while the
-#: pool is enabled.  A 16-node campaign design point allocates tens of
-#: thousands of empty per-set dicts per run; an executor that runs many
-#: design points in one process (:class:`repro.campaign.executor
-#: .SerialExecutor`) recycles the lists of finished runs instead.  Purely
-#: an allocation cache: a recycled list is returned emptied, so array
-#: behaviour — and therefore every simulation result — is identical with
-#: the pool on or off.
-_SET_POOL: Dict[int, List[List[dict]]] = {}
-_POOL_ENABLED = False
-
-
-def enable_set_pool() -> None:
-    """Start recycling ``_sets`` lists handed back via :meth:`CacheArray
-    .recycle_sets`."""
-    global _POOL_ENABLED
-    _POOL_ENABLED = True
-
-
-def disable_set_pool() -> None:
-    """Stop recycling and drop every pooled list."""
-    global _POOL_ENABLED
-    _POOL_ENABLED = False
-    _SET_POOL.clear()
-
-
-def _sets_from_pool(num_sets: int) -> List[dict]:
-    if _POOL_ENABLED:
-        bucket = _SET_POOL.get(num_sets)
-        if bucket:
-            return bucket.pop()
-    return [{} for _ in range(num_sets)]
+#: What every entry of :attr:`CacheArray._sets` starts as: one shared,
+#: read-only empty mapping.  A set gets a dict of its own on the first
+#: install into it (:meth:`CacheArray.allocate`, :meth:`CacheArray
+#: .force_line`), so a run pays only for the sets it touches, and a write
+#: that skips that step raises ``TypeError`` instead of landing in a dict
+#: every array shares.
+_NO_LINES: Mapping = MappingProxyType({})
 
 
 class CacheArray(Generic[StateT]):
@@ -88,8 +63,12 @@ class CacheArray(Generic[StateT]):
         self.name = name
         self.config = config
         self.invalid_state = invalid_state
-        self._sets: List[Dict[BlockAddress, CacheLine[StateT]]] = (
-            _sets_from_pool(config.num_sets))
+        #: One entry per set, in index order.  The list object itself is
+        #: fixed for the array's life (the bus's snoop filter and the
+        #: compiled cores capture it); only its entries change, each at
+        #: most once, from :data:`_NO_LINES` to the set's own dict.
+        self._sets: List[Mapping[BlockAddress, CacheLine[StateT]]] = (
+            [_NO_LINES] * config.num_sets)
         # Geometry constants, promoted to instance attributes: set addressing
         # runs on every cache probe and the config indirection is measurable.
         self._block_bytes = config.block_bytes
@@ -113,8 +92,16 @@ class CacheArray(Generic[StateT]):
     def set_index(self, address: BlockAddress) -> int:
         return (address // self._block_bytes) % self._num_sets
 
-    def _set_for(self, address: BlockAddress) -> Dict[BlockAddress, CacheLine[StateT]]:
+    def _set_for(self, address: BlockAddress) -> Mapping[BlockAddress, CacheLine[StateT]]:
         return self._sets[(address // self._block_bytes) % self._num_sets]
+
+    def _install_set(self, address: BlockAddress) -> Dict[BlockAddress, CacheLine[StateT]]:
+        """The dict of ``address``'s set, created on the set's first install."""
+        index = (address // self._block_bytes) % self._num_sets
+        cache_set = self._sets[index]
+        if cache_set is _NO_LINES:
+            cache_set = self._sets[index] = {}
+        return cache_set
 
     # ----------------------------------------------------------------- lookup
     def lookup(self, address: BlockAddress) -> Optional[CacheLine[StateT]]:
@@ -146,7 +133,7 @@ class CacheArray(Generic[StateT]):
         Lines whose state the caller has marked as *unevictable* (see
         :meth:`find_victim`) are never chosen.
         """
-        cache_set = self._set_for(address)
+        cache_set = self._install_set(address)
         existing = cache_set.get(address)
         if existing is not None:
             self.set_state(address, state)
@@ -218,13 +205,12 @@ class CacheArray(Generic[StateT]):
     def force_line(self, address: BlockAddress, state: StateT,
                    value: Optional[int]) -> None:
         """Install a line bypassing LRU/eviction and observers (recovery only)."""
-        cache_set = self._set_for(address)
         if state == self.invalid_state:
-            cache_set.pop(address, None)
+            self.remove(address)
             return
         self._tick += 1
-        cache_set[address] = CacheLine(address=address, state=state, value=value,
-                                       last_used=self._tick)
+        self._install_set(address)[address] = CacheLine(
+            address=address, state=state, value=value, last_used=self._tick)
 
     def restore_field(self, address: BlockAddress, field_name: str, value) -> None:
         """Apply one SafetyNet undo record without notifying observers.
@@ -235,11 +221,10 @@ class CacheArray(Generic[StateT]):
         alongside it, a line always exists by the time its value records are
         replayed; a value record with no resident line is therefore a no-op.
         """
-        cache_set = self._set_for(address)
-        line = cache_set.get(address)
+        line = self._set_for(address).get(address)
         if field_name == "state":
             if value == self.invalid_state or value is None:
-                cache_set.pop(address, None)
+                self.remove(address)
                 return
             if line is None:
                 self.force_line(address, value, None)
@@ -252,30 +237,6 @@ class CacheArray(Generic[StateT]):
             raise ValueError(f"unknown cache field {field_name!r}")
 
     # ------------------------------------------------------------------ stats
-    def recycle_sets(self) -> None:
-        """Empty this array's ``_sets`` list and hand it to the pool.
-
-        Called by executors on arrays of *finished* runs (the run's result
-        is already extracted; nothing reads the array again).  No-op while
-        the pool is disabled.
-        """
-        if not _POOL_ENABLED:
-            return
-        sets = self._sets
-        for cache_set in sets:
-            if cache_set:
-                cache_set.clear()
-        # The array must never serve a probe after recycling: its list now
-        # belongs to a future run's array.
-        self._sets = []
-        _SET_POOL.setdefault(len(sets), []).append(sets)
-
-    def record_hit(self) -> None:
-        self.hits += 1
-
-    def record_miss(self) -> None:
-        self.misses += 1
-
     @property
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets)
@@ -287,7 +248,3 @@ class CacheArray(Generic[StateT]):
     def lines(self) -> Iterator[CacheLine[StateT]]:
         for cache_set in self._sets:
             yield from cache_set.values()
-
-    def lines_in_state(self, *states: StateT) -> List[CacheLine[StateT]]:
-        wanted = set(states)
-        return [line for line in self.lines() if line.state in wanted]

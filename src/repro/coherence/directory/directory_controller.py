@@ -92,7 +92,6 @@ class DirectoryController(Component):
         self.send = send
         self.entries: Dict[BlockAddress, DirectoryEntry] = {}
         self._observer: Optional[EntryObserver] = None
-        self.requests_handled = 0
         self.writeback_races = 0
         #: Bumped on every recovery; delayed protocol actions scheduled under
         #: an older generation are dropped when they fire.
@@ -177,7 +176,6 @@ class DirectoryController(Component):
             entry.pending.append((requestor, kind, payload))
             self.count("stalled_requests")
             return
-        self.requests_handled += 1
         if kind is MessageClass.REQUEST_READ_ONLY:
             self._do_gets(entry, requestor, payload)
         else:

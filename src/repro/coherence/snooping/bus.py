@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Deque, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Deque, List, Mapping, Optional, Tuple
 
 from repro.coherence.common import BlockAddress
 from repro.sim.component import Component
@@ -59,7 +59,7 @@ class BusRequest:
 #: What the snoop filter reads of one attached cache controller: its node
 #: id, its L2 set list, its ``writebacks`` dict and the controller itself
 #: (for ``transaction`` and ``snoop``).
-SnoopBinding = Tuple[int, List[dict], dict, "SnoopingCacheController"]
+SnoopBinding = Tuple[int, List[Mapping], dict, "SnoopingCacheController"]
 
 
 class AddressBus(Component):
@@ -88,8 +88,9 @@ class AddressBus(Component):
     def attach_controller(self, controller: SnoopingCacheController) -> None:
         """Attach a cache controller; snoopers are called in attach order.
 
-        The bindings are captured here: ``cache._sets`` is fixed from array
-        construction until ``recycle_sets()`` runs after the run, and
+        The bindings are captured here: the ``cache._sets`` list is fixed
+        for the array's life (only its entries change, from the shared
+        empty mapping to the set's own dict on its first install), and
         ``writebacks`` is only ever cleared in place.
         """
         cache = controller.cache
@@ -122,10 +123,6 @@ class AddressBus(Component):
         self._queue.append(request)
         self.count("requests_issued")
         self._try_start()
-
-    @property
-    def queued_requests(self) -> int:
-        return len(self._queue)
 
     def _try_start(self) -> None:
         if self._busy or not self._queue:

@@ -23,9 +23,9 @@ resume execution".
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
-from repro.core.events import MisspeculationEvent, SpeculationKind
+from repro.core.events import MisspeculationEvent
 from repro.sim.engine import Simulator
 
 
@@ -97,9 +97,6 @@ class SlowStartGate:
             raise ValueError("slow-start must allow at least one transaction")
         self._limit = max_outstanding
         self._limit_until = self.sim.now + duration_cycles
-
-    def exit_slow_start(self) -> None:
-        self._limit = None
 
     @property
     def active(self) -> bool:

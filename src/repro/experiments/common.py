@@ -14,7 +14,7 @@ Two presets are provided:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.campaign.executor import Executor, SerialExecutor, SpecBatch
 from repro.campaign.spec import RunSpec
@@ -161,7 +161,3 @@ def default_workloads(subset: Optional[Iterable[str]] = None) -> List[str]:
     if unknown:
         raise ValueError(f"unknown workloads {unknown}; available {registered}")
     return wanted
-
-
-def results_by_workload(results: Iterable[RunResult]) -> Dict[str, RunResult]:
-    return {result.workload: result for result in results}

@@ -53,8 +53,7 @@ def _run_one(policy: RoutingPolicy, *, pairs: int, seed: int) -> int:
         mesh_width=4, mesh_height=4, routing=policy,
         link_bandwidth_bytes_per_sec=400e6, link_latency_cycles=8,
         switch_buffer_capacity=16)
-    network = InterconnectNetwork(sim, config, frequency_hz=4e9,
-                                  rng=DeterministicRng(seed))
+    network = InterconnectNetwork(sim, config, frequency_hz=4e9)
     arrivals: Dict[NetworkMessage, int] = {}
 
     def receive(message: NetworkMessage) -> None:

@@ -19,7 +19,7 @@ from repro.campaign.registry import CampaignContext, register_experiment
 from repro.core.catalog import TABLE1_MECHANISMS, table1_rows
 from repro.core.events import SpeculationKind
 from repro.core.forward_progress import NoOpPolicy
-from repro.sim.config import ProtocolKind, ProtocolVariant, RoutingPolicy, SystemConfig
+from repro.sim.config import ProtocolKind, SystemConfig
 from repro.system import build_system
 
 

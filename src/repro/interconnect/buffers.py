@@ -50,10 +50,6 @@ class FiniteBuffer(Generic[T]):
         return self.capacity - self.occupancy
 
     @property
-    def is_empty(self) -> bool:
-        return not self._queue
-
-    @property
     def is_full(self) -> bool:
         return self.occupancy >= self.capacity
 

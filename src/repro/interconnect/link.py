@@ -59,12 +59,6 @@ class Link:
     def is_busy(self) -> bool:
         return self.sim._now < self.busy_until
 
-    def next_free_time(self) -> int:
-        """Earliest cycle at which a new message could start serialising."""
-        now = self.sim._now
-        busy_until = self.busy_until
-        return now if now > busy_until else busy_until
-
     def occupy(self, size_bytes: int) -> int:
         """Claim the link for one message.
 
@@ -90,6 +84,3 @@ class Link:
         if elapsed_cycles <= 0:
             return 0.0
         return min(1.0, self.busy_cycles / elapsed_cycles)
-
-    def reset_stats(self) -> None:
-        self.busy_cycles = 0

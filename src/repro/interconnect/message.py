@@ -129,19 +129,3 @@ class NetworkMessage:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Msg {self.msg_class.value} "
                 f"{self.src}->{self.dst} addr={self.address}>")
-
-
-def control_message(src: int, dst: int, msg_class: MessageClass, *,
-                    address: Optional[int] = None, payload: Any = None,
-                    size_bytes: int = 8) -> NetworkMessage:
-    """Convenience constructor for a small control message."""
-    return NetworkMessage(src=src, dst=dst, msg_class=msg_class,
-                          size_bytes=size_bytes, payload=payload, address=address)
-
-
-def data_message(src: int, dst: int, msg_class: MessageClass, *,
-                 address: Optional[int] = None, payload: Any = None,
-                 size_bytes: int = 72) -> NetworkMessage:
-    """Convenience constructor for a data-carrying message (block + header)."""
-    return NetworkMessage(src=src, dst=dst, msg_class=msg_class,
-                          size_bytes=size_bytes, payload=payload, address=address)

@@ -12,7 +12,7 @@ memory-system state they belong to).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro import kernel
@@ -28,7 +28,6 @@ from repro.interconnect.switch import Switch
 from repro.interconnect.topology import Direction, Topology, shared_topology
 from repro.sim.config import InterconnectConfig, RoutingPolicy
 from repro.sim.engine import Simulator
-from repro.sim.rng import DeterministicRng
 from repro.sim.stats import Counter, StatsRegistry
 
 
@@ -134,20 +133,16 @@ class InterconnectNetwork:
         no-VC switch).
     frequency_hz:
         Clock frequency used to convert link bandwidth into cycles/byte.
-    rng:
-        Deterministic RNG tree (adaptive routing tie-breaks).
     stats:
         Shared statistics registry.
     """
 
     def __init__(self, sim: Simulator, config: InterconnectConfig, *,
                  frequency_hz: float = 4.0e9,
-                 rng: Optional[DeterministicRng] = None,
                  stats: Optional[StatsRegistry] = None) -> None:
         self.sim = sim
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
-        self.rng = rng if rng is not None else DeterministicRng(0)
         topo_cfg = config.resolved_topology()
         # Shared read-only geometry: identical (kind, dims) networks reuse
         # one topology instance with its routing tables already built.
@@ -190,7 +185,7 @@ class InterconnectNetwork:
     # ------------------------------------------------------------------ build
     def _make_routing(self, policy: RoutingPolicy) -> RoutingAlgorithm:
         if policy == RoutingPolicy.ADAPTIVE:
-            router = AdaptiveMinimalRouting(self.topology, rng=self.rng)
+            router = AdaptiveMinimalRouting(self.topology)
             router.bind_clock(lambda: self.sim.now)
             return router
         return DimensionOrderRouting(self.topology)

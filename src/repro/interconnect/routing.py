@@ -9,10 +9,11 @@ because every decision is a lookup in the topology's precomputed tables):
   network trivially preserves point-to-point ordering per virtual network.
 * :class:`AdaptiveMinimalRouting` — at each hop the message may take any
   direction that lies on a minimal path; the switch picks the direction
-  whose outgoing queue is shortest (ties broken deterministically, with an
-  optional random tie-break stream).  Two messages between the same pair of
-  nodes can take different paths and arrive out of order — the property the
-  speculative directory protocol relies on being *rare*.
+  whose outgoing queue is shortest (a tie goes to the dimension-order
+  direction if it is among the best, else to the lowest-numbered one).  Two
+  messages between the same pair of nodes can take different paths and
+  arrive out of order — the property the speculative directory protocol
+  relies on being *rare*.
 
 Adaptive routing can be *selectively disabled* (the forward-progress
 mechanism of Section 3.1): while disabled the adaptive router behaves exactly
@@ -23,11 +24,10 @@ recur during re-execution.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Optional
+from typing import Callable
 
 from repro.interconnect.message import NetworkMessage
 from repro.interconnect.topology import Direction, Topology
-from repro.sim.rng import DeterministicRng
 
 
 class RoutingAlgorithm(ABC):
@@ -82,12 +82,8 @@ class AdaptiveMinimalRouting(RoutingAlgorithm):
 
     name = "adaptive"
 
-    def __init__(self, topology: Topology,
-                 rng: Optional[DeterministicRng] = None,
-                 random_tie_break: bool = False) -> None:
+    def __init__(self, topology: Topology) -> None:
         super().__init__(topology)
-        self.rng = rng if rng is not None else DeterministicRng(0)
-        self.random_tie_break = random_tie_break
         self._disabled_until = -1
         self._now: Callable[[], int] = lambda: 0
         self.decisions = 0
@@ -133,8 +129,6 @@ class AdaptiveMinimalRouting(RoutingAlgorithm):
         best = [direction for score, direction in scored if score == best_score]
         if len(best) == 1:
             choice = best[0]
-        elif self.random_tie_break:
-            choice = self.rng.choice("adaptive-tie-break", sorted(best, key=lambda d: d.value))
         else:
             # Deterministic tie break: prefer the dimension-order direction.
             choice = static_choice if static_choice in best else sorted(
@@ -144,11 +138,10 @@ class AdaptiveMinimalRouting(RoutingAlgorithm):
         return choice
 
 
-def make_routing(policy: str, topology: Topology,
-                 rng: Optional[DeterministicRng] = None) -> RoutingAlgorithm:
+def make_routing(policy: str, topology: Topology) -> RoutingAlgorithm:
     """Factory keyed by :class:`repro.sim.config.RoutingPolicy` values."""
     if policy == "static":
         return DimensionOrderRouting(topology)
     if policy == "adaptive":
-        return AdaptiveMinimalRouting(topology, rng=rng)
+        return AdaptiveMinimalRouting(topology)
     raise ValueError(f"unknown routing policy {policy!r}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.interconnect.buffers import FiniteBuffer
 from repro.interconnect.link import Link
@@ -31,7 +31,7 @@ from repro.interconnect.routing import DimensionOrderRouting
 from repro.interconnect.topology import Direction, Topology
 from repro.interconnect.virtual_channel import ChannelId, ChannelSet
 from repro.sim.component import Component
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -246,10 +246,6 @@ class Switch(Component):
             sim = self.sim
             sim.queue.push_static(self._scan_event, sim._now)
         return True
-
-    def injection_space(self, message: NetworkMessage) -> int:
-        """Free slots available to ``message`` at the local injection port."""
-        return self.input_channels[Direction.LOCAL].free_slots_for(message)
 
     # --------------------------------------------------------- link reception
     def receive_from_link(self, message: NetworkMessage, input_port: Direction,

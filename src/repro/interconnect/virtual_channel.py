@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.interconnect.buffers import FiniteBuffer
-from repro.interconnect.message import NetworkMessage, VirtualNetwork
+from repro.interconnect.message import NetworkMessage
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class ChannelSet:
         self.name = name
         self.shared = shared
         self.virtual_networks = virtual_networks
-        self.virtual_channels = virtual_channels
         # The buffers live in a [vn][vc] grid with a parallel grid of
         # interned ChannelId objects: the per-message mapping is two list
         # index operations, never a dataclass hash (the old dict-keyed
@@ -90,10 +89,6 @@ class ChannelSet:
             vn = vn % self.virtual_networks
         vc = (message.src * 31 + message.dst) % self._vc_count
         return self._cids[vn][vc]
-
-    def candidate_channels(self, message: NetworkMessage) -> List[ChannelId]:
-        """Buffers legal for this message (exactly one per stream, see above)."""
-        return [self.channel_for(message)]
 
     # ---------------------------------------------------------------- queries
     def buffer(self, cid: ChannelId) -> FiniteBuffer[NetworkMessage]:

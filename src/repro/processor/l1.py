@@ -12,7 +12,6 @@ whose L2 backing was invalidated never supplies stale data).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
 
 from repro.coherence.cache import CacheArray
 from repro.coherence.common import BlockAddress, MemoryOp

@@ -133,10 +133,6 @@ class SafetyNet:
 
     # -------------------------------------------------------------- checkpoints
     @property
-    def current_checkpoint(self) -> Checkpoint:
-        return self._checkpoints[-1]
-
-    @property
     def checkpoints_taken(self) -> int:
         return self._next_seq
 
@@ -250,9 +246,6 @@ class SafetyNet:
         if kind is None:
             return len(self.recoveries)
         return sum(1 for r in self.recoveries if r.event.kind == kind)
-
-    def total_log_occupancy_bytes(self) -> int:
-        return sum(log.occupancy_bytes for log in self.logs.values())
 
     def peak_log_occupancy_entries(self) -> int:
         return max((log.peak_occupancy for log in self.logs.values()), default=0)

@@ -2,14 +2,14 @@
 
 This package provides the simulation kernel used by every other subsystem of
 the reproduction: an event-driven scheduler (:mod:`repro.sim.engine`), the
-component/port abstractions (:mod:`repro.sim.component`), statistics
+component base class (:mod:`repro.sim.component`), statistics
 collection (:mod:`repro.sim.stats`), deterministic random-number helpers
 (:mod:`repro.sim.rng`) and the system configuration dataclasses that mirror
 Table 2 of the paper (:mod:`repro.sim.config`).
 """
 
 from repro.sim.engine import Event, EventQueue, Simulator
-from repro.sim.component import Component, Port
+from repro.sim.component import Component
 from repro.sim.stats import Counter, Histogram, StatsRegistry
 from repro.sim.config import (
     CacheConfig,
@@ -27,7 +27,6 @@ __all__ = [
     "EventQueue",
     "Simulator",
     "Component",
-    "Port",
     "Counter",
     "Histogram",
     "StatsRegistry",

@@ -1,11 +1,10 @@
-"""Component and port abstractions.
+"""The component abstraction.
 
 All hardware structures in the reproduction (cache controllers, directory
 controllers, switches, network interfaces, the SafetyNet log, processors)
 derive from :class:`Component`.  A component owns statistics counters, has a
-stable ``name`` used in reports, and communicates with other components
-through :class:`Port` objects, which deliver messages with a per-port latency
-after the sending cycle.
+stable ``name`` used in reports, and schedules its own events on the
+simulator.
 """
 
 from __future__ import annotations
@@ -23,23 +22,9 @@ class Component:
         self.name = name
         self.sim = sim
         self.stats = stats if stats is not None else StatsRegistry()
-        self._ports: Dict[str, "Port"] = {}
         #: Cache of this component's counters, keyed by the *short* stat
         #: name; avoids an f-string + registry lookup per count() call.
         self._counters: Dict[str, Any] = {}
-
-    # ------------------------------------------------------------------ ports
-    def add_port(self, port_name: str, latency: int = 1) -> "Port":
-        """Create (or return) an outbound port with a fixed delivery latency."""
-        if port_name in self._ports:
-            return self._ports[port_name]
-        port = Port(owner=self, name=port_name, latency=latency)
-        self._ports[port_name] = port
-        return port
-
-    def port(self, port_name: str) -> "Port":
-        """Look up a previously created port."""
-        return self._ports[port_name]
 
     # ------------------------------------------------------------- conveniences
     def schedule(self, delay: int, callback: Callable[[], None], *,
@@ -65,39 +50,3 @@ class Component:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"
-
-
-class Port:
-    """A unidirectional, latency-annotated message channel between components.
-
-    A port is *bound* to a receiver callback.  Sending through an unbound
-    port raises immediately — silent message loss is one of the corner cases
-    this codebase is explicitly not allowed to have.
-    """
-
-    def __init__(self, owner: Component, name: str, latency: int = 1) -> None:
-        self.owner = owner
-        self.name = name
-        self.latency = latency
-        self._receiver: Optional[Callable[[Any], None]] = None
-        self.messages_sent = 0
-        self._label = f"{owner.name}.{name}"
-
-    def bind(self, receiver: Callable[[Any], None]) -> None:
-        """Attach the receiving callback (one receiver per port)."""
-        self._receiver = receiver
-
-    @property
-    def bound(self) -> bool:
-        return self._receiver is not None
-
-    def send(self, payload: Any, extra_delay: int = 0) -> None:
-        """Deliver ``payload`` to the bound receiver after the port latency."""
-        if self._receiver is None:
-            raise RuntimeError(
-                f"port {self.owner.name}.{self.name} is not bound to a receiver")
-        self.messages_sent += 1
-        receiver = self._receiver
-        self.owner.sim.schedule(self.latency + extra_delay,
-                                lambda: receiver(payload),
-                                label=self._label)

@@ -23,16 +23,20 @@ class BufferedIntegers:
     same bounded-rejection routine as ``n`` scalar calls, consuming the bit
     stream in the same order — so prefetching a chunk yields a sequence
     *bit-identical* to per-draw scalar calls (pinned by
-    ``test_stats_rng_config``).  The only requirement is that the underlying
-    stream is consumed exclusively through this buffer: interleaving other
-    draws on the same stream would consume the same bits in a different
-    order.
+    ``tests/test_perf_kernel.py::TestBufferedRandint``).  The only
+    requirement is that the underlying stream is consumed exclusively
+    through this buffer: interleaving other draws on the same stream would
+    consume the same bits in a different order.
+
+    The default chunk is sized to the runs: a campaign design point issues
+    tens to hundreds of references per processor, so a larger prefetch is
+    mostly memory that no draw reads.
     """
 
     __slots__ = ("_stream", "_low", "_high", "_chunk", "_buf", "_pos")
 
     def __init__(self, stream: np.random.Generator, low: int, high: int,
-                 chunk: int = 4096) -> None:
+                 chunk: int = 256) -> None:
         if chunk <= 0:
             raise ValueError("chunk must be positive")
         self._stream = stream

@@ -67,7 +67,6 @@ class System(ABC):
         self.slow_start_gate = SlowStartGate(self.sim)
         self.nodes: List = []
         self.injector: Optional[PeriodicInjectionSpeculation] = None
-        self._finished_processors = 0
         self._build_nodes()
         self.speculation.arm(self)
         # Rebind protocol hot paths onto compiled cores (no-op on the pure
@@ -184,10 +183,8 @@ class System(ABC):
         self._start_clocks()
         if self.injector is not None:
             self.injector.start()
-        self._finished_processors = 0
 
         def on_finished(_node: int) -> None:
-            self._finished_processors += 1
             if all(n.processor.finished_at is not None for n in self.nodes):
                 self.sim.stop()
 

@@ -65,7 +65,7 @@ class DirectorySystem(System):
         self.network = InterconnectNetwork(
             self.sim, self.effective_interconnect(),
             frequency_hz=self.config.processor.frequency_hz,
-            rng=self.rng.spawn("network"), stats=self.stats)
+            stats=self.stats)
 
     def _build_safetynet(self) -> SafetyNet:
         return SafetyNet(

@@ -143,20 +143,6 @@ class SyntheticWorkload:
         self._private_base = (self._migratory_base
                               + profile.migratory_records * block_bytes)
 
-    # ------------------------------------------------------------- addressing
-    def shared_address(self, index: int) -> int:
-        return self._shared_base + (index % self.profile.shared_blocks) * self.block_bytes
-
-    def lock_address(self, index: int) -> int:
-        return self._lock_base + (index % self.profile.lock_blocks) * self.block_bytes
-
-    def migratory_address(self, index: int) -> int:
-        return self._migratory_base + (index % self.profile.migratory_records) * self.block_bytes
-
-    def private_address(self, node: int, index: int) -> int:
-        node_base = self._private_base + node * self.profile.private_blocks * self.block_bytes
-        return node_base + (index % self.profile.private_blocks) * self.block_bytes
-
     @property
     def footprint_blocks(self) -> int:
         """Total distinct blocks the workload can touch."""

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from repro.coherence.cache import CacheArray
+from repro.coherence.cache import _NO_LINES, CacheArray, CacheLine
 from repro.coherence.directory.states import CacheState
 from repro.sim.config import CacheConfig
 
@@ -164,6 +164,74 @@ class TestRestore:
         cache = make_cache()
         with pytest.raises(ValueError):
             cache.restore_field(0x40, "bogus", 1)
+
+
+class TestSetLayout:
+    """Every set starts as one shared, read-only empty mapping and gets a
+    dict of its own on the first install into it."""
+
+    @staticmethod
+    def created_sets(cache: CacheArray) -> list:
+        return [index for index, entry in enumerate(cache._sets)
+                if entry is not _NO_LINES]
+
+    def test_fresh_array_holds_only_the_sentinel(self):
+        cache = make_cache()
+        assert len(cache._sets) == cache.config.num_sets
+        assert self.created_sets(cache) == []
+        assert len(_NO_LINES) == 0
+
+    def test_probing_an_untouched_set_misses_and_creates_nothing(self):
+        cache = make_cache()
+        assert cache.lookup(0x40) is None
+        assert cache.peek(0x40) is None
+        assert not cache.contains(0x40)
+        assert cache.get_state(0x40) == CacheState.INVALID
+        assert cache.find_victim(0x40) is None
+        assert cache.occupancy_of_set(0x40) == 0
+        cache.set_state(0x40, CacheState.INVALID)
+        cache.remove(0x40)
+        cache.restore_field(0x40, "value", 3)
+        assert list(cache.lines()) == []
+        assert self.created_sets(cache) == []
+
+    def test_install_creates_exactly_one_set(self):
+        cache = make_cache()
+        cache.allocate(0x40, CacheState.SHARED)
+        assert self.created_sets(cache) == [cache.set_index(0x40)]
+        assert type(cache._sets[cache.set_index(0x40)]) is dict
+        # A second install into the same set reuses its dict.
+        cache.allocate(0x40 + 64 * cache.config.num_sets, CacheState.SHARED)
+        assert self.created_sets(cache) == [cache.set_index(0x40)]
+
+    def test_force_line_and_restore_field_on_untouched_sets(self):
+        cache = make_cache()
+        cache.force_line(0x40, CacheState.OWNED, 5)
+        assert cache.peek(0x40).value == 5
+        cache.restore_field(0x80, "state", CacheState.SHARED)
+        assert cache.get_state(0x80) == CacheState.SHARED
+        # Removing from an untouched set is a no-op that creates nothing.
+        cache.force_line(0xC0, CacheState.INVALID, None)
+        cache.restore_field(0x100, "state", CacheState.INVALID)
+        assert self.created_sets(cache) == sorted(
+            [cache.set_index(0x40), cache.set_index(0x80)])
+
+    def test_writing_into_an_untouched_set_raises(self):
+        cache = make_cache()
+        with pytest.raises(TypeError):
+            cache._sets[0][0x0] = CacheLine(0x0, CacheState.SHARED)
+        assert len(_NO_LINES) == 0
+        assert not cache.contains(0x0)
+
+    def test_two_arrays_never_share_a_set_dict(self):
+        first, second = make_cache(), make_cache()
+        for cache in (first, second):
+            for block in range(cache.config.num_sets):
+                cache.allocate(block * 64, CacheState.SHARED)
+        first_sets = {id(entry) for entry in first._sets}
+        second_sets = {id(entry) for entry in second._sets}
+        assert len(first_sets) == first.config.num_sets
+        assert first_sets.isdisjoint(second_sets)
 
 
 class TestProperties:

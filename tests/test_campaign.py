@@ -167,9 +167,17 @@ class TestExecutors:
         assert cache.misses >= 1
 
     def test_set_pool_disabled_after_map(self):
+        """A batch leaves no run state in the cache module: a fresh array
+        starts with every set on the shared empty mapping."""
         SerialExecutor().map([small_spec(references=60)])
-        assert not cache_module._POOL_ENABLED
-        assert not cache_module._SET_POOL
+        config = SystemConfig.small(4)
+        fresh = cache_module.CacheArray("fresh", config.l2, None)
+        assert all(entry is cache_module._NO_LINES for entry in fresh._sets)
+        assert len(cache_module._NO_LINES) == 0
+        containers = [name for name, value in vars(cache_module).items()
+                      if not name.startswith("__")
+                      and isinstance(value, (dict, list, set))]
+        assert containers == []
 
     def test_memo_stats_counts_hits(self):
         clear_memos()

@@ -21,7 +21,7 @@ def build_network(policy=RoutingPolicy.STATIC, *, width=4, height=4,
         link_bandwidth_bytes_per_sec=bandwidth, link_latency_cycles=4,
         switch_buffer_capacity=buffer_capacity,
         speculative_no_vc=speculative_no_vc, nic_injection_limit=nic_limit)
-    network = InterconnectNetwork(sim, config, frequency_hz=4e9, rng=DeterministicRng(1))
+    network = InterconnectNetwork(sim, config, frequency_hz=4e9)
     received = []
     for node in range(width * height):
         network.attach(node, lambda m, node=node: received.append((node, m)))
