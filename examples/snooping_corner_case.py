@@ -53,13 +53,13 @@ def forced_occurrence_demo() -> None:
     done = []
     ctrl.access(MemoryRequest(node=1, op=MemoryOp.STORE, address=0x2000, value=7),
                 lambda r: done.append(r))
-    system.sim.run_until_idle()
+    system.sim.run()
     ctrl._evict(system.nodes[1].l2_array.peek(0x2000))
     # ...and, before its own Writeback is ordered, observes two different
     # processors' RequestReadWrite transactions for that block.
     ctrl.snoop(BusRequest(requestor=2, address=0x2000, rtype=BusRequestType.GETX))
     ctrl.snoop(BusRequest(requestor=3, address=0x2000, rtype=BusRequestType.GETX))
-    system.sim.run_until_idle()
+    system.sim.run()
 
     stats = system.speculation.framework_stats
     print(f"  detections: {stats.detections}, recoveries: {stats.recoveries}")

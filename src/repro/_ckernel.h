@@ -35,7 +35,6 @@
 typedef struct {
     PyObject_HEAD
     long long time;
-    long priority;
     long long seq;
     PyObject *callback;     /* NULL means None */
     PyObject *label;        /* never NULL once constructed */
@@ -46,7 +45,6 @@ typedef struct {
 
 typedef struct {
     long long time;
-    long priority;
     long long seq;
     CEvent *ev;             /* strong reference */
 } HeapEntry;
@@ -66,10 +64,8 @@ typedef struct {
 typedef struct {
     PyObject_HEAD
     CEventQueue *queue;     /* strong */
-    PyObject *quiesce_hooks;/* PyList */
     long long now;
     long long events_executed;
-    char running;
     char stop_requested;
 } CSimulator;
 
@@ -77,19 +73,16 @@ CK_EXTERN PyTypeObject CSimulator_Type;
 
 /* Defined in _ckernelmodule.c; queue_push_internal returns a new reference
  * to the scheduled event. */
-CK_EXTERN CEvent *event_alloc(long long time, long priority, long long seq,
+CK_EXTERN CEvent *event_alloc(long long time, long long seq,
                               PyObject *callback, PyObject *label);
 CK_EXTERN PyObject *queue_push_internal(CEventQueue *q, long long time,
-                                        long priority, PyObject *callback,
-                                        PyObject *label);
+                                        PyObject *callback, PyObject *label);
 
 static inline int
 entry_less(const HeapEntry *a, const HeapEntry *b)
 {
     if (a->time != b->time)
         return a->time < b->time;
-    if (a->priority != b->priority)
-        return a->priority < b->priority;
     return a->seq < b->seq;
 }
 
@@ -185,9 +178,9 @@ struct switch_names {
         *c_injected, *c_ejected, *c_forwarded, *queue_attr, *popleft,
         *append, *core_attr, *capacity_attr, *latency_cycles_attr,
         *delivered_at, *injected_at, *messages_delivered,
-        *total_message_latency, *delivered, *receive, *ordering,
-        *note_delivery, *deliver_label, *squashed_net, *delivered_name,
-        *reordered_name, *send_seq_name, *max_delivered_seq;
+        *total_message_latency, *receive, *ordering, *deliver_label,
+        *squashed_net, *delivered_name, *reordered_name, *send_seq_name,
+        *max_delivered_seq;
 };
 
 CK_EXTERN struct switch_names S;
@@ -198,9 +191,9 @@ struct protocol_names {
         *references, *retired_instructions, *store_counter,
         *references_completed, *state, *hits, *store_value_hook,
         *counters_attr, *l1_hits, *gap, *next_send_seq, *send_seq,
-        *messages_sent, *injected, *sent_name, *msg_class, *payload,
-        *address, *issued_at, *ordered_at, *requests_ordered, *busy,
-        *requests_issued, *arb_label, *snoop_label;
+        *messages_sent, *sent_name, *msg_class, *payload, *address,
+        *issued_at, *requests_ordered, *busy, *requests_issued,
+        *arb_label, *snoop_label;
 };
 
 CK_EXTERN struct protocol_names PS;

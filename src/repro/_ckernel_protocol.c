@@ -319,7 +319,7 @@ proc_schedule(CProcCore *self, long long delay)
     if (PyObject_SetAttr(self->proc, PS.issue_pending, Py_True) < 0)
         return -1;
     PyObject *ev = queue_push_internal(self->cqueue, self->sim->now + delay,
-                                       0, (PyObject *)self, self->name_obj);
+                                       (PyObject *)self, self->name_obj);
     if (ev == NULL)
         return -1;
     Py_DECREF(ev);
@@ -563,8 +563,7 @@ typedef struct {
     PyObject *data_cls, *wb_cls;/* MessageClass.DATA / .WRITEBACK */
     PyObject *data_size, *ctrl_size;
     PyObject *endpoints;        /* network._endpoints dict */
-    PyObject *endpoint;         /* our _Endpoint */
-    PyObject *pending;          /* endpoint.pending_injection deque */
+    PyObject *pending;          /* our _Endpoint.pending_injection deque */
     PyObject *pending_append, *pending_popleft;
     PyObject *inject;           /* bound switch.inject (core or pure) */
     PyObject *records;          /* ordering._records dict */
@@ -587,7 +586,6 @@ SendCore_traverse(CSendCore *self, visitproc visit, void *arg)
     Py_VISIT(self->data_size);
     Py_VISIT(self->ctrl_size);
     Py_VISIT(self->endpoints);
-    Py_VISIT(self->endpoint);
     Py_VISIT(self->pending);
     Py_VISIT(self->pending_append);
     Py_VISIT(self->pending_popleft);
@@ -612,7 +610,6 @@ SendCore_clear_gc(CSendCore *self)
     Py_CLEAR(self->data_size);
     Py_CLEAR(self->ctrl_size);
     Py_CLEAR(self->endpoints);
-    Py_CLEAR(self->endpoint);
     Py_CLEAR(self->pending);
     Py_CLEAR(self->pending_append);
     Py_CLEAR(self->pending_popleft);
@@ -692,8 +689,6 @@ SendCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                          "endpoint %ld is not attached", src);
         goto fail;
     }
-    Py_INCREF(endpoint);
-    self->endpoint = endpoint;
     self->pending = PyObject_GetAttrString(endpoint, "pending_injection");
     if (self->pending == NULL)
         goto fail;
@@ -858,11 +853,7 @@ SendCore_call(CSendCore *self, PyObject *args, PyObject *kwds)
         Py_DECREF(ok);
         if (succeeded < 0)
             goto fail_msg;
-        if (succeeded) {
-            if (addattr_ll(self->endpoint, PS.injected, 1) < 0)
-                goto fail_msg;
-        }
-        else {
+        if (!succeeded) {
             PyObject *res = PyObject_CallOneArg(self->pending_append, msg);
             if (res == NULL)
                 goto fail_msg;
@@ -897,8 +888,6 @@ SendCore_call(CSendCore *self, PyObject *args, PyObject *kwds)
             if (popped == NULL)
                 goto fail_msg;
             Py_DECREF(popped);
-            if (addattr_ll(self->endpoint, PS.injected, 1) < 0)
-                goto fail_msg;
         }
     }
     Py_DECREF(msg);
@@ -1324,7 +1313,7 @@ BusCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     Py_DECREF(busy);
     if (self->busy < 0)
         goto fail;
-    self->arb_event = event_alloc(0, 0, 0, (PyObject *)self, PS.arb_label);
+    self->arb_event = event_alloc(0, 0, (PyObject *)self, PS.arb_label);
     if (self->arb_event == NULL)
         goto fail;
     self->arb_event->is_static = 1;
@@ -1348,7 +1337,7 @@ bus_push_arb(CBusCore *self, long long time)
     ev->cancelled = 0;
     Py_INCREF(q);
     Py_XSETREF(ev->queue, (PyObject *)q);
-    HeapEntry entry = {time, ev->priority, seq, ev};
+    HeapEntry entry = {time, seq, ev};
     Py_INCREF(ev);
     if (heap_push_entry(q, entry) < 0)
         return -1;
@@ -1387,8 +1376,7 @@ BusCore_call(CBusCore *self, PyObject *args, PyObject *kwds)
     PyObject *request = PyObject_CallNoArgs(self->q_popleft);
     if (request == NULL)
         return NULL;
-    if (setattr_ll(request, PS.ordered_at, self->sim->now) < 0 ||
-        addattr_ll(self->bus, PS.requests_ordered, 1) < 0 ||
+    if (addattr_ll(self->bus, PS.requests_ordered, 1) < 0 ||
         comp_count(self->counters_dict, self->count_meth,
                    PS.requests_ordered) < 0) {
         Py_DECREF(request);
@@ -1405,7 +1393,7 @@ BusCore_call(CBusCore *self, PyObject *args, PyObject *kwds)
     thunk->request = request;           /* reference transferred */
     PyObject_GC_Track((PyObject *)thunk);
     PyObject *ev = queue_push_internal(
-        self->cqueue, self->sim->now + self->snoop_latency, 0,
+        self->cqueue, self->sim->now + self->snoop_latency,
         (PyObject *)thunk, PS.snoop_label);
     Py_DECREF(thunk);
     if (ev == NULL)
@@ -1420,8 +1408,6 @@ BusCore_call(CBusCore *self, PyObject *args, PyObject *kwds)
 static PyObject *
 BusCore_issue(CBusCore *self, PyObject *request)
 {
-    if (setattr_ll(request, PS.issued_at, self->sim->now) < 0)
-        return NULL;
     PyObject *res = PyObject_CallOneArg(self->q_append, request);
     if (res == NULL)
         return NULL;
@@ -2051,7 +2037,7 @@ ctrl_finish(CCtrlCore *self, PyObject *request, PyObject *on_complete)
     ft->cb = on_complete;
     PyObject *ev = queue_push_internal(self->cqueue,
                                        self->sim->now + self->l2_hit_cycles,
-                                       0, (PyObject *)ft, self->name_obj);
+                                       (PyObject *)ft, self->name_obj);
     if (ev == NULL)
         return -1;
     Py_DECREF(ev);
@@ -2114,7 +2100,7 @@ ctrl_issue(CCtrlCore *self, PyObject *request, PyObject *on_complete,
         Py_INCREF(txn);
         Py_XSETREF(tt->txn, txn);
         PyObject *ev = queue_push_internal(self->cqueue,
-                                           self->sim->now + cycles, 0,
+                                           self->sim->now + cycles,
                                            (PyObject *)tt, self->name_obj);
         if (ev == NULL)
             goto fail;
@@ -3470,7 +3456,7 @@ snoop_supply(CSnoopCore *self, PyObject *request, PyObject *value)
     t->value = v;
     PyObject_GC_Track((PyObject *)t);
     PyObject *ev = queue_push_internal(self->base.cqueue,
-                                       self->base.sim->now + self->c2c_cycles, 0,
+                                       self->base.sim->now + self->c2c_cycles,
                                        (PyObject *)t, self->base.name_obj);
     Py_DECREF(t);
     if (ev == NULL)
@@ -3775,7 +3761,7 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
                 rt->value = lvalue;  /* steal */
                 PyObject_GC_Track((PyObject *)rt);
                 PyObject *ev = queue_push_internal(self->base.cqueue,
-                                                   self->base.sim->now + 1, 0,
+                                                   self->base.sim->now + 1,
                                                    (PyObject *)rt,
                                                    self->base.name_obj);
                 Py_DECREF(rt);

@@ -13,10 +13,10 @@
  * PyInit__ckernel below readies and exports the types of both.
  *
  * Byte-identity contract (DESIGN.md par.10): dispatch order is a pure
- * function of the (time, priority, seq) ordering keys, every counter keeps
- * the pure tier's lazy-creation semantics, and no behaviour may depend on
- * the heap's internal arrangement.  The heap here is a C array of
- * {time, priority, seq, event} structs -- no tuple allocation and no rich
+ * function of the (time, seq) ordering keys, every counter keeps the pure
+ * tier's lazy-creation semantics, and no behaviour may depend on the heap's
+ * internal arrangement.  The heap here is a C array of
+ * {time, seq, event} structs -- no tuple allocation and no rich
  * comparisons -- but it pops in exactly the order heapq would, so reports,
  * golden digests and spec hashes are unchanged.
  *
@@ -48,6 +48,9 @@
 #define CKERNEL_SOURCE_SHA256 ""
 #endif
 
+/* Copies of repro.sim.engine.EventQueue.FREELIST_MAX and
+ * COMPACT_MIN_ENTRIES; the engine tests hold the compiled queue to the pure
+ * class's values. */
 #define FREELIST_MAX 8192
 #define COMPACT_MIN_ENTRIES 512
 #define TIME_SENTINEL (1LL << 62)
@@ -59,7 +62,6 @@ static PyObject *empty_string = NULL;
 
 static PyTypeObject CEvent_Type;
 static PyTypeObject CEventQueue_Type;
-static PyTypeObject CDrainIter_Type;
 
 static void queue_compact(CEventQueue *q);
 
@@ -92,14 +94,13 @@ recycle_cancelled(CEventQueue *q, CEvent *ev)
 /* ------------------------------------------------------------ Event type */
 
 CEvent *
-event_alloc(long long time, long priority, long long seq,
-            PyObject *callback, PyObject *label)
+event_alloc(long long time, long long seq, PyObject *callback,
+            PyObject *label)
 {
     CEvent *ev = PyObject_GC_New(CEvent, &CEvent_Type);
     if (ev == NULL)
         return NULL;
     ev->time = time;
-    ev->priority = priority;
     ev->seq = seq;
     Py_XINCREF(callback);
     ev->callback = callback;
@@ -115,21 +116,19 @@ event_alloc(long long time, long priority, long long seq,
 static PyObject *
 Event_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"time", "priority", "seq", "callback", "label",
-                             "queue", NULL};
+    static char *kwlist[] = {"time", "seq", "callback", "label", "queue",
+                             NULL};
     long long time, seq;
-    long priority;
     PyObject *callback, *label = NULL, *queue = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LlLO|UO", kwlist,
-                                     &time, &priority, &seq, &callback,
-                                     &label, &queue))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LLO|UO", kwlist,
+                                     &time, &seq, &callback, &label, &queue))
         return NULL;
     if (queue != Py_None && !Py_IS_TYPE(queue, &CEventQueue_Type)) {
         PyErr_SetString(PyExc_TypeError,
                         "queue must be a compiled EventQueue or None");
         return NULL;
     }
-    CEvent *ev = event_alloc(time, priority, seq, callback,
+    CEvent *ev = event_alloc(time, seq, callback,
                              label ? label : empty_string);
     if (ev == NULL)
         return NULL;
@@ -166,13 +165,12 @@ Event_dealloc(CEvent *self)
     PyObject_GC_Del(self);
 }
 
-/* Shared cancel logic (Event.cancel / EventQueue.cancel / Simulator.cancel):
- * mirror of the pure tier's inlined bookkeeping. */
-static void
-event_cancel_internal(CEvent *self)
+/* Mirror of the pure tier's inlined bookkeeping in Event.cancel. */
+static PyObject *
+Event_cancel(CEvent *self, PyObject *Py_UNUSED(ignored))
 {
     if (self->cancelled)
-        return;
+        Py_RETURN_NONE;
     self->cancelled = 1;
     Py_CLEAR(self->callback);
     PyObject *queue = self->queue;
@@ -185,20 +183,14 @@ event_cancel_internal(CEvent *self)
             queue_compact(q);
         Py_DECREF(queue);
     }
-}
-
-static PyObject *
-Event_cancel(CEvent *self, PyObject *Py_UNUSED(ignored))
-{
-    event_cancel_internal(self);
     Py_RETURN_NONE;
 }
 
 static PyObject *
 Event_repr(CEvent *self)
 {
-    return PyUnicode_FromFormat("<Event t=%lld p=%ld %R%s>",
-                                self->time, self->priority, self->label,
+    return PyUnicode_FromFormat("<Event t=%lld %R%s>",
+                                self->time, self->label,
                                 self->cancelled ? " cancelled" : "");
 }
 
@@ -215,22 +207,6 @@ Event_set_time(CEvent *self, PyObject *value, void *closure)
     if (v == -1 && PyErr_Occurred())
         return -1;
     self->time = v;
-    return 0;
-}
-
-static PyObject *
-Event_get_priority(CEvent *self, void *closure)
-{
-    return PyLong_FromLong(self->priority);
-}
-
-static int
-Event_set_priority(CEvent *self, PyObject *value, void *closure)
-{
-    long v = PyLong_AsLong(value);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    self->priority = v;
     return 0;
 }
 
@@ -346,8 +322,6 @@ Event_set_queue(CEvent *self, PyObject *value, void *closure)
 
 static PyGetSetDef Event_getset[] = {
     {"time", (getter)Event_get_time, (setter)Event_set_time, NULL, NULL},
-    {"priority", (getter)Event_get_priority, (setter)Event_set_priority,
-     NULL, NULL},
     {"seq", (getter)Event_get_seq, (setter)Event_set_seq, NULL, NULL},
     {"callback", (getter)Event_get_callback, (setter)Event_set_callback,
      NULL, NULL},
@@ -469,8 +443,8 @@ queue_compact(CEventQueue *q)
 /* Core push shared by EventQueue.push and Simulator.schedule*.  Returns a
  * new reference to the scheduled event. */
 PyObject *
-queue_push_internal(CEventQueue *q, long long time, long priority,
-                    PyObject *callback, PyObject *label)
+queue_push_internal(CEventQueue *q, long long time, PyObject *callback,
+                    PyObject *label)
 {
     if (time < 0) {
         PyErr_Format(SimulationError,
@@ -482,7 +456,6 @@ queue_push_internal(CEventQueue *q, long long time, long priority,
     if (q->free_size > 0) {
         ev = (CEvent *)q->free_pool[--q->free_size];   /* we own this ref */
         ev->time = time;
-        ev->priority = priority;
         ev->seq = seq;
         Py_INCREF(callback);
         Py_XSETREF(ev->callback, callback);
@@ -493,13 +466,13 @@ queue_push_internal(CEventQueue *q, long long time, long priority,
         Py_XSETREF(ev->queue, (PyObject *)q);
     }
     else {
-        ev = event_alloc(time, priority, seq, callback, label);
+        ev = event_alloc(time, seq, callback, label);
         if (ev == NULL)
             return NULL;
         Py_INCREF(q);
         ev->queue = (PyObject *)q;
     }
-    HeapEntry entry = {time, priority, seq, ev};
+    HeapEntry entry = {time, seq, ev};
     Py_INCREF(ev);
     if (heap_push_entry(q, entry) < 0) {
         Py_DECREF(ev);
@@ -509,28 +482,27 @@ queue_push_internal(CEventQueue *q, long long time, long priority,
     return (PyObject *)ev;
 }
 
-/* Parse (time, callback, priority=0, label="") from a fastcall. */
+/* Parse (time, callback, label="") from a fastcall. */
 static int
 parse_push_args(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
                 const char *who, long long *time, PyObject **callback,
-                long *priority, PyObject **label)
+                PyObject **label)
 {
-    PyObject *slots[4] = {NULL, NULL, NULL, NULL};
+    PyObject *slots[3] = {NULL, NULL, NULL};
     Py_ssize_t total = nargs + (kwnames ? PyTuple_GET_SIZE(kwnames) : 0);
-    if (nargs > 4 || total > 4 || total < 2) {
+    if (nargs > 3 || total > 3 || total < 2) {
         PyErr_Format(PyExc_TypeError,
-                     "%s expected 2 to 4 arguments, got %zd", who, total);
+                     "%s expected 2 or 3 arguments, got %zd", who, total);
         return -1;
     }
     for (Py_ssize_t i = 0; i < nargs; i++)
         slots[i] = args[i];
     if (kwnames) {
-        static const char *names[4] = {"time", "callback", "priority",
-                                       "label"};
+        static const char *names[3] = {"time", "callback", "label"};
         for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(kwnames); i++) {
             PyObject *name = PyTuple_GET_ITEM(kwnames, i);
             int matched = 0;
-            for (int s = 0; s < 4; s++) {
+            for (int s = 0; s < 3; s++) {
                 if (PyUnicode_CompareWithASCIIString(name, names[s]) == 0) {
                     if (slots[s] != NULL) {
                         PyErr_Format(PyExc_TypeError,
@@ -563,14 +535,7 @@ parse_push_args(PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
     if (*time == -1 && PyErr_Occurred())
         return -1;
     *callback = slots[1];
-    if (slots[2] != NULL) {
-        *priority = PyLong_AsLong(slots[2]);
-        if (*priority == -1 && PyErr_Occurred())
-            return -1;
-    }
-    else
-        *priority = 0;
-    *label = slots[3] != NULL ? slots[3] : empty_string;
+    *label = slots[2] != NULL ? slots[2] : empty_string;
     return 0;
 }
 
@@ -579,12 +544,11 @@ Queue_push(CEventQueue *self, PyObject *const *args, Py_ssize_t nargs,
            PyObject *kwnames)
 {
     long long time;
-    long priority;
     PyObject *callback, *label;
     if (parse_push_args(args, nargs, kwnames, "push()", &time, &callback,
-                        &priority, &label) < 0)
+                        &label) < 0)
         return NULL;
-    return queue_push_internal(self, time, priority, callback, label);
+    return queue_push_internal(self, time, callback, label);
 }
 
 static PyObject *
@@ -614,7 +578,7 @@ Queue_push_static(CEventQueue *self, PyObject *const *args, Py_ssize_t nargs)
     ev->cancelled = 0;
     Py_INCREF(self);
     Py_XSETREF(ev->queue, (PyObject *)self);
-    HeapEntry entry = {time, ev->priority, seq, ev};
+    HeapEntry entry = {time, seq, ev};
     Py_INCREF(ev);
     if (heap_push_entry(self, entry) < 0)
         return NULL;
@@ -626,23 +590,21 @@ static PyObject *
 Queue_new_static_event(CEventQueue *self, PyObject *const *args,
                        Py_ssize_t nargs, PyObject *kwnames)
 {
-    PyObject *callback = NULL, *label = empty_string;
-    long priority = 0;
-    PyObject *slots[3] = {NULL, NULL, NULL};
+    PyObject *slots[2] = {NULL, NULL};
     Py_ssize_t total = nargs + (kwnames ? PyTuple_GET_SIZE(kwnames) : 0);
-    if (nargs > 3 || total > 3 || total < 1) {
+    if (nargs > 2 || total > 2 || total < 1) {
         PyErr_SetString(PyExc_TypeError,
-                        "new_static_event(callback, label='', priority=0)");
+                        "new_static_event(callback, label='')");
         return NULL;
     }
     for (Py_ssize_t i = 0; i < nargs; i++)
         slots[i] = args[i];
     if (kwnames) {
-        static const char *names[3] = {"callback", "label", "priority"};
+        static const char *names[2] = {"callback", "label"};
         for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(kwnames); i++) {
             PyObject *name = PyTuple_GET_ITEM(kwnames, i);
             int matched = 0;
-            for (int s = 0; s < 3; s++) {
+            for (int s = 0; s < 2; s++) {
                 if (PyUnicode_CompareWithASCIIString(name, names[s]) == 0) {
                     slots[s] = args[nargs + i];
                     matched = 1;
@@ -657,15 +619,8 @@ Queue_new_static_event(CEventQueue *self, PyObject *const *args,
             }
         }
     }
-    callback = slots[0];
-    if (slots[1] != NULL)
-        label = slots[1];
-    if (slots[2] != NULL) {
-        priority = PyLong_AsLong(slots[2]);
-        if (priority == -1 && PyErr_Occurred())
-            return NULL;
-    }
-    CEvent *ev = event_alloc(0, priority, 0, callback, label);
+    CEvent *ev = event_alloc(0, 0, slots[0],
+                             slots[1] != NULL ? slots[1] : empty_string);
     if (ev == NULL)
         return NULL;
     ev->is_static = 1;
@@ -691,111 +646,6 @@ Queue_pop(CEventQueue *self, PyObject *Py_UNUSED(ignored))
 }
 
 static PyObject *
-Queue_pop_batch(CEventQueue *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs < 1 || nargs > 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "pop_batch(batch, max_count=None)");
-        return NULL;
-    }
-    PyObject *batch = args[0];
-    long long max_count = TIME_SENTINEL;
-    if (nargs == 2 && args[1] != Py_None) {
-        max_count = PyLong_AsLongLong(args[1]);
-        if (max_count == -1 && PyErr_Occurred())
-            return NULL;
-    }
-    long long batch_time = 0;
-    long batch_priority = 0;
-    Py_ssize_t count = 0;
-    while (self->heap_size) {
-        HeapEntry *top = &self->heap[0];
-        CEvent *ev = top->ev;
-        if (ev->cancelled) {
-            HeapEntry entry = heap_pop_root(self);
-            recycle_cancelled(self, entry.ev);
-            Py_DECREF(entry.ev);
-            continue;
-        }
-        if (count == 0) {
-            batch_time = top->time;
-            batch_priority = top->priority;
-        }
-        else if (top->time != batch_time || top->priority != batch_priority)
-            break;
-        HeapEntry entry = heap_pop_root(self);
-        Py_CLEAR(entry.ev->queue);
-        int rc;
-        if (PyList_Check(batch))
-            rc = PyList_Append(batch, (PyObject *)entry.ev);
-        else {
-            PyObject *r = PyObject_CallMethod(batch, "append", "O", entry.ev);
-            rc = r == NULL ? -1 : 0;
-            Py_XDECREF(r);
-        }
-        Py_DECREF(entry.ev);
-        if (rc < 0) {
-            self->live -= count;
-            return NULL;
-        }
-        count++;
-        if (count >= max_count)
-            break;
-    }
-    self->live -= count;
-    return PyLong_FromSsize_t(count);
-}
-
-static PyObject *
-Queue_unpop(CEventQueue *self, PyObject *events)
-{
-    PyObject *seq = PySequence_Fast(events, "unpop() expects a sequence");
-    if (seq == NULL)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        if (!Py_IS_TYPE(items[i], &CEvent_Type)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "unpop() requires compiled Events");
-            Py_DECREF(seq);
-            return NULL;
-        }
-        CEvent *ev = (CEvent *)items[i];
-        if (ev->cancelled)
-            continue;
-        Py_INCREF(self);
-        Py_XSETREF(ev->queue, (PyObject *)self);
-        HeapEntry entry = {ev->time, ev->priority, ev->seq, ev};
-        Py_INCREF(ev);
-        if (heap_push_entry(self, entry) < 0) {
-            Py_DECREF(seq);
-            return NULL;
-        }
-        self->live++;
-    }
-    Py_DECREF(seq);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Queue_recycle(CEventQueue *self, PyObject *event)
-{
-    if (!Py_IS_TYPE(event, &CEvent_Type)) {
-        PyErr_SetString(PyExc_TypeError, "recycle() requires a compiled Event");
-        return NULL;
-    }
-    CEvent *ev = (CEvent *)event;
-    Py_CLEAR(ev->callback);
-    Py_INCREF(empty_string);
-    Py_XSETREF(ev->label, empty_string);
-    Py_CLEAR(ev->queue);
-    ev->cancelled = 1;
-    freelist_put(self, ev);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 Queue_peek_time(CEventQueue *self, PyObject *Py_UNUSED(ignored))
 {
     while (self->heap_size && self->heap[0].ev->cancelled) {
@@ -806,89 +656,6 @@ Queue_peek_time(CEventQueue *self, PyObject *Py_UNUSED(ignored))
     if (self->heap_size == 0)
         Py_RETURN_NONE;
     return PyLong_FromLongLong(self->heap[0].time);
-}
-
-static PyObject *
-Queue_cancel(CEventQueue *self, PyObject *event)
-{
-    if (Py_IS_TYPE(event, &CEvent_Type)) {
-        event_cancel_internal((CEvent *)event);
-        Py_RETURN_NONE;
-    }
-    return PyObject_CallMethod(event, "cancel", NULL);
-}
-
-static PyObject *
-Queue_compact_method(CEventQueue *self, PyObject *Py_UNUSED(ignored))
-{
-    queue_compact(self);
-    Py_RETURN_NONE;
-}
-
-/* drain() iterator */
-
-typedef struct {
-    PyObject_HEAD
-    CEventQueue *queue;
-} CDrainIter;
-
-static void
-DrainIter_dealloc(CDrainIter *self)
-{
-    PyObject_GC_UnTrack(self);
-    Py_CLEAR(self->queue);
-    PyObject_GC_Del(self);
-}
-
-static int
-DrainIter_traverse(CDrainIter *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->queue);
-    return 0;
-}
-
-static PyObject *
-DrainIter_next(CDrainIter *self)
-{
-    CEventQueue *q = self->queue;
-    if (q == NULL)
-        return NULL;
-    while (q->heap_size) {
-        HeapEntry entry = heap_pop_root(q);
-        CEvent *ev = entry.ev;
-        if (ev->cancelled) {
-            recycle_cancelled(q, ev);
-            Py_DECREF(ev);
-            continue;
-        }
-        q->live--;
-        Py_CLEAR(ev->queue);
-        return (PyObject *)ev;
-    }
-    return NULL;
-}
-
-static PyTypeObject CDrainIter_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._ckernel._DrainIter",
-    .tp_basicsize = sizeof(CDrainIter),
-    .tp_dealloc = (destructor)DrainIter_dealloc,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_traverse = (traverseproc)DrainIter_traverse,
-    .tp_iter = PyObject_SelfIter,
-    .tp_iternext = (iternextfunc)DrainIter_next,
-};
-
-static PyObject *
-Queue_drain(CEventQueue *self, PyObject *Py_UNUSED(ignored))
-{
-    CDrainIter *it = PyObject_GC_New(CDrainIter, &CDrainIter_Type);
-    if (it == NULL)
-        return NULL;
-    Py_INCREF(self);
-    it->queue = self;
-    PyObject_GC_Track((PyObject *)it);
-    return (PyObject *)it;
 }
 
 static Py_ssize_t
@@ -905,8 +672,7 @@ Queue_get_heap(CEventQueue *self, void *closure)
         return NULL;
     for (Py_ssize_t i = 0; i < self->heap_size; i++) {
         HeapEntry *e = &self->heap[i];
-        PyObject *tuple = Py_BuildValue("LlLO", e->time, e->priority, e->seq,
-                                        e->ev);
+        PyObject *tuple = Py_BuildValue("LLO", e->time, e->seq, e->ev);
         if (tuple == NULL) {
             Py_DECREF(list);
             return NULL;
@@ -959,7 +725,7 @@ Queue_set_compactions(CEventQueue *self, PyObject *value, void *closure)
 
 static PyGetSetDef Queue_getset[] = {
     {"_heap", (getter)Queue_get_heap, NULL,
-     "Snapshot of the heap as (time, priority, seq, event) tuples.", NULL},
+     "Snapshot of the heap as (time, seq, event) tuples.", NULL},
     {"_free", (getter)Queue_get_free, NULL,
      "Snapshot of the event freelist.", NULL},
     {"_seq", (getter)Queue_get_seq, NULL, NULL, NULL},
@@ -981,20 +747,8 @@ static PyMethodDef Queue_methods[] = {
      "Create a caller-owned static event compatible with this queue."},
     {"pop", (PyCFunction)Queue_pop, METH_NOARGS,
      "Pop the next non-cancelled event, or None if the queue is empty."},
-    {"pop_batch", (PyCFunction)(void (*)(void))Queue_pop_batch, METH_FASTCALL,
-     "Pop every live event sharing the minimal (time, priority)."},
-    {"unpop", (PyCFunction)Queue_unpop, METH_O,
-     "Return popped-but-unexecuted events to the queue."},
-    {"recycle", (PyCFunction)Queue_recycle, METH_O,
-     "Return a fired event to the pool (kernel use only)."},
     {"peek_time", (PyCFunction)Queue_peek_time, METH_NOARGS,
      "Firing time of the next live event without popping it."},
-    {"cancel", (PyCFunction)Queue_cancel, METH_O,
-     "Cancel a previously scheduled event."},
-    {"_compact", (PyCFunction)Queue_compact_method, METH_NOARGS,
-     "Drop cancelled entries and rebuild the heap from live ones."},
-    {"drain", (PyCFunction)Queue_drain, METH_NOARGS,
-     "Yield and remove every remaining live event (teardown)."},
     {NULL}
 };
 
@@ -1030,15 +784,12 @@ Sim_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     if (self == NULL)
         return NULL;
     self->queue = NULL;
-    self->quiesce_hooks = NULL;
     self->now = 0;
     self->events_executed = 0;
-    self->running = 0;
     self->stop_requested = 0;
     PyObject_GC_Track((PyObject *)self);
     self->queue = queue_alloc();
-    self->quiesce_hooks = PyList_New(0);
-    if (self->queue == NULL || self->quiesce_hooks == NULL) {
+    if (self->queue == NULL) {
         Py_DECREF(self);
         return NULL;
     }
@@ -1049,7 +800,6 @@ static int
 Sim_traverse(CSimulator *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->queue);
-    Py_VISIT(self->quiesce_hooks);
     return 0;
 }
 
@@ -1057,7 +807,6 @@ static int
 Sim_clear_gc(CSimulator *self)
 {
     Py_CLEAR(self->queue);
-    Py_CLEAR(self->quiesce_hooks);
     return 0;
 }
 
@@ -1074,18 +823,17 @@ Sim_schedule(CSimulator *self, PyObject *const *args, Py_ssize_t nargs,
              PyObject *kwnames)
 {
     long long delay;
-    long priority;
     PyObject *callback, *label;
-    /* Same slot layout as push(): (delay, callback, priority, label). */
+    /* Same slot layout as push(): (delay, callback, label). */
     if (parse_push_args(args, nargs, kwnames, "schedule()", &delay,
-                        &callback, &priority, &label) < 0)
+                        &callback, &label) < 0)
         return NULL;
     if (delay < 0) {
         PyErr_Format(SimulationError, "negative delay %lld", delay);
         return NULL;
     }
-    return queue_push_internal(self->queue, self->now + delay, priority,
-                               callback, label);
+    return queue_push_internal(self->queue, self->now + delay, callback,
+                               label);
 }
 
 static PyObject *
@@ -1093,10 +841,9 @@ Sim_schedule_at(CSimulator *self, PyObject *const *args, Py_ssize_t nargs,
                 PyObject *kwnames)
 {
     long long time;
-    long priority;
     PyObject *callback, *label;
     if (parse_push_args(args, nargs, kwnames, "schedule_at()", &time,
-                        &callback, &priority, &label) < 0)
+                        &callback, &label) < 0)
         return NULL;
     if (time < self->now) {
         PyErr_Format(SimulationError,
@@ -1104,21 +851,7 @@ Sim_schedule_at(CSimulator *self, PyObject *const *args, Py_ssize_t nargs,
                      self->now, time);
         return NULL;
     }
-    return queue_push_internal(self->queue, time, priority, callback, label);
-}
-
-static PyObject *
-Sim_cancel(CSimulator *self, PyObject *event)
-{
-    return Queue_cancel(self->queue, event);
-}
-
-static PyObject *
-Sim_add_quiesce_hook(CSimulator *self, PyObject *hook)
-{
-    if (PyList_Append(self->quiesce_hooks, hook) < 0)
-        return NULL;
-    Py_RETURN_NONE;
+    return queue_push_internal(self->queue, time, callback, label);
 }
 
 static PyObject *
@@ -1146,41 +879,12 @@ sim_run_internal(CSimulator *self, PyObject *until_obj, PyObject *maxev_obj)
             return NULL;
     }
     CEventQueue *q = self->queue;
-    self->running = 1;
     self->stop_requested = 0;
     long long executed = 0;
     int failed = 0;
-    for (;;) {
-        if (self->stop_requested)
+    while (q->heap_size) {
+        if (self->stop_requested || executed >= events_bound)
             break;
-        if (executed >= events_bound)
-            break;
-        if (q->heap_size == 0) {
-            PyObject *hooks = self->quiesce_hooks;
-            Py_INCREF(hooks);
-            for (Py_ssize_t i = 0; i < PyList_GET_SIZE(hooks); i++) {
-                PyObject *hook = PyList_GET_ITEM(hooks, i);
-                Py_INCREF(hook);
-                PyObject *res = PyObject_CallNoArgs(hook);
-                Py_DECREF(hook);
-                if (res == NULL) {
-                    Py_DECREF(hooks);
-                    failed = 1;
-                    goto done;
-                }
-                Py_DECREF(res);
-            }
-            Py_DECREF(hooks);
-            /* peek_time(): skim cancelled heads, then check progress. */
-            while (q->heap_size && q->heap[0].ev->cancelled) {
-                HeapEntry entry = heap_pop_root(q);
-                recycle_cancelled(q, entry.ev);
-                Py_DECREF(entry.ev);
-            }
-            if (q->heap_size == 0)
-                break;
-            continue;
-        }
         HeapEntry entry = heap_pop_root(q);
         CEvent *ev = entry.ev;
         if (ev->cancelled) {
@@ -1193,7 +897,7 @@ sim_run_internal(CSimulator *self, PyObject *until_obj, PyObject *maxev_obj)
              * untouched) and stop at the bound. */
             if (heap_push_entry(q, entry) < 0) {
                 failed = 1;
-                goto done;
+                break;
             }
             self->now = until_bound;
             break;
@@ -1208,7 +912,7 @@ sim_run_internal(CSimulator *self, PyObject *until_obj, PyObject *maxev_obj)
         if (res == NULL) {
             Py_DECREF(ev);
             failed = 1;
-            goto done;
+            break;
         }
         Py_DECREF(res);
         executed++;
@@ -1221,8 +925,6 @@ sim_run_internal(CSimulator *self, PyObject *until_obj, PyObject *maxev_obj)
         }
         Py_DECREF(ev);
     }
-done:
-    self->running = 0;
     self->events_executed += executed;
     if (failed)
         return NULL;
@@ -1259,41 +961,6 @@ Sim_run(CSimulator *self, PyObject *const *args, Py_ssize_t nargs,
         }
     }
     return sim_run_internal(self, until, max_events);
-}
-
-static PyObject *
-Sim_run_until_idle(CSimulator *self, PyObject *const *args, Py_ssize_t nargs,
-                   PyObject *kwnames)
-{
-    PyObject *max_events = NULL;
-    if (nargs > 1) {
-        PyErr_SetString(PyExc_TypeError, "run_until_idle(max_events=None)");
-        return NULL;
-    }
-    if (nargs == 1)
-        max_events = args[0];
-    if (kwnames) {
-        for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(kwnames); i++) {
-            PyObject *name = PyTuple_GET_ITEM(kwnames, i);
-            if (PyUnicode_CompareWithASCIIString(name, "max_events") == 0)
-                max_events = args[nargs + i];
-            else {
-                PyErr_Format(PyExc_TypeError,
-                             "run_until_idle() got an unexpected keyword "
-                             "argument %R", name);
-                return NULL;
-            }
-        }
-    }
-    PyObject *saved = self->quiesce_hooks;
-    PyObject *empty = PyList_New(0);
-    if (empty == NULL)
-        return NULL;
-    self->quiesce_hooks = empty;
-    PyObject *result = sim_run_internal(self, NULL, max_events);
-    self->quiesce_hooks = saved;
-    Py_DECREF(empty);
-    return result;
 }
 
 static PyObject *
@@ -1336,12 +1003,6 @@ Sim_get_queue(CSimulator *self, void *closure)
 }
 
 static PyObject *
-Sim_get_running(CSimulator *self, void *closure)
-{
-    return PyBool_FromLong(self->running);
-}
-
-static PyObject *
 Sim_get_stop_requested(CSimulator *self, void *closure)
 {
     return PyBool_FromLong(self->stop_requested);
@@ -1357,25 +1018,6 @@ Sim_set_stop_requested(CSimulator *self, PyObject *value, void *closure)
     return 0;
 }
 
-static PyObject *
-Sim_get_quiesce_hooks(CSimulator *self, void *closure)
-{
-    Py_INCREF(self->quiesce_hooks);
-    return self->quiesce_hooks;
-}
-
-static int
-Sim_set_quiesce_hooks(CSimulator *self, PyObject *value, void *closure)
-{
-    if (value == NULL || !PyList_Check(value)) {
-        PyErr_SetString(PyExc_TypeError, "_quiesce_hooks must be a list");
-        return -1;
-    }
-    Py_INCREF(value);
-    Py_XSETREF(self->quiesce_hooks, value);
-    return 0;
-}
-
 static PyGetSetDef Sim_getset[] = {
     {"now", (getter)Sim_get_now, NULL,
      "Current simulation time in cycles.", NULL},
@@ -1383,11 +1025,8 @@ static PyGetSetDef Sim_getset[] = {
     {"events_executed", (getter)Sim_get_events_executed,
      (setter)Sim_set_events_executed, NULL, NULL},
     {"queue", (getter)Sim_get_queue, NULL, NULL, NULL},
-    {"_running", (getter)Sim_get_running, NULL, NULL, NULL},
     {"_stop_requested", (getter)Sim_get_stop_requested,
      (setter)Sim_set_stop_requested, NULL, NULL},
-    {"_quiesce_hooks", (getter)Sim_get_quiesce_hooks,
-     (setter)Sim_set_quiesce_hooks, NULL, NULL},
     {NULL}
 };
 
@@ -1398,18 +1037,11 @@ static PyMethodDef Sim_methods[] = {
     {"schedule_at", (PyCFunction)(void (*)(void))Sim_schedule_at,
      METH_FASTCALL | METH_KEYWORDS,
      "Schedule callback at an absolute cycle (must not be in the past)."},
-    {"cancel", (PyCFunction)Sim_cancel, METH_O,
-     "Cancel a scheduled event."},
-    {"add_quiesce_hook", (PyCFunction)Sim_add_quiesce_hook, METH_O,
-     "Register a callable invoked whenever the event queue drains."},
     {"stop", (PyCFunction)Sim_stop, METH_NOARGS,
      "Request that run() return after the current event."},
     {"run", (PyCFunction)(void (*)(void))Sim_run,
      METH_FASTCALL | METH_KEYWORDS,
      "Run events until the queue drains, `until` cycles, or `max_events`."},
-    {"run_until_idle", (PyCFunction)(void (*)(void))Sim_run_until_idle,
-     METH_FASTCALL | METH_KEYWORDS,
-     "Run until the event queue is empty (ignoring quiesce hooks)."},
     {NULL}
 };
 
@@ -1574,7 +1206,7 @@ core_push_scan(CSwitchCore *self, long long time)
     ev->cancelled = 0;
     Py_INCREF(q);
     Py_XSETREF(ev->queue, (PyObject *)q);
-    HeapEntry entry = {time, ev->priority, seq, ev};
+    HeapEntry entry = {time, seq, ev};
     Py_INCREF(ev);
     if (heap_push_entry(q, entry) < 0)
         return -1;
@@ -1760,16 +1392,14 @@ DThunk_call(CDeliverThunk *self, PyObject *args, PyObject *kwds)
     }
     long long now = core->sim->now;
     if (setattr_ll(message, S.delivered_at, now) < 0 ||
-        addattr_ll(network, S.messages_delivered, 1) < 0 ||
-        addattr_ll(self->endpoint, S.delivered, 1) < 0)
+        addattr_ll(network, S.messages_delivered, 1) < 0)
         return NULL;
     long long injected;
     if (getattr_ll(message, S.injected_at, &injected) < 0 ||
         addattr_ll(network, S.total_message_latency, now - injected) < 0)
         return NULL;
-    /* Inline of ordering.note_delivery(message): one dict probe plus
-     * plain attribute bookkeeping instead of a bound-method allocation
-     * and a Python frame per delivered message. */
+    /* Point-to-point ordering, as in the pure _deliver: one dict probe
+     * for the stream's OrderingRecord, then the per-vnet tallies. */
     PyObject *vn_obj = PyObject_GetAttr(message, S.vnet);
     if (vn_obj == NULL)
         return NULL;
@@ -1805,22 +1435,15 @@ DThunk_call(CDeliverThunk *self, PyObject *args, PyObject *kwds)
         }
         Py_DECREF(key);
         long long send_seq, max_seq;
-        if (addattr_ll(record, S.delivered_name, 1) < 0 ||
-            getattr_ll(message, S.send_seq_name, &send_seq) < 0 ||
+        if (getattr_ll(message, S.send_seq_name, &send_seq) < 0 ||
             getattr_ll(record, S.max_delivered_seq, &max_seq) < 0) {
             if (rec_new)
                 Py_DECREF(record);
             goto fail_vn;
         }
         reordered = send_seq < max_seq;
-        if (reordered) {
-            if (addattr_ll(record, S.reordered_name, 1) < 0) {
-                if (rec_new)
-                    Py_DECREF(record);
-                goto fail_vn;
-            }
-        }
-        else if (setattr_ll(record, S.max_delivered_seq, send_seq) < 0) {
+        if (!reordered &&
+            setattr_ll(record, S.max_delivered_seq, send_seq) < 0) {
             if (rec_new)
                 Py_DECREF(record);
             goto fail_vn;
@@ -1976,7 +1599,7 @@ core_deliver_local(CSwitchCore *self, PyObject *message)
     thunk->epoch = epoch;
     PyObject_GC_Track((PyObject *)thunk);
     PyObject *ev = queue_push_internal(
-        self->cqueue, self->sim->now + self->ejection_latency, 0,
+        self->cqueue, self->sim->now + self->ejection_latency,
         (PyObject *)thunk, S.deliver_label);
     Py_DECREF(thunk);
     if (ev == NULL)
@@ -2395,7 +2018,7 @@ Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                                                      "_vnet_counter");
     if (self->vnet_counter_meth == NULL)
         goto fail;
-    /* ordering-tracker caches for the inlined note_delivery hit path.
+    /* ordering-tracker caches for the delivery thunk's ordering check.
      * The _records dict and the two per-vnet dicts are never reassigned
      * (OrderingTracker.reset mutates them in place), so the objects are
      * safe to hold for the core's lifetime. */
@@ -2479,7 +2102,7 @@ Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         Py_DECREF(scan_cb);
         goto fail;
     }
-    self->scan_event = event_alloc(0, 0, 0, scan_cb, label);
+    self->scan_event = event_alloc(0, 0, scan_cb, label);
     Py_DECREF(scan_cb);
     Py_DECREF(label);
     if (self->scan_event == NULL)
@@ -3064,7 +2687,7 @@ Core_scan(CSwitchCore *self, PyObject *Py_UNUSED(ignored))
                 thunk->epoch = epoch;
                 PyObject_GC_Track((PyObject *)thunk);
                 message = NULL;
-                PyObject *ev = queue_push_internal(self->cqueue, arrival, 0,
+                PyObject *ev = queue_push_internal(self->cqueue, arrival,
                                                    (PyObject *)thunk,
                                                    out->fwd_label);
                 Py_DECREF(thunk);
@@ -3614,7 +3237,6 @@ PyInit__ckernel(void)
 
     if (PyType_Ready(&CEvent_Type) < 0 ||
         PyType_Ready(&CEventQueue_Type) < 0 ||
-        PyType_Ready(&CDrainIter_Type) < 0 ||
         PyType_Ready(&CSimulator_Type) < 0 ||
         PyType_Ready(&CSwitchCore_Type) < 0 ||
         PyType_Ready(&CForwardThunk_Type) < 0 ||
@@ -3667,10 +3289,8 @@ PyInit__ckernel(void)
     INTERN(injected_at, "injected_at");
     INTERN(messages_delivered, "messages_delivered");
     INTERN(total_message_latency, "total_message_latency");
-    INTERN(delivered, "delivered");
     INTERN(receive, "receive");
     INTERN(ordering, "ordering");
-    INTERN(note_delivery, "note_delivery");
     INTERN(deliver_label, "deliver");
     INTERN(squashed_net, "network.squashed_in_flight");
     INTERN(delivered_name, "delivered");
@@ -3715,13 +3335,11 @@ PyInit__ckernel(void)
     INTERN(next_send_seq, "next_send_seq");
     INTERN(send_seq, "send_seq");
     INTERN(messages_sent, "messages_sent");
-    INTERN(injected, "injected");
     INTERN(sent_name, "sent");
     INTERN(msg_class, "msg_class");
     INTERN(payload, "payload");
     INTERN(address, "address");
     INTERN(issued_at, "issued_at");
-    INTERN(ordered_at, "ordered_at");
     INTERN(requests_ordered, "requests_ordered");
     INTERN(busy, "_busy");
     INTERN(requests_issued, "requests_issued");
@@ -3797,14 +3415,6 @@ PyInit__ckernel(void)
 #undef INTERN
     delay_kwnames = Py_BuildValue("(s)", "delay");
     if (delay_kwnames == NULL)
-        return NULL;
-
-    /* Class constants mirrored from the pure tier (read by callers and
-     * tests; the C code itself uses the compile-time macros). */
-    if (PyDict_SetItemString(CEventQueue_Type.tp_dict, "COMPACT_MIN_ENTRIES",
-                             PyLong_FromLong(COMPACT_MIN_ENTRIES)) < 0 ||
-        PyDict_SetItemString(CEventQueue_Type.tp_dict, "FREELIST_MAX",
-                             PyLong_FromLong(FREELIST_MAX)) < 0)
         return NULL;
 
     PyObject *mod = PyModule_Create(&ckernel_module);

@@ -48,7 +48,6 @@ class WritebackRecord:
     #: False once a ForwardedRequestReadWrite took ownership away while the
     #: writeback was still outstanding (the II_A transient).
     still_owner: bool = True
-    issued_at: int = 0
 
 
 class DirectoryCacheController(BlockingCacheController):
@@ -270,8 +269,7 @@ class DirectoryCacheController(BlockingCacheController):
         state: CacheState = victim.state
         if state is CacheState.MODIFIED or state is CacheState.OWNED:
             record = WritebackRecord(address=victim.address,
-                                     value=victim.value if victim.value is not None else 0,
-                                     issued_at=self.sim.now)
+                                     value=victim.value if victim.value is not None else 0)
             self.writebacks[victim.address] = record
             self.send(self.home(victim.address), MessageClass.WRITEBACK,
                       victim.address,

@@ -106,7 +106,7 @@ class DirectoryController(Component):
                 action()
         # Inline of Component.schedule: one push per protocol action.
         sim = self.sim
-        sim.queue.push(sim._now + delay, _run, 0, self.name)
+        sim.queue.push(sim._now + delay, _run, self.name)
 
     # -------------------------------------------------------------- observers
     def set_observer(self, observer: Optional[EntryObserver]) -> None:

@@ -52,8 +52,6 @@ class BusRequest:
     rtype: BusRequestType
     #: Data value carried by Writebacks.
     value: Optional[int] = None
-    issued_at: int = -1
-    ordered_at: int = -1
 
 
 #: What the snoop filter reads of one attached cache controller: its node
@@ -119,7 +117,6 @@ class AddressBus(Component):
     # ------------------------------------------------------------------- issue
     def issue(self, request: BusRequest) -> None:
         """Queue a request for arbitration."""
-        request.issued_at = self.sim.now
         self._queue.append(request)
         self.count("requests_issued")
         self._try_start()
@@ -136,7 +133,6 @@ class AddressBus(Component):
         if not self._queue:
             return
         request = self._queue.popleft()
-        request.ordered_at = self.sim.now
         self.requests_ordered += 1
         self.count("requests_ordered")
         self.schedule(self.snoop_latency_cycles,

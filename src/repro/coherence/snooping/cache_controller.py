@@ -47,7 +47,6 @@ class SnoopWritebackRecord:
     value: int
     request: BusRequest
     phase: WritebackPhase = WritebackPhase.WAITING_OWN_WB
-    issued_at: int = 0
 
 
 class SnoopingCacheController(BlockingCacheController):
@@ -297,7 +296,7 @@ class SnoopingCacheController(BlockingCacheController):
             self.writebacks[victim.address] = SnoopWritebackRecord(
                 address=victim.address,
                 value=victim.value if victim.value is not None else 0,
-                request=request, issued_at=self.sim.now)
+                request=request)
             self.bus.issue(request)
             self.count("writebacks_issued")
         else:

@@ -83,7 +83,7 @@ def _run_one(policy: RoutingPolicy, *, pairs: int, seed: int) -> int:
         sim.schedule_at(clock, lambda m=m1: network.send(m))
         sim.schedule_at(clock + 1, lambda m=m2: network.send(m))
         clock += rng.randint("gap", 200, 600)
-    sim.run_until_idle()
+    sim.run()
 
     reordered = 0
     for first, second in message_pairs:

@@ -26,7 +26,8 @@ Flags:
 * ``--list`` — show registered experiments and exit.
 * ``--json PATH`` — also write a schema-stable machine-readable results file.
 * ``--cache DIR`` — reuse on-disk cached results keyed by design-point hash;
-  a hit/miss/stored summary is printed (and included in ``--json``).
+  a hit/miss/stored summary is printed (and included in ``--json``'s
+  ``execution`` block).
 * ``--kernel-tier TIER`` — run on the ``pure`` or ``compiled`` kernel tier
   (default ``auto``: compiled when the extension is built, pure otherwise).
   The tiers are byte-identical, so this only affects wall-clock.
@@ -38,7 +39,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro import kernel
 from repro.campaign import (
@@ -93,32 +94,24 @@ def report_text(results: Dict[str, object]) -> str:
 
 
 def report_json(results: Dict[str, object], *, quick: bool = False,
-                cache_stats: Optional[Dict[str, int]] = None,
-                kernel_meta: Optional[Dict[str, str]] = None,
-                memo_stats: Optional[Dict[str, int]] = None) -> Dict[str, object]:
+                execution: Optional[Mapping[str, Any]] = None) -> Dict[str, object]:
     """The machine-readable campaign report (stable schema).
 
-    ``cache_stats`` is only present when the campaign ran with ``--cache``;
-    cache-less reports keep their exact historical byte form.
-    ``kernel_meta`` records which kernel tier executed the campaign (and the
-    compiler that built the extension, on the compiled tier).
-    ``memo_stats`` records the artifact-memo traffic (stream/topology
-    hits+misses) of the campaign process.  All three are *execution-side*
-    blocks: they describe how the campaign ran, not what it computed, so
-    ``tools/compare_reports.py`` strips them before byte comparison and
-    report identity is unchanged across tiers and executors.
+    ``execution`` says how the campaign ran, not what it computed: the
+    runner puts the executing kernel tier (``kernel``, with the compiler
+    that built the extension on the compiled tier), the artifact-memo
+    traffic (``memos``) and, under ``--cache``, the cache traffic
+    (``cache``) there.  It is the report's one execution-side key, which
+    ``tools/compare_reports.py`` strips before byte comparison, so report
+    identity is unchanged across tiers and executors.
     """
     report: Dict[str, object] = {
         "schema": REPORT_SCHEMA,
         "quick": quick,
         "experiments": {name: result.to_json() for name, result in results.items()},
     }
-    if cache_stats is not None:
-        report["cache"] = dict(cache_stats)
-    if kernel_meta is not None:
-        report["kernel"] = dict(kernel_meta)
-    if memo_stats is not None:
-        report["memos"] = dict(memo_stats)
+    if execution is not None:
+        report["execution"] = dict(execution)
     return report
 
 
@@ -236,13 +229,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         compiler = kernel.compiler_tag()
         if kernel_meta["tier"] == "compiled" and compiler is not None:
             kernel_meta["compiler"] = compiler
-        from repro.campaign import memo_stats as campaign_memo_stats
+        from repro.campaign import memo_stats
 
-        write_json_report(args.json,
-                          report_json(results, quick=args.quick,
-                                      cache_stats=cache_stats,
-                                      kernel_meta=kernel_meta,
-                                      memo_stats=campaign_memo_stats()))
+        execution: Dict[str, Any] = {"kernel": kernel_meta,
+                                     "memos": memo_stats()}
+        if cache_stats is not None:
+            execution["cache"] = dict(cache_stats)
+        write_json_report(args.json, report_json(results, quick=args.quick,
+                                                 execution=execution))
     return 0
 
 

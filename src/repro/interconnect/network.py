@@ -37,8 +37,6 @@ class OrderingRecord:
 
     next_send_seq: int = 0
     max_delivered_seq: int = -1
-    delivered: int = 0
-    reordered: int = 0
 
 
 class OrderingTracker:
@@ -72,26 +70,6 @@ class OrderingTracker:
         message.send_seq = record.next_send_seq
         record.next_send_seq += 1
 
-    def note_delivery(self, message: NetworkMessage) -> bool:
-        """Record a delivery; returns True if the message was reordered."""
-        # Inline of _record: this runs once per delivered message.
-        records = self._records
-        key = (message.src, message.dst, message.vnet)
-        record = records.get(key)
-        if record is None:
-            record = records[key] = OrderingRecord()
-        record.delivered += 1
-        vnet = message.vnet
-        self.per_vnet_delivered[vnet] += 1
-        send_seq = message.send_seq
-        reordered = send_seq < record.max_delivered_seq
-        if reordered:
-            record.reordered += 1
-            self.per_vnet_reordered[vnet] += 1
-        else:
-            record.max_delivered_seq = send_seq
-        return reordered
-
     def reorder_rate(self, vnet: Optional[VirtualNetwork] = None) -> float:
         """Fraction of delivered messages that were reordered."""
         if vnet is None:
@@ -116,8 +94,6 @@ class _Endpoint:
         self.node_id = node_id
         self.receive: Optional[Callable[[NetworkMessage], None]] = None
         self.pending_injection: Deque[NetworkMessage] = deque()
-        self.injected = 0
-        self.delivered = 0
 
 
 class InterconnectNetwork:
@@ -292,8 +268,8 @@ class InterconnectNetwork:
         if counter is None:
             counter = self._vnet_counter(self._sent_counters, "sent", vnet)
         counter.value += 1
-        # Inline of _drain_injection_queue (one call + two dict lookups per
-        # protocol message saved; injection almost always succeeds at once).
+        # Queue behind earlier messages, then inject from the head while the
+        # switch has room (injection almost always succeeds at once).
         pending = endpoint.pending_injection
         pending.append(message)
         inject = self._switches[message.src].inject
@@ -301,23 +277,11 @@ class InterconnectNetwork:
             if not inject(pending[0]):
                 break
             pending.popleft()
-            endpoint.injected += 1
-
-    def _drain_injection_queue(self, node_id: int) -> None:
-        endpoint = self._endpoints[node_id]
-        switch = self._switches[node_id]
-        while endpoint.pending_injection:
-            head = endpoint.pending_injection[0]
-            if not switch.inject(head):
-                break
-            endpoint.pending_injection.popleft()
-            endpoint.injected += 1
 
     def notify_injection_space(self, node_id: int) -> None:
         """A local injection slot freed at ``node_id``'s switch."""
-        # Inline of _drain_injection_queue: this runs once per freed slot
-        # (several times per delivered message) and the queue is almost
-        # always empty.
+        # Runs once per freed slot (several times per delivered message);
+        # the queue is almost always empty.
         endpoint = self._endpoints.get(node_id)
         if endpoint is None:
             return
@@ -327,7 +291,6 @@ class InterconnectNetwork:
             if not switch.inject(pending[0]):
                 break
             pending.popleft()
-            endpoint.injected += 1
         # Draining the outbound queue may re-enable ejection at this
         # node's switch (see :meth:`can_eject`).
         switch.schedule_scan(delay=1)
@@ -366,11 +329,9 @@ class InterconnectNetwork:
             now = self.sim._now
             message.delivered_at = now
             self.messages_delivered += 1
-            endpoint.delivered += 1
             self.total_message_latency += now - message.injected_at
-            # Inline of OrderingTracker.note_delivery — one call per
-            # delivered message, and the vnet/counter work merges with the
-            # per-vnet tallies below.
+            # Point-to-point ordering (OrderingTracker): a message is
+            # reordered when its stream already delivered a later-sent one.
             vn = message.vnet
             ordering = self.ordering
             records = ordering._records
@@ -378,12 +339,10 @@ class InterconnectNetwork:
             record = records.get(key)
             if record is None:
                 record = records[key] = OrderingRecord()
-            record.delivered += 1
             ordering.per_vnet_delivered[vn] += 1
             send_seq = message.send_seq
             reordered = send_seq < record.max_delivered_seq
             if reordered:
-                record.reordered += 1
                 ordering.per_vnet_reordered[vn] += 1
             else:
                 record.max_delivered_seq = send_seq
@@ -397,7 +356,7 @@ class InterconnectNetwork:
             endpoint.receive(message)
 
         sim = self.sim
-        sim.queue.push(sim._now + delay, _deliver, 0, "deliver")
+        sim.queue.push(sim._now + delay, _deliver, "deliver")
 
     # ------------------------------------------------------------- measurement
     def mean_message_latency(self) -> float:

@@ -412,7 +412,7 @@ class Switch(Component):
                         arrival,
                         partial(d_recv, message, downstream_port,
                                 downstream_cid, self.network.flush_epoch),
-                        0, fwd_label)
+                        fwd_label)
             # A head moved: release the credit for its input port.
             progressed = True
             upstream = self._credit_wake[port]
@@ -437,27 +437,6 @@ class Switch(Component):
                 sim.queue.push_static(self._scan_event, now + 1)
         elif retry_at is not None and retry_at > now:
             self.schedule_scan(delay=retry_at - now)
-
-    # ----------------------------------------------------------------- credits
-    def _credit_released(self, port: Direction) -> None:
-        """A slot freed on input ``port``: wake whoever feeds that port."""
-        upstream = self._credit_wake[port]
-        if upstream is None:
-            # Same empty-queue inline of notify_injection_space as in _scan.
-            endpoint = self._local_endpoint
-            if endpoint is not None:
-                if endpoint.pending_injection:
-                    self.network.notify_injection_space(self.switch_id)
-                elif not self._scan_scheduled:
-                    self._scan_scheduled = True
-                    sim = self.sim
-                    sim.queue.push_static(self._scan_event, sim._now + 1)
-        elif not upstream._scan_scheduled:
-            # Inline of upstream.schedule_scan(delay=1) — credits fire once
-            # per forwarded message.
-            upstream._scan_scheduled = True
-            sim = upstream.sim
-            sim.queue.push_static(upstream._scan_event, sim._now + 1)
 
     # ------------------------------------------------------------- congestion
     def _congestion_for(self, direction: Direction) -> int:

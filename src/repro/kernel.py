@@ -11,7 +11,7 @@ The simulation kernel ships in two interchangeable implementations:
   ``_ckernel.h`` holds what the two files share).
 
 The two tiers are **byte-identical**: every dispatch decision is a pure
-function of the ``(time, priority, seq)`` ordering keys and every counter is
+function of the ``(time, seq)`` ordering keys and every counter is
 maintained with the same lazy-creation semantics, so reports, golden digests
 and content hashes never depend on which tier executed a run.  The parity is
 gated by ``tests/test_kernel_tier.py`` (fig4 ``--quick --json`` byte-compat,

@@ -28,7 +28,7 @@ class Component:
 
     # ------------------------------------------------------------- conveniences
     def schedule(self, delay: int, callback: Callable[[], None], *,
-                 priority: int = 0, label: str = "") -> Any:
+                 label: str = "") -> Any:
         """Schedule a callback relative to the current cycle.
 
         Pushes straight onto the simulator's queue (one call layer less
@@ -37,8 +37,7 @@ class Component:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
         sim = self.sim
-        return sim.queue.push(sim._now + delay, callback, priority,
-                              label or self.name)
+        return sim.queue.push(sim._now + delay, callback, label or self.name)
 
     def count(self, stat: str, amount: int = 1) -> None:
         """Increment a named counter on this component's stats registry."""

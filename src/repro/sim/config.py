@@ -178,7 +178,9 @@ class InterconnectConfig:
     #: uses four: Request, ForwardedRequest, Response, FinalAck.
     virtual_networks: int = 4
     #: Virtual channels per virtual network; 2 suffice for static routing on
-    #: a torus, adaptive routing needs one extra escape channel.  0 means the
+    #: a torus, adaptive routing needs one extra escape channel.  Values
+    #: below 1 build one channel per virtual network; only
+    #: ``speculative_no_vc`` (or the S3 speculation flag) selects the
     #: speculative no-VC design.
     virtual_channels_per_network: int = 2
     routing: RoutingPolicy = RoutingPolicy.STATIC

@@ -8,8 +8,8 @@ paper's recovery-rate experiments is configurable (see
 
 Design notes
 ------------
-* Events are ordered by ``(time, priority, sequence)``.  The sequence number
-  makes ordering of same-cycle events deterministic and FIFO with respect to
+* Events are ordered by ``(time, sequence)``.  The sequence number makes
+  ordering of same-cycle events deterministic and FIFO with respect to
   scheduling order, which keeps every simulation run reproducible for a fixed
   seed.
 * The scheduler never uses wall-clock time or global randomness; components
@@ -23,13 +23,11 @@ Hot-path structure (see DESIGN.md §5 for the full performance model):
 * **Fused dispatch loop** — :meth:`Simulator.run` owns the heap directly:
   it discards cancelled heads lazily and pops-and-executes events with no
   per-event ``peek``/``pop`` function calls, tallying ``events_executed``
-  once at the end.  Execution order is the heap's ``(time, priority,
-  seq)`` order, identical to the classic pop-one-dispatch-one loop.
-  :meth:`EventQueue.pop_batch` / :meth:`EventQueue.unpop` expose
-  same-``(time, priority)`` bulk extraction to external drivers.  (A
-  calendar-bucket variant — one FIFO bucket per key, heap of keys — was
-  measured and rejected: at this simulator's typical batch size of 1-3 the
-  per-key dict/deque overhead exceeds the saved heap sifts.)
+  once at the end.  Execution order is the heap's ``(time, seq)`` order,
+  identical to the classic pop-one-dispatch-one loop.  (A calendar-bucket
+  variant — one FIFO bucket per time, heap of times — was measured and
+  rejected: at this simulator's typical batch size of 1-3 the per-key
+  dict/deque overhead exceeds the saved heap sifts.)
 * **Event pool** — fired events are recycled through a bounded freelist
   instead of being reallocated.  The lifecycle rule this imposes on callers:
   an :class:`Event` handle is dead once the event has fired (or been
@@ -39,7 +37,7 @@ Hot-path structure (see DESIGN.md §5 for the full performance model):
 * **Heap compaction** — cancelled events stay in the heap (the classic lazy
   -deletion scheme), but when they outnumber live events the queue rebuilds
   the heap from the live entries only.  Compaction preserves dispatch order
-  (the ``(time, priority, seq)`` keys are untouched) and bounds both memory
+  (the ``(time, seq)`` keys are untouched) and bounds both memory
   and the cancelled-entry skip loops.
 * **Reference hygiene** — ``callback`` (and the queue backref) are nulled
   the moment an event is cancelled or recycled, so the heap never keeps
@@ -49,7 +47,7 @@ Hot-path structure (see DESIGN.md §5 for the full performance model):
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -62,18 +60,15 @@ class Event:
     A plain ``__slots__`` class rather than a dataclass: millions of events
     are created per simulated run, so per-instance dict overhead and
     generated ``__lt__`` calls are measurable.  Heap ordering lives in the
-    queue's ``(time, priority, seq)`` tuple keys, not on the event itself.
+    queue's ``(time, seq)`` tuple keys, not on the event itself.
 
     Attributes
     ----------
     time:
         Absolute cycle at which the event fires.
-    priority:
-        Tie-breaker within a cycle; lower fires first.  The kernel reserves
-        no priorities — subsystems pick their own conventions.
     seq:
         Monotonic sequence number assigned by the queue; guarantees FIFO
-        ordering among events with equal ``(time, priority)``.
+        ordering among events with equal ``time``.
     callback:
         Zero-argument callable invoked when the event fires.  Nulled once
         the event is cancelled or recycled so the heap retains no closures.
@@ -88,14 +83,12 @@ class Event:
     event.  Do not retain fired events (DESIGN.md §5).
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled",
-                 "static", "_queue")
+    __slots__ = ("time", "seq", "callback", "label", "cancelled", "static",
+                 "_queue")
 
-    def __init__(self, time: int, priority: int, seq: int,
-                 callback: Callable[[], None], label: str = "",
-                 queue: Optional["EventQueue"] = None) -> None:
+    def __init__(self, time: int, seq: int, callback: Callable[[], None],
+                 label: str = "", queue: Optional["EventQueue"] = None) -> None:
         self.time = time
-        self.priority = priority
         self.seq = seq
         self.callback = callback
         self.label = label
@@ -110,8 +103,8 @@ class Event:
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be dropped when reached.
 
-        Equivalent to :meth:`EventQueue.cancel` — the owning queue's live
-        count is kept consistent either way.  The callback reference is
+        The owning queue's live count is kept consistent, and cancelling an
+        event that already fired is a no-op.  The callback reference is
         released immediately so a cancelled entry parked deep in the heap
         cannot keep a closure (and everything it captures) alive.
         """
@@ -132,12 +125,12 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""
-        return f"<Event t={self.time} p={self.priority} {self.label!r}{state}>"
+        return f"<Event t={self.time} {self.label!r}{state}>"
 
 
-#: Heap entries: the ``(time, priority, seq)`` tuple key plus the event.
-#: ``seq`` is unique, so comparisons never fall through to the event object.
-_HeapEntry = Tuple[int, int, int, Event]
+#: Heap entries: the ``(time, seq)`` tuple key plus the event.  ``seq`` is
+#: unique, so comparisons never fall through to the event object.
+_HeapEntry = Tuple[int, int, Event]
 
 
 class EventQueue:
@@ -160,12 +153,12 @@ class EventQueue:
         return self._live
 
     def push(self, time: int, callback: Callable[[], None],
-             priority: int = 0, label: str = "") -> Event:
+             label: str = "") -> Event:
         """Schedule ``callback`` at absolute cycle ``time`` and return the event.
 
-        ``priority``/``label`` are positional-or-keyword: the hottest callers
-        (switch scan scheduling, message forwarding) pass them positionally
-        to skip keyword-argument unpacking.
+        ``label`` is positional-or-keyword: the hottest callers (message
+        forwarding and delivery) pass it positionally to skip
+        keyword-argument unpacking.
         """
         if time < 0:
             raise SimulationError(f"cannot schedule event at negative time {time}")
@@ -175,15 +168,14 @@ class EventQueue:
         if free:
             event = free.pop()
             event.time = time
-            event.priority = priority
             event.seq = seq
             event.callback = callback
             event.label = label
             event.cancelled = False
             event._queue = self
         else:
-            event = Event(time, priority, seq, callback, label, queue=self)
-        heapq.heappush(self._heap, (time, priority, seq, event))
+            event = Event(time, seq, callback, label, queue=self)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -192,7 +184,7 @@ class EventQueue:
 
         The fast path for events that fire millions of times and are never
         cancelled (switch scans): only the time and sequence number change,
-        the callback/label/priority are fixed at construction, and the pool
+        the callback and label are fixed at construction, and the pool
         is bypassed entirely.  The caller guarantees the event is not
         currently queued (one pending instance at a time) and has set
         ``event.static`` so the dispatch loop leaves the object alone after
@@ -204,11 +196,11 @@ class EventQueue:
         event.seq = seq
         event.cancelled = False
         event._queue = self
-        heapq.heappush(self._heap, (time, event.priority, seq, event))
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
 
-    def new_static_event(self, callback: Callable[[], None], label: str = "",
-                         priority: int = 0) -> Event:
+    def new_static_event(self, callback: Callable[[], None],
+                         label: str = "") -> Event:
         """Create a caller-owned static event compatible with this queue.
 
         Static events (e.g. a switch's scan event) are re-queued via
@@ -216,7 +208,7 @@ class EventQueue:
         kernel tiers provide this factory so owners never construct events
         of the wrong tier (a compiled queue only accepts compiled events).
         """
-        event = Event(0, priority, 0, callback, label)
+        event = Event(0, 0, callback, label)
         event.static = True
         return event
 
@@ -238,7 +230,7 @@ class EventQueue:
     def pop(self) -> Optional[Event]:
         """Pop the next non-cancelled event, or ``None`` if the queue is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)[3]
+            event = heapq.heappop(self._heap)[2]
             if event.cancelled:
                 self._recycle_cancelled(event)
                 continue
@@ -250,81 +242,14 @@ class EventQueue:
             return event
         return None
 
-    def pop_batch(self, batch: List[Event],
-                  max_count: Optional[int] = None) -> int:
-        """Pop every live event sharing the minimal ``(time, priority)``.
-
-        Appends the events to ``batch`` in ``seq`` (FIFO) order and returns
-        how many were appended (0 when the queue is empty).  ``max_count``
-        caps the batch; leftover same-key events simply stay queued and come
-        out first on the next call.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        count = 0
-        batch_time = -1
-        batch_priority = 0
-        while heap:
-            entry = heap[0]
-            event = entry[3]
-            if event.cancelled:
-                heappop(heap)
-                self._recycle_cancelled(event)
-                continue
-            if count == 0:
-                batch_time = entry[0]
-                batch_priority = entry[1]
-            elif entry[0] != batch_time or entry[1] != batch_priority:
-                break
-            heappop(heap)
-            event._queue = None
-            batch.append(event)
-            count += 1
-            if max_count is not None and count >= max_count:
-                break
-        self._live -= count
-        return count
-
-    def unpop(self, events: List[Event]) -> None:
-        """Return popped-but-unexecuted events to the queue (stop() mid-batch).
-
-        Heap keys are reconstructed from the events' unchanged
-        ``(time, priority, seq)``, so dispatch order is exactly preserved.
-        """
-        for event in events:
-            if event.cancelled:
-                continue
-            event._queue = self
-            heapq.heappush(self._heap,
-                           (event.time, event.priority, event.seq, event))
-            self._live += 1
-
-    def recycle(self, event: Event) -> None:
-        """Return a fired event to the pool (kernel use only).
-
-        Any handle to the event becomes dead: the object may be handed out
-        again by the next :meth:`push`.
-        """
-        event.callback = None
-        event.label = ""
-        event._queue = None
-        event.cancelled = True
-        free = self._free
-        if len(free) < self.FREELIST_MAX:
-            free.append(event)
-
     def peek_time(self) -> Optional[int]:
         """Return the firing time of the next live event without popping it."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
-            self._recycle_cancelled(heapq.heappop(heap)[3])
+        while heap and heap[0][2].cancelled:
+            self._recycle_cancelled(heapq.heappop(heap)[2])
         if not heap:
             return None
         return heap[0][0]
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event."""
-        event.cancel()
 
     def _compact(self) -> None:
         """Drop cancelled entries and rebuild the heap from live ones.
@@ -338,7 +263,7 @@ class EventQueue:
         free = self._free
         freelist_max = self.FREELIST_MAX
         for entry in self._heap:
-            event = entry[3]
+            event = entry[2]
             if event.cancelled:
                 event.label = ""
                 if len(free) < freelist_max:
@@ -348,18 +273,6 @@ class EventQueue:
         self._heap = live
         heapq.heapify(self._heap)
         self.compactions += 1
-
-    def drain(self) -> Iterator[Event]:
-        """Yield and remove every remaining live event (used at teardown).
-
-        Drained events are handed to the caller for inspection and are *not*
-        recycled into the pool.
-        """
-        while True:
-            event = self.pop()
-            if event is None:
-                return
-            yield event
 
 
 class Simulator:
@@ -372,10 +285,8 @@ class Simulator:
     def __init__(self) -> None:
         self.queue = EventQueue()
         self._now = 0
-        self._running = False
         self._stop_requested = False
         self.events_executed = 0
-        self._quiesce_hooks: List[Callable[[], None]] = []
 
     @property
     def now(self) -> int:
@@ -383,32 +294,19 @@ class Simulator:
         return self._now
 
     def schedule(self, delay: int, callback: Callable[[], None], *,
-                 priority: int = 0, label: str = "") -> Event:
+                 label: str = "") -> Event:
         """Schedule ``callback`` ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        return self.queue.push(self._now + delay, callback,
-                               priority=priority, label=label)
+        return self.queue.push(self._now + delay, callback, label)
 
     def schedule_at(self, time: int, callback: Callable[[], None], *,
-                    priority: int = 0, label: str = "") -> Event:
+                    label: str = "") -> Event:
         """Schedule ``callback`` at an absolute cycle (must not be in the past)."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule event in the past (now={self._now}, time={time})")
-        return self.queue.push(time, callback, priority=priority, label=label)
-
-    def cancel(self, event: Event) -> None:
-        """Cancel a scheduled event."""
-        self.queue.cancel(event)
-
-    def add_quiesce_hook(self, hook: Callable[[], None]) -> None:
-        """Register a callable invoked whenever the event queue drains.
-
-        Workload drivers use this to inject the next batch of work so that
-        long simulations do not need every future event pre-scheduled.
-        """
-        self._quiesce_hooks.append(hook)
+        return self.queue.push(time, callback, label)
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -421,12 +319,11 @@ class Simulator:
 
         The dispatch loop is fused with the queue (direct heap access, no
         per-event ``peek``/``pop`` calls): events come off the heap in
-        ``(time, priority, seq)`` order and execute immediately, so the
+        ``(time, seq)`` order and execute immediately, so the
         order is identical to the classic pop-one-dispatch-one loop —
         including events a callback schedules for the current cycle, whose
         higher sequence numbers place them after the already-queued ones.
         """
-        self._running = True
         self._stop_requested = False
         executed = 0
         queue = self.queue
@@ -441,26 +338,20 @@ class Simulator:
         events_bound = max_events if max_events is not None else 1 << 62
         heappush = heapq.heappush
         try:
+            # ``while True``, not ``while heap``: CPython 3.11 warms a code
+            # object up for specialization on unconditional backward jumps
+            # only, and run() is entered once per simulation, so a
+            # conditional back-edge would leave this loop unspecialized
+            # (about 30% slower dispatch).
             while True:
-                if self._stop_requested:
+                if (self._stop_requested or executed >= events_bound
+                        or not heap):
                     break
-                if executed >= events_bound:
-                    break
-                if not heap:
-                    made_progress = False
-                    for hook in self._quiesce_hooks:
-                        hook()
-                    heap = queue._heap
-                    if queue.peek_time() is not None:
-                        made_progress = True
-                    if not made_progress:
-                        break
-                    continue
                 # Pop first, discard cancelled entries lazily (compaction
                 # keeps their number short) — one heap access per event
                 # instead of a peek-then-pop pair.
                 entry = heappop(heap)
-                event = entry[3]
+                event = entry[2]
                 if event.cancelled:
                     # Recycle the skimmed entry (cancel already nulled the
                     # callback and disowned the queue; the handle is dead).
@@ -482,7 +373,7 @@ class Simulator:
                 self._now = next_time
                 event.callback()
                 executed += 1
-                # Inline of queue.recycle() — this is the single hottest
+                # Recycle the fired event — this is the single hottest
                 # statement sequence in the simulator.  Static events are
                 # owner-managed and skipped: the callback may have already
                 # re-pushed the same object (scan rescheduling itself), and
@@ -496,17 +387,7 @@ class Simulator:
                 # A callback may compact the queue (via cancel); re-read.
                 heap = queue._heap
         finally:
-            self._running = False
             # Deferred tally (one attribute increment per event saved);
             # additive, so a nested run() inside a callback stays correct.
             self.events_executed += executed
         return self._now
-
-    def run_until_idle(self, max_events: Optional[int] = None) -> int:
-        """Run until the event queue is empty (ignoring quiesce hooks)."""
-        saved = self._quiesce_hooks
-        self._quiesce_hooks = []
-        try:
-            return self.run(max_events=max_events)
-        finally:
-            self._quiesce_hooks = saved

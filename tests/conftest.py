@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 
+from repro import kernel
+from repro.sim import engine as pure_engine
 from repro.sim.config import (
     CacheConfig,
     CheckpointConfig,
@@ -22,6 +26,28 @@ from repro.system import build_system
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+@pytest.fixture
+def engine() -> types.SimpleNamespace:
+    """The event kernel of the selected tier (``REPRO_KERNEL``).
+
+    ``Simulator`` and ``EventQueue`` come from the compiled extension when
+    that tier is selected, else from :mod:`repro.sim.engine`.  The freelist
+    and compaction bounds always come from the pure class: the C macros copy
+    its values, so the compiled queue is held to them.  A compiled request
+    without a usable extension skips.
+    """
+    try:
+        impl = kernel.engine_impl()
+    except kernel.KernelTierError as exc:
+        pytest.skip(str(exc))
+    if impl is None:
+        impl = pure_engine
+    return types.SimpleNamespace(
+        Simulator=impl.Simulator, EventQueue=impl.EventQueue,
+        FREELIST_MAX=pure_engine.EventQueue.FREELIST_MAX,
+        COMPACT_MIN_ENTRIES=pure_engine.EventQueue.COMPACT_MIN_ENTRIES)
 
 
 @pytest.fixture

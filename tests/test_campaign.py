@@ -166,7 +166,7 @@ class TestExecutors:
         assert result.references_completed > 0
         assert cache.misses >= 1
 
-    def test_set_pool_disabled_after_map(self):
+    def test_fresh_array_after_map_holds_only_the_sentinel(self):
         """A batch leaves no run state in the cache module: a fresh array
         starts with every set on the shared empty mapping."""
         SerialExecutor().map([small_spec(references=60)])
@@ -309,17 +309,21 @@ class TestRunnerCLI:
         assert runner.SECTION_SEPARATOR.strip("\n") in text
 
     def test_memos_block_is_execution_side(self, tmp_path):
-        """The runner surfaces memo_stats() next to the kernel block, and
-        compare_reports strips it: reports stay byte-comparable."""
+        """The runner surfaces memo_stats() in the execution block, next to
+        the kernel tier, and compare_reports strips it: reports stay
+        byte-comparable."""
         path = tmp_path / "report.json"
         assert runner.main(["--only", "fig2", "--quick",
                             "--json", str(path)]) == 0
         payload = json.loads(path.read_text())
-        assert {"stream_hits", "stream_misses"} <= set(payload["memos"])
+        memos = payload["execution"]["memos"]
+        assert {"stream_hits", "stream_misses"} <= set(memos)
+        assert {"kernel", "memos"} <= set(payload["execution"])
 
         doctored = tmp_path / "doctored.json"
         edited = dict(payload)
-        edited["memos"] = {k: v + 17 for k, v in payload["memos"].items()}
+        edited["execution"] = dict(payload["execution"],
+                                   memos={k: v + 17 for k, v in memos.items()})
         doctored.write_text(json.dumps(edited))
         proc = subprocess.run(
             [sys.executable, "tools/compare_reports.py",

@@ -95,7 +95,7 @@ def _retry_scenario(tier: str, protocol: ProtocolKind):
     system.sim.run(until=50)
     assert ctrl.transaction is not None
     assert ctrl.transaction.started_at == 50
-    system.sim.run_until_idle()
+    system.sim.run()
     return _outcome(system, completions)
 
 
@@ -133,7 +133,7 @@ def _timeout_scenario(tier: str, protocol: ProtocolKind):
     ctrl.misspeculation_reporter = events.append
     ctrl.timeout_cycles = TIMEOUT
     completions = _access(system)
-    system.sim.run_until_idle()
+    system.sim.run()
     return events, _outcome(system, completions)
 
 
@@ -186,7 +186,7 @@ def test_a_raising_hook_raises_through_the_controller(tier, protocol, hook,
         system = _idle_system(tier_name, protocol)
         with pytest.raises(Boom, match="hook raised"):
             _access(system)
-            system.sim.run_until_idle()
+            system.sim.run()
         ctrl = system.nodes[0].cache_controller
         return ctrl.transaction is not None, _outcome(system, [])
 

@@ -87,7 +87,7 @@ class DirectHarness:
         request = MemoryRequest(node=node, op=op, address=address, value=value)
         done = []
         self.cache_ctrls[node].access(request, lambda r: done.append(r))
-        self.sim.run_until_idle()
+        self.sim.run()
         assert done, f"reference {op} {address:#x} at node {node} did not complete"
         return done[0]
 
@@ -272,11 +272,11 @@ class TestSection31Race:
         h.cache_ctrls[2].access(MemoryRequest(node=2, op=MemoryOp.STORE,
                                               address=address, value=222),
                                 lambda r: done.append(r))
-        h.sim.run_until_idle()
+        h.sim.run()
         # Now the racing Writeback arrives at the (busy) directory.
         for message in held_writebacks:
             h.deliver(message)
-        h.sim.run_until_idle()
+        h.sim.run()
         fwd = [m for m in h.held
                if m.msg_class == MessageClass.FORWARDED_REQUEST_READ_WRITE]
         wback = [m for m in h.held if m.msg_class == MessageClass.WRITEBACK_ACK]
@@ -291,7 +291,7 @@ class TestSection31Race:
         # Deliver in sent order (point-to-point order respected).
         for message in fwd + wback:
             h.deliver(message)
-        h.sim.run_until_idle()
+        h.sim.run()
         assert done and done[0].completed_at >= 0
         assert not h.events
         assert h.state(2, 0x1000) == CacheState.MODIFIED
@@ -305,7 +305,7 @@ class TestSection31Race:
         # finds no data -> the one specific invalid transition.
         for message in wback + fwd:
             h.deliver(message)
-        h.sim.run_until_idle()
+        h.sim.run()
         assert len(h.events) == 1
         event = h.events[0]
         assert event.kind == SpeculationKind.DIRECTORY_P2P_ORDER
@@ -317,7 +317,7 @@ class TestSection31Race:
         done, fwd, wback = self._setup_race(h, 0x1000)
         for message in wback + fwd:
             h.deliver(message)
-        h.sim.run_until_idle()
+        h.sim.run()
         # The full protocol handles the race (data came from the directory):
         # no mis-speculation, and the store completes with ownership.
         assert not h.events
@@ -341,7 +341,7 @@ class TestSection31Race:
         assert not h.events
         h.hold_classes = set()
         h.release_held()
-        h.sim.run_until_idle()
+        h.sim.run()
 
 
 class TestDetectionAndInvariants:
@@ -354,7 +354,7 @@ class TestDetectionAndInvariants:
         done = []
         ctrl.access(MemoryRequest(node=1, op=MemoryOp.STORE, address=0x2000, value=1),
                     lambda r: done.append(r))
-        h.sim.run_until_idle()
+        h.sim.run()
         assert not done
         assert len(h.events) == 1
         assert h.events[0].kind == SpeculationKind.INTERCONNECT_DEADLOCK
@@ -363,7 +363,7 @@ class TestDetectionAndInvariants:
         h = DirectHarness()
         h.cache_ctrls[1].timeout_cycles = 10_000
         h.access(1, MemoryOp.LOAD, 0x2000)
-        h.sim.run_until_idle()
+        h.sim.run()
         assert not h.events
 
     def test_invalidation_for_absent_block_still_acked(self):
@@ -398,7 +398,7 @@ class TestDetectionAndInvariants:
         done = []
         h.cache_ctrls[1].access(MemoryRequest(node=1, op=MemoryOp.LOAD, address=0x6000),
                                 lambda r: done.append(r))
-        h.sim.run_until_idle()
+        h.sim.run()
         assert h.cache_ctrls[1].transaction is not None
         h.cache_ctrls[1].squash_transient_state()
         assert h.cache_ctrls[1].transaction is None

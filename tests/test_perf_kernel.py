@@ -4,7 +4,8 @@ Covers the behaviours the optimizations must preserve and the new
 machinery they introduce:
 
 * fused batch dispatch order, event freelist recycling, heap compaction,
-  and the cancel/fire reference-hygiene rules in ``repro.sim.engine``;
+  and the cancel/fire reference-hygiene rules of the event kernel, on the
+  tier the ``engine`` fixture selects (``tests/conftest.py``);
 * O(1) occupancy and overflow-stall accounting in the SafetyNet log;
 * explicit floor+half-up serialization rounding in ``repro.interconnect``;
 * precomputed routing tables vs. the raw geometry;
@@ -26,7 +27,7 @@ from repro.interconnect.routing import AdaptiveMinimalRouting, DimensionOrderRou
 from repro.interconnect.topology import Direction, TorusTopology
 from repro.safetynet.log import CheckpointLogBuffer, UndoRecord
 from repro.sim.config import InterconnectConfig
-from repro.sim.engine import EventQueue, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.workloads import make_workload
 from repro.workloads.base import SyntheticWorkload, WorkloadProfile
@@ -34,16 +35,16 @@ from repro.workloads.base import SyntheticWorkload, WorkloadProfile
 
 # ===================================================================== engine
 class TestBatchDispatch:
-    def test_same_cycle_fifo_order_preserved(self):
-        sim = Simulator()
+    def test_same_cycle_fifo_order_preserved(self, engine):
+        sim = engine.Simulator()
         order = []
         for i in range(8):
             sim.schedule(5, lambda i=i: order.append(i))
         sim.run()
         assert order == list(range(8))
 
-    def test_event_scheduled_during_cycle_runs_after_queued_ones(self):
-        sim = Simulator()
+    def test_event_scheduled_during_cycle_runs_after_queued_ones(self, engine):
+        sim = engine.Simulator()
         order = []
         sim.schedule(5, lambda: (order.append("a"),
                                  sim.schedule(0, lambda: order.append("late"))))
@@ -51,19 +52,18 @@ class TestBatchDispatch:
         sim.run()
         assert order == ["a", "b", "late"]
 
-    def test_callback_cancelling_later_same_cycle_event(self):
-        sim = Simulator()
+    def test_callback_cancelling_later_same_cycle_event(self, engine):
+        sim = engine.Simulator()
         order = []
+        sim.schedule(3, lambda: (order.append("killer"), victim.cancel()))
         victim = sim.schedule(3, lambda: order.append("victim"))
-        sim.schedule(3, lambda: (order.append("killer"), victim.cancel()),
-                     priority=-1)
         sim.schedule(3, lambda: order.append("survivor"))
         sim.run()
         assert order == ["killer", "survivor"]
         assert len(sim.queue) == 0
 
-    def test_stop_mid_cycle_resumes_cleanly(self):
-        sim = Simulator()
+    def test_stop_mid_cycle_resumes_cleanly(self, engine):
+        sim = engine.Simulator()
         order = []
         sim.schedule(2, lambda: (order.append("a"), sim.stop()))
         sim.schedule(2, lambda: order.append("b"))
@@ -72,8 +72,8 @@ class TestBatchDispatch:
         sim.run()
         assert order == ["a", "b"]
 
-    def test_max_events_is_exact(self):
-        sim = Simulator()
+    def test_max_events_is_exact(self, engine):
+        sim = engine.Simulator()
         fired = []
         for i in range(10):
             sim.schedule(1, lambda i=i: fired.append(i))
@@ -83,67 +83,11 @@ class TestBatchDispatch:
         assert fired == list(range(10))
 
 
-class TestPopBatch:
-    def test_pop_batch_takes_whole_same_key_group(self):
-        queue = EventQueue()
-        same = [queue.push(5, lambda: None) for _ in range(4)]
-        later = queue.push(6, lambda: None)
-        batch = []
-        assert queue.pop_batch(batch) == 4
-        assert batch == same
-        assert len(queue) == 1
-        batch2 = []
-        assert queue.pop_batch(batch2) == 1
-        assert batch2 == [later]
-        assert queue.pop_batch([]) == 0
-
-    def test_pop_batch_splits_by_priority(self):
-        queue = EventQueue()
-        high = queue.push(5, lambda: None, priority=-1)
-        low = queue.push(5, lambda: None)
-        batch = []
-        assert queue.pop_batch(batch) == 1
-        assert batch == [high]
-        assert queue.pop_batch(batch) == 1
-        assert batch == [high, low]
-
-    def test_pop_batch_max_count_leaves_rest_queued(self):
-        queue = EventQueue()
-        events = [queue.push(5, lambda: None) for _ in range(6)]
-        batch = []
-        assert queue.pop_batch(batch, max_count=2) == 2
-        assert batch == events[:2]
-        assert len(queue) == 4
-        rest = []
-        assert queue.pop_batch(rest) == 4
-        assert rest == events[2:]
-
-    def test_pop_batch_skips_cancelled(self):
-        queue = EventQueue()
-        events = [queue.push(5, lambda: None) for _ in range(4)]
-        events[1].cancel()
-        batch = []
-        assert queue.pop_batch(batch) == 3
-        assert batch == [events[0], events[2], events[3]]
-
-    def test_unpop_restores_order(self):
-        queue = EventQueue()
-        events = [queue.push(5, lambda: None) for _ in range(3)]
-        batch = []
-        queue.pop_batch(batch)
-        queue.unpop(batch[1:])
-        newer = queue.push(5, lambda: None)
-        assert len(queue) == 3
-        replay = []
-        queue.pop_batch(replay)
-        assert replay == [events[1], events[2], newer]
-
-
 class TestEventPool:
-    def test_fired_events_are_recycled(self):
-        queue = EventQueue()
+    def test_fired_events_are_recycled(self, engine):
+        queue = engine.EventQueue()
         first = queue.push(1, lambda: None)
-        sim = Simulator()
+        sim = engine.Simulator()
         ev = sim.schedule(1, lambda: None)
         sim.run()
         # The fired event object is handed out again by the next push.
@@ -151,8 +95,8 @@ class TestEventPool:
         assert again is ev
         del first
 
-    def test_fired_event_drops_callback_reference(self):
-        sim = Simulator()
+    def test_fired_event_drops_callback_reference(self, engine):
+        sim = engine.Simulator()
         marker = []
         closure = lambda: marker.append(1)  # noqa: E731
         ev = sim.schedule(1, closure)
@@ -160,32 +104,32 @@ class TestEventPool:
         assert marker == [1]
         assert ev.callback is None
 
-    def test_cancel_drops_callback_reference(self):
-        sim = Simulator()
+    def test_cancel_drops_callback_reference(self, engine):
+        sim = engine.Simulator()
         ev = sim.schedule(1, lambda: None)
         ev.cancel()
         assert ev.callback is None
         sim.run()
 
-    def test_cancel_after_fire_is_harmless_without_reuse(self):
-        sim = Simulator()
+    def test_cancel_after_fire_is_harmless_without_reuse(self, engine):
+        sim = engine.Simulator()
         ev = sim.schedule(1, lambda: None)
         sim.run()
         live_before = len(sim.queue)
         ev.cancel()
         assert len(sim.queue) == live_before
 
-    def test_freelist_is_bounded(self):
-        sim = Simulator()
-        for i in range(EventQueue.FREELIST_MAX + 500):
+    def test_freelist_is_bounded(self, engine):
+        sim = engine.Simulator()
+        for i in range(engine.FREELIST_MAX + 500):
             sim.schedule(0, lambda: None)
         sim.run()
-        assert len(sim.queue._free) <= EventQueue.FREELIST_MAX
+        assert len(sim.queue._free) <= engine.FREELIST_MAX
 
 
 class TestHeapCompaction:
-    def test_compaction_triggers_and_preserves_order(self):
-        queue = EventQueue()
+    def test_compaction_triggers_and_preserves_order(self, engine):
+        queue = engine.EventQueue()
         keep, kill = [], []
         for i in range(1500):
             ev = queue.push(10_000 + i, lambda: None)
@@ -196,13 +140,13 @@ class TestHeapCompaction:
         assert len(queue) == len(keep)
         # Compaction bounds the heap: lingering cancelled entries stay below
         # the compaction threshold instead of accumulating without limit.
-        assert len(keep) <= len(queue._heap) < EventQueue.COMPACT_MIN_ENTRIES
+        assert len(keep) <= len(queue._heap) < engine.COMPACT_MIN_ENTRIES
         popped = [queue.pop() for _ in range(len(keep))]
         assert popped == keep
         assert queue.pop() is None
 
-    def test_no_compaction_below_threshold(self):
-        queue = EventQueue()
+    def test_no_compaction_below_threshold(self, engine):
+        queue = engine.EventQueue()
         events = [queue.push(i, lambda: None) for i in range(100)]
         for ev in events[:80]:
             ev.cancel()

@@ -62,7 +62,7 @@ class TestBlockingProcessor:
         refs = [(MemoryOp.LOAD, 64 * i) for i in range(50)]
         sim, proc, memory = build_processor(refs)
         proc.start()
-        sim.run_until_idle()
+        sim.run()
         assert proc.done
         assert proc.references_completed == 50
         assert proc.finished_at is not None
@@ -71,7 +71,7 @@ class TestBlockingProcessor:
         refs = [(MemoryOp.LOAD, 64 * i) for i in range(10)]
         sim, proc, memory = build_processor(refs, with_l1=False, latency=100)
         proc.start()
-        sim.run_until_idle()
+        sim.run()
         # With a 100-cycle memory and no L1, runtime must be at least
         # references * latency (strictly serialised).
         assert proc.finished_at >= 10 * 100
@@ -80,7 +80,7 @@ class TestBlockingProcessor:
         refs = [(MemoryOp.LOAD, 0x40)] * 20
         sim, proc, memory = build_processor(refs)
         proc.start()
-        sim.run_until_idle()
+        sim.run()
         # Only the first miss reaches the memory system.
         assert len(memory.requests) == 1
         assert proc.stats.counters()["proc0.l1_hits"] == 19
@@ -89,7 +89,7 @@ class TestBlockingProcessor:
         refs = [(MemoryOp.LOAD, 0x40), (MemoryOp.STORE, 0x40), (MemoryOp.STORE, 0x40)]
         sim, proc, memory = build_processor(refs)
         proc.start()
-        sim.run_until_idle()
+        sim.run()
         # Load miss + store upgrade go to memory; second store hits in L1.
         assert len(memory.requests) == 2
 
@@ -97,7 +97,7 @@ class TestBlockingProcessor:
         refs = [(MemoryOp.STORE, 64 * i) for i in range(10)]
         sim, proc, memory = build_processor(refs, with_l1=False)
         proc.start()
-        sim.run_until_idle()
+        sim.run()
         values = [r.value for r in memory.requests]
         assert len(set(values)) == len(values)
         assert all(v is not None for v in values)
@@ -107,7 +107,7 @@ class TestBlockingProcessor:
         sim, proc, memory = build_processor(refs)
         finished = []
         proc.start(finished.append)
-        sim.run_until_idle()
+        sim.run()
         assert finished == [0]
 
     def test_cannot_start_twice(self):
@@ -136,7 +136,7 @@ class TestBlockingProcessor:
         proc.checkpoint_restore(snapshot, resume_at=sim.now + 500)
         assert proc.references_completed == completed_at_snapshot
         assert proc.stalled_until >= sim.now + 500
-        sim.run_until_idle()
+        sim.run()
         assert proc.done
         assert proc.references_completed == 20
 
@@ -145,7 +145,7 @@ class TestBlockingProcessor:
         sim, proc, memory = build_processor(refs)
         assert proc.progress == 0.0
         proc.start()
-        sim.run_until_idle()
+        sim.run()
         assert proc.progress == 1.0
         empty_sim, empty_proc, _ = build_processor([])
         assert empty_proc.progress == 1.0

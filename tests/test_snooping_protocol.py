@@ -60,7 +60,7 @@ class SnoopHarness:
         request = MemoryRequest(node=node, op=op, address=address, value=value)
         done = []
         self.ctrls[node].access(request, lambda r: done.append(r))
-        self.sim.run_until_idle()
+        self.sim.run()
         assert done, f"{op} {address:#x} at node {node} did not complete"
         return done[0]
 
@@ -226,7 +226,7 @@ class TestSection32CornerCase:
         # New owner (node 2) writes; then node 1's stale Writeback is ordered
         # and must be dropped by the memory controller.
         h.access(2, MemoryOp.STORE, 0x2000, value=999)
-        h.sim.run_until_idle()
+        h.sim.run()
         assert h.access(3, MemoryOp.LOAD, 0x2000).value == 999
 
     def test_full_run_keeps_swmr_invariant(self):
@@ -275,7 +275,7 @@ class TestBusAndMemory:
         # A Writeback reaches its writer only; memory still absorbs it.
         delivered.clear()
         h.ctrls[2]._evict(h.caches[2].peek(0x1000))
-        h.sim.run_until_idle()
+        h.sim.run()
         assert delivered == [2]
         assert ordered == [BusRequestType.GETX, BusRequestType.WRITEBACK]
         assert h.memory.read(0x1000) == 4

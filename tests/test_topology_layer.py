@@ -256,14 +256,14 @@ class TestNetworksOnNewTopologies:
                 network.send(make_message(src, dst, MessageClass.DATA,
                                           address=64 * sent, config=config))
                 sent += 1
-        sim.run_until_idle()
+        sim.run()
         assert network.messages_delivered == sent
         assert len(received) == sent
 
     def test_hop_counts_match_topology_distance(self):
         sim, config, network, received = _raw_network(TopologyConfig("mesh", (4, 4)))
         network.send(make_message(0, 15, MessageClass.ACK, address=0, config=config))
-        sim.run_until_idle()
+        sim.run()
         assert received[0][1].hops == network.topology.distance(0, 15) == 6
 
     def test_mesh_edge_switch_has_no_dangling_links(self):

@@ -1,17 +1,17 @@
 #!/usr/bin/env python
-"""Byte-compare two runner ``--json`` reports modulo execution-side keys.
+"""Byte-compare two runner ``--json`` reports modulo the execution block.
 
 The determinism contract says serial, parallel, cached, sharded — and pure-
 vs compiled-tier — execution produce *the same report*.  The only permitted
-differences are the execution-side top-level blocks: ``cache`` (this
-process's hit/miss/store traffic, present only under ``--cache``),
-``kernel`` (the executing kernel tier + compiler tag) and ``memos`` (the
-artifact-memo traffic), all of which describe how the campaign ran rather
-than what it computed.  This tool strips exactly those blocks from both
-documents, canonicalises them (sorted keys, tight separators — the same
-encoding the spec layer hashes), and compares the resulting bytes.  When the two reports ran on different kernel
-tiers a note is printed (comparison proceeds normally — cross-tier identity
-is the point of the contract).
+difference is the top-level ``execution`` block: the executing kernel tier
+and compiler tag (``kernel``), the artifact-memo traffic (``memos``) and,
+under ``--cache``, this process's hit/miss/store traffic (``cache``), all of
+which describe how the campaign ran rather than what it computed.  This
+tool strips exactly that block from both documents, canonicalises them
+(sorted keys, tight separators — the same encoding the spec layer hashes),
+and compares the resulting bytes.  When the two reports ran on different
+kernel tiers a note is printed (comparison proceeds normally — cross-tier
+identity is the point of the contract).
 
 Exit status 0 means identical; 1 means divergent, with the differing
 top-level experiments named so a CI log points straight at the culprit.
@@ -28,14 +28,13 @@ import json
 import sys
 from typing import Any, Dict, List, Optional
 
-#: Top-level report keys describing *how* the campaign ran rather than what
-#: it computed; everything else must match byte for byte.  ``cache`` is the
-#: per-process hit/miss summary of ``--cache`` runs; ``kernel`` records the
-#: executing kernel tier (+ compiler tag), which legitimately differs when
-#: the same campaign is run on the pure and the compiled tier; ``memos`` is
-#: the artifact-memo hit/miss tally, which legitimately differs between one
-#: warm process (serial) and several cold ones (parallel, sharded).
-EXECUTION_KEYS = ("cache", "kernel", "memos")
+#: The top-level report key describing *how* the campaign ran rather than
+#: what it computed; everything else must match byte for byte.  Its
+#: ``kernel`` tier legitimately differs between the pure and the compiled
+#: tier, its ``memos`` tally between one warm process (serial) and several
+#: cold ones (parallel, sharded), and its ``cache`` traffic between cold and
+#: warm stores.
+EXECUTION_KEY = "execution"
 
 
 def cross_tier_note(reference: Dict[str, Any],
@@ -47,8 +46,8 @@ def cross_tier_note(reference: Dict[str, Any],
     explicitly, because an unexpected tier (e.g. a compiled-tier artifact in
     a pure-tier lane) usually means the environment, not the code, changed.
     """
-    ref_kernel = reference.get("kernel")
-    cand_kernel = candidate.get("kernel")
+    ref_kernel = reference.get(EXECUTION_KEY, {}).get("kernel")
+    cand_kernel = candidate.get(EXECUTION_KEY, {}).get("kernel")
     if not isinstance(ref_kernel, dict) or not isinstance(cand_kernel, dict):
         return None
     ref_tier = ref_kernel.get("tier")
@@ -56,14 +55,14 @@ def cross_tier_note(reference: Dict[str, Any],
     if ref_tier == cand_tier:
         return None
     return (f"note: cross-tier comparison (reference ran on "
-            f"{ref_tier!r}, candidate on {cand_tier!r}); kernel blocks are "
-            "execution-side and excluded from the byte comparison")
+            f"{ref_tier!r}, candidate on {cand_tier!r}); the execution "
+            "blocks are excluded from the byte comparison")
 
 
 def normalize(document: Dict[str, Any]) -> str:
-    """The canonical byte form of a report, execution-side keys removed."""
+    """The canonical byte form of a report, the execution block removed."""
     trimmed = {key: value for key, value in document.items()
-               if key not in EXECUTION_KEYS}
+               if key != EXECUTION_KEY}
     return json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
 
 
@@ -95,7 +94,7 @@ def divergences(reference: Dict[str, Any],
             if a != b:
                 problems.append(f"experiment {name!r} differs")
     for key in sorted(set(reference) | set(candidate)):
-        if key in EXECUTION_KEYS or key == "experiments":
+        if key in (EXECUTION_KEY, "experiments"):
             continue
         if reference.get(key) != candidate.get(key):
             problems.append(
@@ -121,7 +120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if ref_bytes == cand_bytes:
         print(f"identical: {args.reference} == {args.candidate} "
               f"({len(ref_bytes)} canonical bytes, "
-              f"{'/'.join(EXECUTION_KEYS)} excluded)")
+              f"{EXECUTION_KEY} excluded)")
         return 0
     print(f"DIVERGENT: {args.reference} != {args.candidate}",
           file=sys.stderr)
