@@ -28,7 +28,7 @@ def main() -> None:
         link_bandwidth=400e6,
     )
     print("Building the 16-node speculative directory system "
-          f"({config.interconnect.resolved_topology().describe()}, "
+          f"({config.interconnect.topology.describe()}, "
           f"{config.interconnect.link_bandwidth_bytes_per_sec / 1e6:.0f} MB/s links)...")
     system = build_system(config)
     result = system.run()

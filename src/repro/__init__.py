@@ -40,8 +40,6 @@ from repro.core import (
 from repro.speculation import (
     Speculation,
     SpeculationManager,
-    register_speculation,
-    speculation_names,
 )
 from repro.system import (
     DirectorySystem,
@@ -77,8 +75,6 @@ __all__ = [
     "TABLE1_MECHANISMS",
     "Speculation",
     "SpeculationManager",
-    "register_speculation",
-    "speculation_names",
     "System",
     "DirectorySystem",
     "SnoopingSystem",

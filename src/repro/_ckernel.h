@@ -190,7 +190,7 @@ struct protocol_names {
     PyObject *issue_pending, *waiting, *stalled_until, *stream_index,
         *references, *retired_instructions, *store_counter,
         *references_completed, *state, *hits, *store_value_hook,
-        *counters_attr, *l1_hits, *gap, *next_send_seq, *send_seq,
+        *l1_hits, *gap, *next_send_seq, *send_seq,
         *messages_sent, *sent_name, *msg_class, *payload, *address,
         *issued_at, *requests_ordered, *busy, *requests_issued,
         *arb_label, *snoop_label;
@@ -203,12 +203,11 @@ struct ctrl_names {
     PyObject *transaction, *timeout_cycles, *pending_request,
         *pending_on_complete, *data_received, *acks_needed, *acks_received,
         *acks_expected, *completed, *on_complete_attr, *timeout_event,
-        *started_at, *txn_id, *op, *tick, *last_used, *misses, *evictions,
-        *completed_at, *miss_hist, *mem_hist, *buckets, *count_name, *total,
-        *min_name, *max_name, *bucket_width, *cancel, *load_hits,
-        *store_hits, *load_misses, *store_misses, *transactions_issued,
-        *transactions_completed, *stale_data, *duplicate_data, *stale_acks,
-        *memory_references, *value_hint;
+        *txn_id, *op, *tick, *last_used, *misses, *evictions,
+        *completed_at, *cancel, *load_hits, *store_hits, *load_misses,
+        *store_misses, *transactions_issued, *transactions_completed,
+        *stale_data, *duplicate_data, *stale_acks, *memory_references,
+        *value_hint;
 };
 
 CK_EXTERN struct ctrl_names TS;

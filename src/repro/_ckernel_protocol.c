@@ -1581,87 +1581,6 @@ txn_set_state(PyObject *observer, PyObject *line, PyObject *address,
     return rc;
 }
 
-/* Histogram.record(value) without the Python frame. */
-static int
-hist_record_ll(PyObject *hist, long long value)
-{
-    long long bw;
-    if (getattr_ll(hist, TS.bucket_width, &bw) < 0)
-        return -1;
-    long long bucket = value / bw;
-    if ((value % bw) != 0 && ((value < 0) != (bw < 0)))
-        bucket--;
-    PyObject *buckets = PyObject_GetAttr(hist, TS.buckets);
-    if (buckets == NULL || !PyDict_Check(buckets)) {
-        Py_XDECREF(buckets);
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError, "buckets must be a dict");
-        return -1;
-    }
-    PyObject *key = PyLong_FromLongLong(bucket);
-    if (key == NULL) {
-        Py_DECREF(buckets);
-        return -1;
-    }
-    PyObject *cur = PyDict_GetItemWithError(buckets, key);
-    long long n = 0;
-    if (cur != NULL) {
-        n = PyLong_AsLongLong(cur);
-        if (n == -1 && PyErr_Occurred())
-            goto fail;
-    }
-    else if (PyErr_Occurred())
-        goto fail;
-    PyObject *newcount = PyLong_FromLongLong(n + 1);
-    if (newcount == NULL)
-        goto fail;
-    int rc = PyDict_SetItem(buckets, key, newcount);
-    Py_DECREF(newcount);
-    if (rc < 0)
-        goto fail;
-    Py_DECREF(key);
-    Py_DECREF(buckets);
-    if (addattr_ll(hist, TS.count_name, 1) < 0 ||
-        addattr_ll(hist, TS.total, value) < 0)
-        return -1;
-    PyObject *cur_min = PyObject_GetAttr(hist, TS.min_name);
-    if (cur_min == NULL)
-        return -1;
-    int replace = (cur_min == Py_None);
-    if (!replace) {
-        long long m = PyLong_AsLongLong(cur_min);
-        if (m == -1 && PyErr_Occurred()) {
-            Py_DECREF(cur_min);
-            return -1;
-        }
-        replace = value < m;
-    }
-    Py_DECREF(cur_min);
-    if (replace && setattr_ll(hist, TS.min_name, value) < 0)
-        return -1;
-    PyObject *cur_max = PyObject_GetAttr(hist, TS.max_name);
-    if (cur_max == NULL)
-        return -1;
-    replace = (cur_max == Py_None);
-    if (!replace) {
-        long long m = PyLong_AsLongLong(cur_max);
-        if (m == -1 && PyErr_Occurred()) {
-            Py_DECREF(cur_max);
-            return -1;
-        }
-        replace = value > m;
-    }
-    Py_DECREF(cur_max);
-    if (replace && setattr_ll(hist, TS.max_name, value) < 0)
-        return -1;
-    return 0;
-
-fail:
-    Py_DECREF(key);
-    Py_DECREF(buckets);
-    return -1;
-}
-
 /* ------------------------------------------------------- finish thunk */
 
 static int
@@ -2496,9 +2415,6 @@ typedef struct {
     PyObject *cls_req_ro, *cls_req_rw, *cls_final;
     PyObject *payload_cls;
     PyObject *send;             /* ctrl.send (post-rebind MessageSendCore) */
-    PyObject *hist_meth;        /* bound ctrl.stats.histogram */
-    PyObject *hist_args;        /* ("l2.miss_latency",) */
-    PyObject *hist_kwargs;      /* {"bucket_width": 64} */
 } CTxnCore;
 
 static int
@@ -2509,9 +2425,6 @@ TxnCore_traverse(CTxnCore *self, visitproc visit, void *arg)
     Py_VISIT(self->cls_final);
     Py_VISIT(self->payload_cls);
     Py_VISIT(self->send);
-    Py_VISIT(self->hist_meth);
-    Py_VISIT(self->hist_args);
-    Py_VISIT(self->hist_kwargs);
     return ctrl_traverse(&self->base, visit, arg);
 }
 
@@ -2523,9 +2436,6 @@ TxnCore_clear_gc(CTxnCore *self)
     Py_CLEAR(self->cls_final);
     Py_CLEAR(self->payload_cls);
     Py_CLEAR(self->send);
-    Py_CLEAR(self->hist_meth);
-    Py_CLEAR(self->hist_args);
-    Py_CLEAR(self->hist_kwargs);
     return ctrl_clear(&self->base);
 }
 
@@ -2569,35 +2479,13 @@ txn_request(CCtrlCore *core, PyObject *txn, PyObject *addr_obj,
                          txn, addr_obj, addr);
 }
 
-/* _transaction_done: the FinalAck that unblocks the directory, and the
- * miss-latency histogram. */
+/* _transaction_done: the FinalAck that unblocks the directory. */
 static int
 txn_done(CCtrlCore *core, PyObject *txn, PyObject *taddr_obj,
          long long taddr)
 {
     CTxnCore *self = (CTxnCore *)core;
-    if (txn_send_home(self, self->cls_final, txn, taddr_obj, taddr) < 0)
-        return -1;
-    PyObject *hist = PyObject_GetAttr(core->ctrl, TS.miss_hist);
-    if (hist == NULL)
-        return -1;
-    if (hist == Py_None) {
-        Py_DECREF(hist);
-        hist = PyObject_Call(self->hist_meth, self->hist_args,
-                             self->hist_kwargs);
-        if (hist == NULL)
-            return -1;
-        if (PyObject_SetAttr(core->ctrl, TS.miss_hist, hist) < 0) {
-            Py_DECREF(hist);
-            return -1;
-        }
-    }
-    long long started;
-    int rc = getattr_ll(txn, TS.started_at, &started);
-    if (rc == 0)
-        rc = hist_record_ll(hist, core->sim->now - started);
-    Py_DECREF(hist);
-    return rc;
+    return txn_send_home(self, self->cls_final, txn, taddr_obj, taddr);
 }
 
 static PyObject *
@@ -2628,26 +2516,11 @@ TxnCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->cls_req_rw = Py_NewRef(cls_req_rw);
     self->cls_final = Py_NewRef(cls_final);
     self->payload_cls = Py_NewRef(payload_cls);
-    if (capture_attr(&self->send, ctrl, "send") < 0)
-        goto fail;
-    PyObject *stats = PyObject_GetAttrString(ctrl, "stats");
-    if (stats == NULL)
-        goto fail;
-    self->hist_meth = PyObject_GetAttrString(stats, "histogram");
-    Py_DECREF(stats);
-    if (self->hist_meth == NULL)
-        goto fail;
-    self->hist_args = Py_BuildValue("(s)", "l2.miss_latency");
-    if (self->hist_args == NULL)
-        goto fail;
-    self->hist_kwargs = Py_BuildValue("{s:i}", "bucket_width", 64);
-    if (self->hist_kwargs == NULL)
-        goto fail;
+    if (capture_attr(&self->send, ctrl, "send") < 0) {
+        Py_DECREF(self);
+        return NULL;
+    }
     return (PyObject *)self;
-
-fail:
-    Py_DECREF(self);
-    return NULL;
 }
 
 /* _install_line fast path: upgrade in place (keeping our own data when
@@ -2796,7 +2669,7 @@ PyTypeObject CTxnCore_Type = {
 /* -------------------------------------------------- MemoryCompleteCore */
 
 /* Compiled BlockingProcessor._memory_complete: retire accounting, the
- * shared latency histogram, the L1 tag fill and the next-issue schedule.
+ * L1 tag fill and the next-issue schedule.
  * Holds the node's ProcessorCore for the gap-draw fields and the shared
  * _issue_pending scheduling helper. */
 typedef struct {
@@ -2810,7 +2683,6 @@ typedef struct {
     int use_pure_fill;          /* observer installed: keep the pure fill */
     PyObject *fill_meth;        /* bound l1.fill */
     PyObject *counters_dict, *count_meth;
-    PyObject *hist_meth, *hist_args, *hist_kwargs;
 } CMemCore;
 
 static int
@@ -2825,9 +2697,6 @@ MemCore_traverse(CMemCore *self, visitproc visit, void *arg)
     Py_VISIT(self->fill_meth);
     Py_VISIT(self->counters_dict);
     Py_VISIT(self->count_meth);
-    Py_VISIT(self->hist_meth);
-    Py_VISIT(self->hist_args);
-    Py_VISIT(self->hist_kwargs);
     return 0;
 }
 
@@ -2843,9 +2712,6 @@ MemCore_clear_gc(CMemCore *self)
     Py_CLEAR(self->fill_meth);
     Py_CLEAR(self->counters_dict);
     Py_CLEAR(self->count_meth);
-    Py_CLEAR(self->hist_meth);
-    Py_CLEAR(self->hist_args);
-    Py_CLEAR(self->hist_kwargs);
     return 0;
 }
 
@@ -2940,19 +2806,6 @@ MemCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->count_meth = PyObject_GetAttrString(proc, "count");
     if (self->count_meth == NULL)
         goto fail;
-    PyObject *stats = PyObject_GetAttrString(proc, "stats");
-    if (stats == NULL)
-        goto fail;
-    self->hist_meth = PyObject_GetAttrString(stats, "histogram");
-    Py_DECREF(stats);
-    if (self->hist_meth == NULL)
-        goto fail;
-    self->hist_args = Py_BuildValue("(s)", "proc.mem_latency");
-    if (self->hist_args == NULL)
-        goto fail;
-    self->hist_kwargs = Py_BuildValue("{s:i}", "bucket_width", 64);
-    if (self->hist_kwargs == NULL)
-        goto fail;
     return (PyObject *)self;
 
 fail:
@@ -3041,33 +2894,6 @@ MemCore_call(CMemCore *self, PyObject *args, PyObject *kwds)
         comp_count(self->counters_dict, self->count_meth,
                    TS.memory_references) < 0)
         return NULL;
-    PyObject *hist = PyObject_GetAttr(p, TS.mem_hist);
-    if (hist == NULL)
-        return NULL;
-    if (hist == Py_None) {
-        Py_DECREF(hist);
-        hist = PyObject_Call(self->hist_meth, self->hist_args,
-                             self->hist_kwargs);
-        if (hist == NULL)
-            return NULL;
-        if (PyObject_SetAttr(p, TS.mem_hist, hist) < 0) {
-            Py_DECREF(hist);
-            return NULL;
-        }
-    }
-    long long completed, issued;
-    if (getattr_ll(request, TS.completed_at, &completed) < 0 ||
-        getattr_ll(request, PS.issued_at, &issued) < 0) {
-        Py_DECREF(hist);
-        return NULL;
-    }
-    long long lat = completed - issued;
-    if (lat < 0)
-        lat = 0;
-    int rc = hist_record_ll(hist, lat);
-    Py_DECREF(hist);
-    if (rc < 0)
-        return NULL;
     PyObject *addr_obj = PyObject_GetAttr(request, PS.address);
     if (addr_obj == NULL)
         return NULL;
@@ -3084,7 +2910,7 @@ MemCore_call(CMemCore *self, PyObject *args, PyObject *kwds)
             Py_DECREF(addr_obj);
             return NULL;
         }
-        rc = memcore_l1_fill(self, addr_obj, addr);
+        int rc = memcore_l1_fill(self, addr_obj, addr);
         Py_DECREF(addr_obj);
         if (rc < 0)
             return NULL;

@@ -3329,7 +3329,6 @@ PyInit__ckernel(void)
     INTERN(state, "state");
     INTERN(hits, "hits");
     INTERN(store_value_hook, "_store_value_hook");
-    INTERN(counters_attr, "_counters");
     INTERN(l1_hits, "l1_hits");
     INTERN(gap, "gap");
     INTERN(next_send_seq, "next_send_seq");
@@ -3363,7 +3362,6 @@ PyInit__ckernel(void)
     INTERN(completed, "completed");
     INTERN(on_complete_attr, "on_complete");
     INTERN(timeout_event, "timeout_event");
-    INTERN(started_at, "started_at");
     INTERN(txn_id, "txn_id");
     INTERN(op, "op");
     INTERN(tick, "_tick");
@@ -3371,14 +3369,6 @@ PyInit__ckernel(void)
     INTERN(misses, "misses");
     INTERN(evictions, "evictions");
     INTERN(completed_at, "completed_at");
-    INTERN(miss_hist, "_miss_latency_hist");
-    INTERN(mem_hist, "_mem_latency_hist");
-    INTERN(buckets, "buckets");
-    INTERN(count_name, "count");
-    INTERN(total, "total");
-    INTERN(min_name, "min");
-    INTERN(max_name, "max");
-    INTERN(bucket_width, "bucket_width");
     INTERN(cancel, "cancel");
     INTERN(load_hits, "load_hits");
     INTERN(store_hits, "store_hits");

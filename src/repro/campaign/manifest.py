@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign.spec import (
+    SPEC_SCHEMA,
     RunSpec,
     SweepSpec,
     canonical_json,
@@ -86,7 +87,7 @@ class CampaignManifest:
         Deliberately the same encoding as :meth:`SweepSpec.content_hash`, so
         a sweep and the manifest built from it agree on the campaign id.
         """
-        payload = {"schema": "repro.campaign.spec/v1", "name": self.name,
+        payload = {"schema": SPEC_SCHEMA, "name": self.name,
                    "specs": self.spec_hashes()}
         return hashlib.sha256(
             canonical_json(payload).encode("utf-8")).hexdigest()[:20]

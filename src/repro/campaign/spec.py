@@ -40,7 +40,7 @@ from repro.sim.config import (
 
 #: Version tag baked into every content hash; bump when the canonical spec
 #: encoding changes so stale cache entries can never be confused for fresh.
-SPEC_SCHEMA = "repro.campaign.spec/v1"
+SPEC_SCHEMA = "repro.campaign.spec/v2"
 
 
 def _jsonable(value: Any) -> Any:
@@ -57,40 +57,10 @@ def _jsonable(value: Any) -> Any:
 def config_to_dict(config: SystemConfig) -> Dict[str, Any]:
     """Canonical JSON-safe dictionary form of a :class:`SystemConfig`.
 
-    Fields whose ``None`` default predates a pluggable layer are omitted
-    from the encoding entirely, so design points from before that layer
-    keep byte-identical canonical forms — and therefore stable content
-    hashes / cache keys — while any explicit selection hashes in as new
-    data:
-
-    * ``interconnect.topology`` of ``None`` (the legacy "torus of
-      mesh_width x mesh_height" selection, pre-topology-layer);
-    * ``speculation.detectors`` of ``None`` (the "derive the speculation
-      set from the design flags" selection, pre-speculation-layer);
-    * ``workload.params`` of ``None`` (the "registered family defaults"
-      selection, pre-workload-registry).
+    Every field is encoded, so two configurations hash alike exactly when
+    they are equal.
     """
-    payload = _jsonable(asdict(config))
-    interconnect = payload.get("interconnect")
-    if isinstance(interconnect, dict) and interconnect.get("topology") is None:
-        del interconnect["topology"]
-    workload = payload.get("workload")
-    if isinstance(workload, dict) and workload.get("params") is None:
-        del workload["params"]
-    speculation = payload.get("speculation")
-    if isinstance(speculation, dict):
-        if speculation.get("detectors") is None:
-            del speculation["detectors"]
-        # ``interconnect_no_vc_speculation`` used to be inert; it now forces
-        # the Section 4 no-VC network at build time.  A marker key makes the
-        # canonical form of exactly the affected configurations (flag True)
-        # diverge from their pre-layer encoding, so any stale cache entry
-        # simulated under the old no-op semantics can never be served for
-        # the new machine.  Flag-False configurations — every design point
-        # the repository ever produced — keep byte-identical encodings.
-        if speculation.get("interconnect_no_vc_speculation"):
-            speculation["interconnect_no_vc_speculation"] = "forces-no-vc-network/v2"
-    return payload
+    return _jsonable(asdict(config))
 
 
 def canonical_json(payload: Any) -> str:
@@ -103,23 +73,13 @@ def config_from_dict(payload: Dict[str, Any]) -> SystemConfig:
 
     The exact inverse of :func:`config_to_dict` — the round trip
     ``config_to_dict(config_from_dict(d)) == d`` holds for every canonical
-    encoding the repository produces, so a design point shipped through a
-    campaign manifest (JSON on a shared store, rebuilt by a worker on any
-    host) re-hashes to the same content hash the submitting process wrote.
-    The ``None``-omitted fields decode through their dataclass defaults, and
-    the ``forces-no-vc-network/v2`` marker decodes back to the flag it
-    encodes.
+    encoding, so a design point shipped through a campaign manifest (JSON on
+    a shared store, rebuilt by a worker on any host) re-hashes to the same
+    content hash the submitting process wrote.
     """
     interconnect = dict(payload["interconnect"])
-    topology = interconnect.get("topology")
-    interconnect["topology"] = (
-        TopologyConfig(kind=topology["kind"], dims=tuple(topology["dims"]))
-        if topology is not None else None)
+    interconnect["topology"] = TopologyConfig(**interconnect["topology"])
     interconnect["routing"] = RoutingPolicy(interconnect["routing"])
-    speculation = dict(payload["speculation"])
-    if speculation.get("interconnect_no_vc_speculation") == \
-            "forces-no-vc-network/v2":
-        speculation["interconnect_no_vc_speculation"] = True
     return SystemConfig(
         num_processors=payload["num_processors"],
         protocol=ProtocolKind(payload["protocol"]),
@@ -132,7 +92,7 @@ def config_from_dict(payload: Dict[str, Any]) -> SystemConfig:
         processor=ProcessorConfig(**payload["processor"]),
         interconnect=InterconnectConfig(**interconnect),
         checkpoint=CheckpointConfig(**payload["checkpoint"]),
-        speculation=SpeculationConfig(**speculation),
+        speculation=SpeculationConfig(**payload["speculation"]),
         workload=WorkloadConfig(**payload["workload"]),
         cycles_per_second=payload["cycles_per_second"],
     )

@@ -67,20 +67,15 @@ class DirectoryCacheController(BlockingCacheController):
                          txn_ids=txn_ids,
                          misspeculation_reporter=misspeculation_reporter,
                          stats=stats)
-        #: Whether the S1 detection path is live: the speculative variant
-        #: with the ``directory-p2p-order`` design enabled.  Derived from
-        #: the configuration so directly constructed controllers (unit
-        #: tests) behave like system-built ones; the speculation layer
-        #: (:mod:`repro.speculation.detectors`) arms the matching
-        #: forward-progress policy.
+        #: Whether the S1 detection path is live: the speculative variant.
+        #: Derived from the configuration so directly constructed
+        #: controllers (unit tests) behave like system-built ones; the
+        #: speculation layer (:mod:`repro.speculation.detectors`) arms the
+        #: matching forward-progress policy.
         self.p2p_detection_enabled = (
-            config.variant == ProtocolVariant.SPECULATIVE
-            and config.speculation.speculates(
-                SpeculationKind.DIRECTORY_P2P_ORDER.value))
+            config.variant == ProtocolVariant.SPECULATIVE)
         self.send = send
         self.home = home
-        #: Lazily bound miss-latency histogram (bound once per controller).
-        self._miss_latency_hist = None
         #: Message dispatch table, built once (a fresh dict per message is
         #: measurable at protocol rates).
         self._handlers: Dict[MessageClass, Callable[[BlockAddress, CoherencePayload], None]] = {
@@ -104,11 +99,6 @@ class DirectoryCacheController(BlockingCacheController):
         # Send the FinalAck that unblocks the directory for this block.
         self.send(self.home(txn.address), MessageClass.FINAL_ACK, txn.address,
                   CoherencePayload(requestor=self.node_id, txn_id=txn.txn_id))
-        hist = self._miss_latency_hist
-        if hist is None:
-            hist = self._miss_latency_hist = self.stats.histogram(
-                "l2.miss_latency", bucket_width=64)
-        hist.record(self.sim._now - txn.started_at)
 
     def _timeout_description(self, txn: Transaction) -> Tuple[str, Dict[str, Any]]:
         return (f"transaction {txn.txn_id} ({txn.op.value} {txn.address:#x}) "
@@ -193,9 +183,9 @@ class DirectoryCacheController(BlockingCacheController):
                              "(WritebackAck overtook a ForwardedRequest)"),
                 details={"requestor": payload.requestor}))
         else:
-            # Full protocol (or S1 disabled): the directory already supplied
-            # data to the requestor when it observed the racing writeback,
-            # so the stale forward can be ignored.
+            # Full protocol: the directory already supplied data to the
+            # requestor when it observed the racing writeback, so the stale
+            # forward can be ignored.
             self.count("race_forward_ignored")
 
     # ------------------------------------------------------------ invalidations

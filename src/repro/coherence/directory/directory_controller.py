@@ -92,7 +92,6 @@ class DirectoryController(Component):
         self.send = send
         self.entries: Dict[BlockAddress, DirectoryEntry] = {}
         self._observer: Optional[EntryObserver] = None
-        self.writeback_races = 0
         #: Bumped on every recovery; delayed protocol actions scheduled under
         #: an older generation are dropped when they fire.
         self.generation = 0
@@ -297,7 +296,6 @@ class DirectoryController(Component):
 
         # Busy: the writeback races with an in-flight transaction for the
         # same block (Section 3.1's race).
-        self.writeback_races += 1
         self.count("writeback_races")
         busy = entry.busy
         assert busy is not None

@@ -69,15 +69,12 @@ class SnoopingCacheController(BlockingCacheController):
                          txn_ids=txn_ids,
                          misspeculation_reporter=misspeculation_reporter,
                          stats=stats)
-        #: Whether the S2 detection path is live: the speculative variant
-        #: with the ``snooping-corner-case`` design enabled.  Derived from
-        #: the configuration so directly constructed controllers (unit
-        #: tests) behave like system-built ones; the speculation layer
-        #: arms the matching slow-start policy.
+        #: Whether the S2 detection path is live: the speculative variant.
+        #: Derived from the configuration so directly constructed
+        #: controllers (unit tests) behave like system-built ones; the
+        #: speculation layer arms the matching slow-start policy.
         self.corner_case_detection_enabled = (
-            config.variant == ProtocolVariant.SPECULATIVE
-            and config.speculation.speculates(
-                SpeculationKind.SNOOPING_CORNER_CASE.value))
+            config.variant == ProtocolVariant.SPECULATIVE)
         self.bus = bus
         self.deliver_data = deliver_data
         #: Foreign requests ordered after our own RequestReadWrite but before

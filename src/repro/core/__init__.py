@@ -17,7 +17,7 @@ provide; this package implements them as composable pieces:
    "slow-start" restriction of outstanding coherence transactions.
 
 The pattern itself — one reusable arm/detect/recover/account lifecycle,
-applied three times — is rendered by the pluggable
+applied three times — is rendered by the
 :mod:`repro.speculation` package; this package keeps the event vocabulary
 (:mod:`repro.core.events`), the policies and the Table 1 catalog
 (:mod:`repro.core.catalog`).

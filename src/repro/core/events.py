@@ -36,12 +36,6 @@ class SpeculationKind(str, Enum):
     INTERCONNECT_DEADLOCK = "interconnect-deadlock"
     INJECTED = "injected"
 
-    @property
-    def registry_name(self) -> str:
-        """Name under which :mod:`repro.speculation` registers this kind's
-        implementation (the two vocabularies coincide by convention)."""
-        return self.value
-
 
 @dataclass
 class MisspeculationEvent:

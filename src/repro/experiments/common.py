@@ -57,20 +57,16 @@ def benchmark_config(workload: str = "jbb", *, seed: int = 1,
                      speculative_no_vc: bool = False,
                      switch_buffer_capacity: int = 16,
                      num_processors: int = 16,
-                     topology: Optional[str] = None,
-                     speculation: Optional[SpeculationConfig] = None) -> SystemConfig:
+                     topology: str = "torus") -> SystemConfig:
     """A proportionally scaled system for benchmark runs (16 nodes default).
 
     ``num_processors`` scales the machine (one switch per processor; 2D
     geometries use the most-square grid, e.g. 64 -> 8x8).  ``topology``
-    selects a registered geometry kind; ``None`` keeps the paper's torus via
-    the legacy width/height fields, which also keeps pre-topology-layer
-    design points hashing identically (see DESIGN.md §6).  ``speculation``
-    overrides the speculative-design selection; ``None`` keeps the preset's
-    scaled-down forward-progress windows with the default design flags (the
-    pre-speculation-layer encoding, so existing hashes are stable).
+    selects a registered geometry kind (the paper's torus by default).  The
+    Table 1 designs are ``variant`` (S1 or S2, by ``protocol``) and
+    ``speculative_no_vc`` (S3); the forward-progress windows are scaled
+    down with the rest of the machine.
     """
-    width, height = TopologyConfig.preset("torus", num_processors).dims
     return SystemConfig(
         num_processors=num_processors,
         protocol=protocol,
@@ -80,9 +76,7 @@ def benchmark_config(workload: str = "jbb", *, seed: int = 1,
         memory_bytes=64 * 1024 * 1024,
         memory_latency_cycles=400,
         interconnect=InterconnectConfig(
-            mesh_width=width, mesh_height=height,
-            topology=(TopologyConfig.preset(topology, num_processors)
-                      if topology is not None else None),
+            topology=TopologyConfig.preset(topology, num_processors),
             link_bandwidth_bytes_per_sec=link_bandwidth,
             link_latency_cycles=8,
             switch_buffer_capacity=switch_buffer_capacity,
@@ -96,11 +90,10 @@ def benchmark_config(workload: str = "jbb", *, seed: int = 1,
             recovery_latency_cycles=2_000,
             register_checkpoint_latency_cycles=100,
         ),
-        speculation=(speculation if speculation is not None
-                     else SpeculationConfig(
-                         adaptive_routing_disable_cycles=50_000,
-                         slow_start_cycles=40_000,
-                     )),
+        speculation=SpeculationConfig(
+            adaptive_routing_disable_cycles=50_000,
+            slow_start_cycles=40_000,
+        ),
         workload=WorkloadConfig(name=workload, references_per_processor=references,
                                 seed=seed),
         cycles_per_second=BENCH_CYCLES_PER_SECOND,

@@ -17,7 +17,7 @@ from typing import Any, Dict, List
 from repro.campaign.registry import CampaignContext, register_experiment
 from repro.interconnect.message import MessageClass, NetworkMessage
 from repro.interconnect.network import InterconnectNetwork, make_message
-from repro.sim.config import InterconnectConfig, RoutingPolicy
+from repro.sim.config import InterconnectConfig, RoutingPolicy, TopologyConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
 
@@ -50,7 +50,7 @@ class Fig1Result:
 def _run_one(policy: RoutingPolicy, *, pairs: int, seed: int) -> int:
     sim = Simulator()
     config = InterconnectConfig(
-        mesh_width=4, mesh_height=4, routing=policy,
+        topology=TopologyConfig("torus", (4, 4)), routing=policy,
         link_bandwidth_bytes_per_sec=400e6, link_latency_cycles=8,
         switch_buffer_capacity=16)
     network = InterconnectNetwork(sim, config, frequency_hz=4e9)

@@ -19,7 +19,7 @@ from repro.campaign.registry import CampaignContext, register_experiment
 from repro.interconnect.deadlock import DeadlockReport, detect_network_deadlock
 from repro.interconnect.message import MessageClass
 from repro.interconnect.network import InterconnectNetwork, make_message
-from repro.sim.config import InterconnectConfig, RoutingPolicy
+from repro.sim.config import InterconnectConfig, RoutingPolicy, TopologyConfig
 from repro.sim.engine import Simulator
 
 
@@ -68,7 +68,8 @@ class Fig3Result:
 def _run_one(*, speculative_no_vc: bool, messages: int, buffer_capacity: int):
     sim = Simulator()
     config = InterconnectConfig(
-        mesh_width=2, mesh_height=1, routing=RoutingPolicy.STATIC,
+        topology=TopologyConfig("torus", (2, 1)),
+        routing=RoutingPolicy.STATIC,
         link_bandwidth_bytes_per_sec=200e6, link_latency_cycles=8,
         switch_buffer_capacity=buffer_capacity,
         speculative_no_vc=speculative_no_vc,

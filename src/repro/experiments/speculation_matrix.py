@@ -4,13 +4,13 @@ The paper presents its three applications of speculation-for-simplicity as
 rows of a table; this experiment renders the *design space* they span as a
 sweep: every subset of {S1 point-to-point ordering, S2 snooping corner
 case, S3 no-VC interconnect} crossed with both coherence protocols, the
-registered topologies and two system scales.  Each design point builds the
-system through the speculation registry (a combination is just a
-:class:`~repro.sim.config.SpeculationConfig`), so the sweep doubles as an
-integration test of the pluggable layer: arming is config-driven, disabled
-designs fall back to their fully specified counterparts, and the whole
-grid is deterministic (serial == parallel == cached == sharded,
-byte-identical; :func:`sharded_smoke` is the sharded leg).
+registered topologies and two system scales.  A combination is just two
+configuration fields (``variant`` and ``speculative_no_vc``), so the sweep
+doubles as an integration test of the speculation layer: arming is
+config-driven, disabled designs fall back to their fully specified
+counterparts, and the whole grid is deterministic (serial == parallel ==
+cached == sharded, byte-identical; :func:`sharded_smoke` is the sharded
+leg).
 
 Per design point it reports runtime, detection/recovery totals and the
 per-kind recovery attribution, so the cost of *combining* speculations —
@@ -23,11 +23,11 @@ Semantics of a combination:
   toggles ``variant`` between SPECULATIVE and FULL — "off" means the
   conventional, fully designed protocol, exactly as in Table 1;
 * S3 toggles the Section 4 no-VC network via
-  ``interconnect_no_vc_speculation`` (meaningless for the bus-based
-  snooping system, which carries the flag but ignores the interconnect);
-* the other protocol's flag is carried in the configuration (it names the
-  design point) but arms nothing, because ``applies_to`` filters by
-  protocol.
+  ``InterconnectConfig.speculative_no_vc`` (meaningless for the bus-based
+  snooping system, which ignores the interconnect);
+* the other protocol's design does not exist in the system, so it changes
+  nothing: the point names it, but its configuration equals the point
+  without it.
 
 The grid is deliberately the *full* cross product even where axes are
 inert — for the bus-based snooping system S1, S3 and the topology change
@@ -53,12 +53,7 @@ from repro.campaign.registry import CampaignContext, register_experiment
 from repro.campaign.spec import RunSpec, SweepSpec
 from repro.core.events import SpeculationKind
 from repro.experiments.common import benchmark_config, run_specs
-from repro.sim.config import (
-    ProtocolKind,
-    ProtocolVariant,
-    SpeculationConfig,
-    SystemConfig,
-)
+from repro.sim.config import ProtocolKind, ProtocolVariant, SystemConfig
 
 #: The three Table 1 designs, in paper order; a combination is a subset.
 COMBINATIONS: Sequence[Tuple[bool, bool, bool]] = tuple(
@@ -109,18 +104,14 @@ def _point_config(workload: str, protocol: ProtocolKind,
                   references: int, seed: int) -> SystemConfig:
     s1, s2, s3 = combo
     own_speculation = s1 if protocol == ProtocolKind.DIRECTORY else s2
-    speculation = SpeculationConfig(
-        adaptive_routing_disable_cycles=50_000,
-        slow_start_cycles=40_000,
-    ).with_designs(s1=s1, s2=s2, s3=s3)
     return benchmark_config(
         workload, seed=seed, references=references,
         variant=(ProtocolVariant.SPECULATIVE if own_speculation
                  else ProtocolVariant.FULL),
         protocol=protocol,
+        speculative_no_vc=s3,
         num_processors=nodes,
-        topology=topology,
-        speculation=speculation)
+        topology=topology)
 
 
 def run(workload: str = "jbb", *,

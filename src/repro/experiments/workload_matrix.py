@@ -20,11 +20,11 @@ the registry: name resolution is config-driven and the whole grid is
 deterministic (serial == parallel == cached == sharded, byte-identical;
 :func:`sharded_smoke` is the sharded leg).
 
-S3 on the bus-based snooping system carries the flag but changes nothing
-(there is no network to strip virtual channels from); those points
-re-simulate identical behaviour under distinct design-point hashes, which —
-as in the speculation matrix — is the point: every cell of the cross
-product is demonstrated, inert axes included.
+S3 on the bus-based snooping system changes nothing (there is no network
+to strip virtual channels from); those points re-simulate identical
+behaviour under distinct design-point hashes, which — as in the
+speculation matrix — is the point: every cell of the cross product is
+demonstrated, inert axes included.
 
 Quick mode shrinks the workload axis to one family per kind — one paper
 profile (``jbb``) and one parameterized family (``hotspot``) — and never
@@ -42,7 +42,7 @@ from repro.campaign.registry import CampaignContext, register_experiment
 from repro.campaign.spec import RunSpec, SweepSpec
 from repro.core.events import SpeculationKind
 from repro.experiments.common import benchmark_config, run_specs
-from repro.sim.config import ProtocolKind, SpeculationConfig, SystemConfig
+from repro.sim.config import ProtocolKind, SystemConfig
 from repro.workloads import workload_names
 
 PROTOCOLS: Sequence[ProtocolKind] = (ProtocolKind.DIRECTORY,
@@ -88,13 +88,9 @@ def _point_label(workload: str, protocol: ProtocolKind, s3: bool) -> str:
 
 def _point_config(workload: str, protocol: ProtocolKind, s3: bool, *,
                   references: int, seed: int) -> SystemConfig:
-    speculation = SpeculationConfig(
-        adaptive_routing_disable_cycles=50_000,
-        slow_start_cycles=40_000,
-    ).with_designs(s3=s3)
     return benchmark_config(
         workload, seed=seed, references=references, protocol=protocol,
-        num_processors=NUM_PROCESSORS, speculation=speculation)
+        speculative_no_vc=s3, num_processors=NUM_PROCESSORS)
 
 
 def run(workloads: Optional[Sequence[str]] = None, *,

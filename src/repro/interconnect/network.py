@@ -80,12 +80,6 @@ class OrderingTracker:
             reordered = self.per_vnet_reordered[vnet]
         return reordered / delivered if delivered else 0.0
 
-    def reset(self) -> None:
-        self._records.clear()
-        for vn in VirtualNetwork:
-            self.per_vnet_delivered[vn] = 0
-            self.per_vnet_reordered[vn] = 0
-
 
 class _Endpoint:
     """Network-interface state for one attached node."""
@@ -119,10 +113,10 @@ class InterconnectNetwork:
         self.sim = sim
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
-        topo_cfg = config.resolved_topology()
         # Shared read-only geometry: identical (kind, dims) networks reuse
         # one topology instance with its routing tables already built.
-        self.topology: Topology = shared_topology(topo_cfg.kind, topo_cfg.dims)
+        self.topology: Topology = shared_topology(config.topology.kind,
+                                                  config.topology.dims)
         self.ordering = OrderingTracker()
         self.routing = self._make_routing(config.routing)
         self.frequency_hz = frequency_hz

@@ -86,7 +86,6 @@ class AdaptiveMinimalRouting(RoutingAlgorithm):
         super().__init__(topology)
         self._disabled_until = -1
         self._now: Callable[[], int] = lambda: 0
-        self.decisions = 0
         self.non_dimension_order_choices = 0
         self._static_table = topology.dimension_order_table()
         self._minimal_table = topology.minimal_directions_table()
@@ -123,7 +122,6 @@ class AdaptiveMinimalRouting(RoutingAlgorithm):
         if len(options) <= 1:
             return options[0] if options else static_choice
 
-        self.decisions += 1
         scored = [(congestion(direction), direction) for direction in options]
         best_score = min(score for score, _ in scored)
         best = [direction for score, direction in scored if score == best_score]

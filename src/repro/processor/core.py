@@ -76,9 +76,6 @@ class BlockingProcessor(Component, CheckpointParticipant):
         self._waiting_for_memory = False
         self._issue_pending = False
         self._on_finished: Optional[Callable[[int], None]] = None
-        #: Lazily bound shared latency histogram (same registry lifetime as
-        #: the processor, so the binding can never go stale).
-        self._mem_latency_hist = None
 
     # ----------------------------------------------------------------- control
     def start(self, on_finished: Optional[Callable[[int], None]] = None) -> None:
@@ -196,11 +193,6 @@ class BlockingProcessor(Component, CheckpointParticipant):
         self._waiting_for_memory = False
         self.references_completed += 1
         self.count("memory_references")
-        hist = self._mem_latency_hist
-        if hist is None:
-            hist = self._mem_latency_hist = self.stats.histogram(
-                "proc.mem_latency", bucket_width=64)
-        hist.record(max(0, request.completed_at - request.issued_at))
         if self.l1 is not None:
             self.l1.fill(request.address)
         self._schedule_issue(self._compute_gap_cycles())

@@ -38,8 +38,4 @@ class Checkpoint:
 
     seq: int
     created_at: int
-    #: Logical trigger value at creation (cycle count for directory systems,
-    #: request count for snooping systems).
-    trigger_value: int
     snapshots: Dict[str, Any] = field(default_factory=dict)
-    committed: bool = False

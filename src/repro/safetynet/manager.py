@@ -47,7 +47,6 @@ class SafetyNet:
         self.sim = sim
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
-        self.num_nodes = num_nodes
         self.interval_cycles = interval_cycles
         self.interval_requests = interval_requests
         self.logs: Dict[int, CheckpointLogBuffer] = {
@@ -137,10 +136,7 @@ class SafetyNet:
         return self._next_seq
 
     def _create_checkpoint(self) -> Checkpoint:
-        trigger = (self.sim.now if self.interval_cycles is not None
-                   else self._requests_seen)
-        checkpoint = Checkpoint(seq=self._next_seq, created_at=self.sim.now,
-                                trigger_value=trigger)
+        checkpoint = Checkpoint(seq=self._next_seq, created_at=self.sim.now)
         for participant in self._participants:
             checkpoint.snapshots[participant.participant_id] = (
                 participant.checkpoint_snapshot())
@@ -172,8 +168,6 @@ class SafetyNet:
             return
         to_commit = self._checkpoints[:-keep]
         last_seq = to_commit[-1].seq
-        for checkpoint in to_commit:
-            checkpoint.committed = True
         for log in self.logs.values():
             log.commit_through(last_seq)
         self.stats.counter("safetynet.commits").add(len(to_commit))

@@ -153,42 +153,29 @@ class TopologyConfig:
 
 @dataclass
 class InterconnectConfig:
-    """Interconnect parameters (geometry, bandwidth, buffering, routing).
+    """Interconnect parameters (geometry, bandwidth, buffering, routing)."""
 
-    The geometry is chosen by ``topology``; when it is left as ``None`` the
-    legacy ``mesh_width``/``mesh_height`` fields select the paper's 2D torus
-    (the default 4x4 gives the 16-node target system).  Existing
-    configurations therefore keep their meaning *and* their campaign content
-    hashes — ``topology=None`` is omitted from the canonical spec encoding
-    (see :func:`repro.campaign.spec.config_to_dict`).
-    """
-
-    #: Torus dimensions used when ``topology`` is None (back-compat path).
-    mesh_width: int = 4
-    mesh_height: int = 4
-    #: Explicit geometry selection; None means "torus of mesh_width x
-    #: mesh_height" (the paper's machine).
-    topology: Optional[TopologyConfig] = None
+    #: The geometry; the default 4x4 torus is the paper's 16-node machine.
+    topology: TopologyConfig = field(default_factory=TopologyConfig)
     link_bandwidth_bytes_per_sec: float = 400e6
     link_latency_cycles: int = 8
     #: Per-input-port buffer capacity in messages (the buffer-sweep knob).
     switch_buffer_capacity: int = 16
-    endpoint_buffer_capacity: int = 64
     #: Number of virtual networks (message classes); the directory protocol
     #: uses four: Request, ForwardedRequest, Response, FinalAck.
     virtual_networks: int = 4
     #: Virtual channels per virtual network; 2 suffice for static routing on
     #: a torus, adaptive routing needs one extra escape channel.  Values
     #: below 1 build one channel per virtual network; only
-    #: ``speculative_no_vc`` (or the S3 speculation flag) selects the
-    #: speculative no-VC design.
+    #: ``speculative_no_vc`` selects the speculative no-VC design.
     virtual_channels_per_network: int = 2
     routing: RoutingPolicy = RoutingPolicy.STATIC
     #: Control/coherence message size and data message size in bytes.
     control_message_bytes: int = 8
     data_message_bytes: int = 72
-    #: When True the network is the speculatively simplified design of
-    #: Section 4: no virtual channels/networks, all classes share buffers.
+    #: The S3 design of Table 1: when True the network is the speculatively
+    #: simplified design of Section 4, with no virtual channels/networks;
+    #: all classes share buffers.
     speculative_no_vc: bool = False
     #: In the no-VC design, a network interface stops ingesting messages
     #: while its own outbound queue is this deep (it has nowhere to put the
@@ -198,17 +185,10 @@ class InterconnectConfig:
     #: limit is ignored when virtual channels are enabled.
     nic_injection_limit: int = 8
 
-    def resolved_topology(self) -> TopologyConfig:
-        """The effective geometry: ``topology`` or the legacy torus fields."""
-        if self.topology is not None:
-            return self.topology
-        return TopologyConfig(kind="torus",
-                              dims=(self.mesh_width, self.mesh_height))
-
     @property
     def num_switches(self) -> int:
-        """Switch count of the effective geometry (``product(dims)``)."""
-        return self.resolved_topology().num_switches
+        """Switch count of the geometry (``product(dims)``)."""
+        return self.topology.num_switches
 
     def link_cycles_per_byte(self, frequency_hz: float) -> float:
         """Cycles needed to serialise one byte on a link."""
@@ -250,29 +230,13 @@ class CheckpointConfig:
 class SpeculationConfig:
     """Knobs of the speculation-for-simplicity framework.
 
-    The three ``*_speculation`` flags name the paper's Table 1 designs and
-    select which registered :class:`repro.speculation.base.Speculation`
-    implementations a built system arms (the registry names are the
-    :class:`repro.core.events.SpeculationKind` values — see
-    :meth:`enabled_speculations`).  ``detectors`` overrides the derived set
-    with an explicit list of registry names; it defaults to ``None`` and is
-    omitted from the canonical campaign encoding in that case, so design
-    points that predate the speculation layer keep byte-identical canonical
-    forms — and therefore stable content hashes / cache keys.
+    The Table 1 designs themselves are chosen elsewhere, one field each:
+    S1 and S2 by :attr:`SystemConfig.variant` (the speculative variant of
+    the configured protocol) and S3 by
+    :attr:`InterconnectConfig.speculative_no_vc`.  What remains here are the
+    detection timeout and the forward-progress windows.
     """
 
-    #: Speculate on point-to-point ordering in the directory protocol (S1).
-    directory_p2p_speculation: bool = True
-    #: Leave the snooping corner case unhandled and detect it instead (S2).
-    snooping_corner_case_speculation: bool = True
-    #: Remove virtual channels and recover from deadlock (S3).  Building a
-    #: system with this flag set forces the Section 4 no-VC network design
-    #: even when ``InterconnectConfig.speculative_no_vc`` is left False
-    #: (the two knobs are OR-ed; the interconnect flag predates this one).
-    interconnect_no_vc_speculation: bool = False
-    #: Explicit speculation selection: a tuple of registry names from
-    #: :mod:`repro.speculation`.  ``None`` derives the set from the flags.
-    detectors: Optional[Tuple[str, ...]] = None
     #: Transaction timeout for deadlock detection, in checkpoint intervals.
     timeout_checkpoint_intervals: int = 3
     #: Forward progress: cycles for which adaptive routing stays disabled
@@ -285,64 +249,6 @@ class SpeculationConfig:
     #: concurrency.
     slow_start_cycles: int = 100_000
 
-    def __post_init__(self) -> None:
-        if self.detectors is not None:
-            self.detectors = tuple(str(name) for name in self.detectors)
-
-    def enabled_speculations(self) -> Tuple[str, ...]:
-        """Registry names of the speculations a built system should arm.
-
-        With ``detectors=None`` the set derives from the design flags; the
-        deadlock watchdog (``interconnect-deadlock``) is always included —
-        the transaction timeout doubles as the safety net that keeps even a
-        conventionally designed network from wedging a run silently, which
-        matches the repository's historical wiring.  Each name is further
-        filtered by the registered class's ``applies_to`` (protocol and
-        variant), so one configuration can describe the complete design
-        space and each built system arms only what exists in it.
-        """
-        if self.detectors is not None:
-            return self.detectors
-        names = []
-        if self.directory_p2p_speculation:
-            names.append(SpeculationName.DIRECTORY_P2P_ORDER)
-        if self.snooping_corner_case_speculation:
-            names.append(SpeculationName.SNOOPING_CORNER_CASE)
-        names.append(SpeculationName.INTERCONNECT_DEADLOCK)
-        return tuple(names)
-
-    def speculates(self, name: str) -> bool:
-        """Whether the named speculative design is enabled."""
-        return name in self.enabled_speculations()
-
-    def with_designs(self, *, s1: Optional[bool] = None,
-                     s2: Optional[bool] = None,
-                     s3: Optional[bool] = None) -> "SpeculationConfig":
-        """Copy with the Table 1 design flags replaced (None = keep)."""
-        return replace(
-            self,
-            directory_p2p_speculation=(
-                self.directory_p2p_speculation if s1 is None else s1),
-            snooping_corner_case_speculation=(
-                self.snooping_corner_case_speculation if s2 is None else s2),
-            interconnect_no_vc_speculation=(
-                self.interconnect_no_vc_speculation if s3 is None else s3),
-        )
-
-
-class SpeculationName:
-    """The registry names of :mod:`repro.speculation` (one per design).
-
-    These equal the :class:`repro.core.events.SpeculationKind` values;
-    duplicated here as plain strings so this bottom-layer module does not
-    import the framework package.
-    """
-
-    DIRECTORY_P2P_ORDER = "directory-p2p-order"
-    SNOOPING_CORNER_CASE = "snooping-corner-case"
-    INTERCONNECT_DEADLOCK = "interconnect-deadlock"
-    INJECTED = "injected"
-
 
 @dataclass
 class WorkloadConfig:
@@ -353,11 +259,7 @@ class WorkloadConfig:
     construction fails fast — listing the registered names — so a typo'd
     campaign axis dies before any simulation starts rather than mid-run
     inside ``load_workload``.  ``params`` optionally overrides the family's
-    default parameters; ``None`` (the default) means "family defaults" and
-    is omitted from the canonical campaign encoding
-    (:func:`repro.campaign.spec.config_to_dict`), exactly like
-    ``topology=None`` and ``detectors=None``, so every pre-params design
-    point keeps a byte-identical canonical form and a stable content hash.
+    default parameters; ``None`` (the default) means "family defaults".
     """
 
     name: str = "jbb"
@@ -365,12 +267,10 @@ class WorkloadConfig:
     references_per_processor: int = 20_000
     #: Root seed for the deterministic RNG tree.
     seed: int = DEFAULT_WORKLOAD_SEED
-    #: Number of perturbed runs per design point (paper uses several).
-    runs: int = 1
     #: Std-dev (in cycles) of the pseudo-random memory-latency perturbation.
     latency_jitter_cycles: int = 2
     #: Family-specific parameter overrides; ``None`` means the registered
-    #: family's defaults (and is omitted from the canonical spec encoding).
+    #: family's defaults.
     params: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
@@ -415,7 +315,7 @@ class SystemConfig:
             raise ValueError("num_processors must be positive")
         if self.block_bytes != self.l1.block_bytes or self.block_bytes != self.l2.block_bytes:
             raise ValueError("block size must match across memory and caches")
-        topo = self.interconnect.resolved_topology()
+        topo = self.interconnect.topology
         if topo.num_switches < self.num_processors:
             raise ValueError(
                 f"{topo.describe()} cannot host {self.num_processors} nodes")
@@ -454,7 +354,7 @@ class SystemConfig:
             memory_bytes=16 * 1024 * 1024,
             memory_latency_cycles=100,
             interconnect=InterconnectConfig(
-                mesh_width=width, mesh_height=height,
+                topology=TopologyConfig("torus", (width, height)),
                 link_latency_cycles=4,
                 switch_buffer_capacity=16,
             ),
@@ -489,7 +389,7 @@ class SystemConfig:
             "Miss From Memory": f"{self.memory_latency_cycles} cycles / "
                                  f"{self.memory_latency_cycles / self.processor.frequency_hz * 1e9:g} ns "
                                  "(uncontended, 2-hop)",
-            "Interconnection Networks": f"{ic.resolved_topology().describe()}, "
+            "Interconnection Networks": f"{ic.topology.describe()}, "
                                          "link bandwidth = "
                                          f"{ic.link_bandwidth_bytes_per_sec / 1e6:.0f} MB/sec",
             "Checkpoint Log Buffer": f"{cp.log_buffer_bytes // 1024} kbytes total, "

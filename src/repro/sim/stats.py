@@ -3,7 +3,7 @@
 Every experiment in the paper reduces to a handful of aggregate statistics:
 message counts per virtual network, reordering counts, recovery counts, link
 utilisation, and end-to-end runtime.  The classes here are deliberately
-simple (counters, histograms) and are aggregated through a
+simple (counters, histograms); counters are aggregated through a
 :class:`StatsRegistry` that the system builder shares across components so
 reports can be produced from one place.
 """
@@ -73,22 +73,16 @@ class Histogram:
 
 
 class StatsRegistry:
-    """A flat namespace of counters and histograms shared by a system."""
+    """A flat namespace of counters shared by a system."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
 
     # -------------------------------------------------------------- factories
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
             self._counters[name] = Counter(name)
         return self._counters[name]
-
-    def histogram(self, name: str, bucket_width: int = 16) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name, bucket_width=bucket_width)
-        return self._histograms[name]
 
     # ---------------------------------------------------------------- queries
     def counters(self, prefix: str = "") -> Dict[str, int]:
@@ -102,14 +96,9 @@ class StatsRegistry:
         return sum(c.value for name, c in self._counters.items()
                    if name.startswith(prefix))
 
-    def histograms(self, prefix: str = "") -> Dict[str, Histogram]:
-        return {name: hist for name, hist in self._histograms.items()
-                if name.startswith(prefix)}
-
     def reset(self) -> None:
         for counter in self._counters.values():
             counter.reset()
-        self._histograms.clear()
 
     # --------------------------------------------------------------- reporting
     def as_rows(self, prefix: str = "") -> List[Tuple[str, int]]:

@@ -2,20 +2,18 @@
 
 The paper's thesis — speculation as a *single reusable design pattern*
 (detect a rare corner case, recover via SafetyNet, guarantee forward
-progress) applied three times — is rendered here as a pluggable layer,
-mirroring the experiment registry (:mod:`repro.campaign`) and the topology
-registry (:mod:`repro.interconnect.topology`):
+progress) applied three times — is rendered here as one layer:
 
 * :class:`Speculation` — the ABC capturing the arm / detect / on_recovery /
   stats lifecycle (:mod:`repro.speculation.base`);
-* :func:`register_speculation` — the registry keyed by the stable names of
-  :class:`repro.core.events.SpeculationKind`
-  (:mod:`repro.speculation.registry`);
 * the paper's S1/S2/S3 designs plus the Figure 4 injector as concrete
-  implementations (:mod:`repro.speculation.detectors`);
+  implementations, each named by its
+  :class:`repro.core.events.SpeculationKind`
+  (:mod:`repro.speculation.detectors`);
 * :class:`SpeculationManager` — one per system; owns the SafetyNet
   interaction, coalesces concurrent detections into a single rollback,
-  keeps per-kind accounting and arms whatever the configuration enables
+  keeps per-kind accounting and arms each Table 1 design whose
+  ``applies_to`` holds for the configuration
   (:mod:`repro.speculation.manager`).
 """
 
@@ -28,19 +26,11 @@ from repro.speculation.detectors import (
     transaction_timeout_cycles,
 )
 from repro.speculation.manager import FrameworkStats, SpeculationManager
-from repro.speculation.registry import (
-    get_speculation,
-    register_speculation,
-    speculation_names,
-)
 
 __all__ = [
     "Speculation",
     "SpeculationManager",
     "FrameworkStats",
-    "register_speculation",
-    "get_speculation",
-    "speculation_names",
     "DirectoryP2POrderSpeculation",
     "SnoopingCornerCaseSpeculation",
     "InterconnectDeadlockSpeculation",

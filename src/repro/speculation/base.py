@@ -11,7 +11,7 @@ explicit lifecycle:
     a given :class:`~repro.sim.config.SystemConfig` describes?  (S1 only
     exists in a speculative-variant directory system, S2 only in a
     speculative-variant snooping system, the deadlock watchdog in every
-    system that enables it.)
+    system.)
 
 ``arm(system)``
     Wire the detection mechanism into the built system (set controller
@@ -48,8 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class Speculation(ABC):
     """One speculative design: detect / recover / forward-progress / account."""
 
-    #: Registry handle; assigned by :func:`register_speculation`.
-    name: ClassVar[str] = "abstract"
     #: The event kind this design raises and accounts under.
     kind: ClassVar[SpeculationKind]
     #: Paper section implementing the design (documentation surfaced in stats).
@@ -100,7 +98,6 @@ class Speculation(ABC):
     def stats(self) -> Dict[str, Any]:
         """JSON-safe accounting snapshot."""
         return {
-            "name": self.name,
             "kind": self.kind.value,
             "paper_section": self.paper_section,
             "armed_on": self.armed_on,
@@ -110,5 +107,5 @@ class Speculation(ABC):
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"{type(self).__name__}(name={self.name!r}, "
+        return (f"{type(self).__name__}(kind={self.kind.value!r}, "
                 f"detections={self.detections}, recoveries={self.recoveries})")

@@ -27,7 +27,6 @@ from repro.sim.config import (
     SystemConfig,
 )
 from repro.speculation.base import Speculation
-from repro.speculation.registry import register_speculation
 
 
 def transaction_timeout_cycles(checkpoint: CheckpointConfig,
@@ -45,7 +44,6 @@ def transaction_timeout_cycles(checkpoint: CheckpointConfig,
     return max(1, speculation.timeout_checkpoint_intervals) * interval
 
 
-@register_speculation(SpeculationKind.DIRECTORY_P2P_ORDER.value)
 class DirectoryP2POrderSpeculation(Speculation):
     """S1 — the directory protocol speculates on point-to-point ordering.
 
@@ -81,7 +79,6 @@ class DirectoryP2POrderSpeculation(Speculation):
         return payload
 
 
-@register_speculation(SpeculationKind.SNOOPING_CORNER_CASE.value)
 class SnoopingCornerCaseSpeculation(Speculation):
     """S2 — the snooping protocol leaves a writeback corner case unhandled.
 
@@ -109,16 +106,14 @@ class SnoopingCornerCaseSpeculation(Speculation):
         self.manager.set_policy(self.kind, self.policy)
 
 
-@register_speculation(SpeculationKind.INTERCONNECT_DEADLOCK.value)
 class InterconnectDeadlockSpeculation(Speculation):
     """S3 — deadlock detection by coherence-transaction timeout (Section 4).
 
     The *design* being speculated on is the no-virtual-channel interconnect
-    (selected by ``InterconnectConfig.speculative_no_vc`` or the
-    ``interconnect_no_vc_speculation`` flag); the timeout watchdog itself is
-    armed on every system that enables this speculation — it is also the
-    safety net that keeps a conventionally designed network from wedging a
-    run silently, exactly as in the repository's pre-refactor wiring.
+    (selected by ``InterconnectConfig.speculative_no_vc``); the timeout
+    watchdog itself is armed on every system — it is also the safety net
+    that keeps a conventionally designed network from wedging a run
+    silently.
     """
 
     kind = SpeculationKind.INTERCONNECT_DEADLOCK
@@ -172,7 +167,6 @@ class InterconnectDeadlockSpeculation(Speculation):
         return payload
 
 
-@register_speculation(SpeculationKind.INJECTED.value)
 class PeriodicInjectionSpeculation(Speculation):
     """The Figure 4 stress test: recoveries at a fixed rate per "second".
 

@@ -16,11 +16,10 @@ every report it:
    section's questions — how often do we mis-speculate, and what does each
    recovery cost — can be answered directly.
 
-It is also the uniform attach point for the pluggable speculation layer:
-:meth:`arm` instantiates every registered :class:`Speculation` the
-configuration enables and lets each wire itself into the built system,
-which replaces the injector/timeout plumbing the two system classes used
-to duplicate.
+It is also the uniform attach point for the speculation layer: :meth:`arm`
+instantiates each Table 1 design the built system contains and lets each
+wire itself into it, which replaces the injector/timeout plumbing the two
+system classes used to duplicate.
 """
 
 from __future__ import annotations
@@ -34,7 +33,16 @@ from repro.safetynet.manager import SafetyNet
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
 from repro.speculation.base import Speculation
-from repro.speculation.registry import get_speculation
+from repro.speculation.detectors import (
+    DirectoryP2POrderSpeculation,
+    InterconnectDeadlockSpeculation,
+    PeriodicInjectionSpeculation,
+    SnoopingCornerCaseSpeculation,
+)
+
+#: The paper's three designs in Table 1 order (S1, S2, S3).
+TABLE1_DESIGNS = (DirectoryP2POrderSpeculation, SnoopingCornerCaseSpeculation,
+                  InterconnectDeadlockSpeculation)
 
 
 @dataclass
@@ -90,30 +98,23 @@ class SpeculationManager:
         return list(self._attached.values())
 
     def arm(self, system) -> None:
-        """Instantiate and arm every speculation the configuration enables.
+        """Instantiate and arm each Table 1 design the system contains.
 
-        The enabled set comes from
-        :meth:`repro.sim.config.SpeculationConfig.enabled_speculations`;
-        each class additionally filters itself through ``applies_to`` (S1
-        never arms on a snooping system, detection never arms on a FULL
-        variant), so one configuration can name the complete Table 1 design
-        space and each built system picks what exists in it.
+        Each class decides through ``applies_to``: S1 arms only on a
+        speculative directory system, S2 only on a speculative snooping
+        system, and the deadlock watchdog on every system.
         """
         config = system.config
-        for name in config.speculation.enabled_speculations():
-            cls = get_speculation(name)
-            if not cls.applies_to(config):
-                continue
-            speculation = self.attach(cls(self))
-            speculation.arm(system)
-            speculation.armed_on = system.label
+        for cls in TABLE1_DESIGNS:
+            if cls.applies_to(config):
+                speculation = self.attach(cls(self))
+                speculation.arm(system)
+                speculation.armed_on = system.label
 
     def attach_injector(self, *, rate_per_second: float,
                         cycles_per_second: float):
         """Attach the Figure 4 periodic-recovery injector (uniform entry
         point used by ``System.attach_recovery_injector``)."""
-        from repro.speculation.detectors import PeriodicInjectionSpeculation
-
         injector = PeriodicInjectionSpeculation(
             self, rate_per_second=rate_per_second,
             cycles_per_second=cycles_per_second)

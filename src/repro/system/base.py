@@ -16,21 +16,20 @@ event scheduled during build must happen in a fixed order), so the base
 4. the :class:`~repro.speculation.manager.SpeculationManager` and the
    slow-start gate;
 5. ``_build_nodes()`` — processors, caches, controllers, SafetyNet wiring;
-6. ``speculation.arm(self)`` — every speculation the configuration enables
-   wires itself in (detection flags, transaction timeouts, forward-progress
-   policies).
+6. ``speculation.arm(self)`` — every Table 1 design the configuration
+   contains wires itself in (detection flags, transaction timeouts,
+   forward-progress policies).
 """
 
 from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import replace
 from typing import ClassVar, Dict, List, Optional
 
 from repro import kernel
 from repro.safetynet.manager import SafetyNet
-from repro.sim.config import InterconnectConfig, ProtocolKind, SystemConfig
+from repro.sim.config import ProtocolKind, SystemConfig
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
 from repro.speculation.detectors import PeriodicInjectionSpeculation
@@ -122,15 +121,6 @@ class System(ABC):
     def cache_controllers(self) -> List:
         """The per-node L2 cache controllers (timeout/detection sites)."""
         return [node.cache_controller for node in self.nodes]
-
-    def effective_interconnect(self) -> InterconnectConfig:
-        """The interconnect to build: the configured one, with the no-VC
-        design forced when ``interconnect_no_vc_speculation`` asks for it."""
-        interconnect = self.config.interconnect
-        if (self.config.speculation.interconnect_no_vc_speculation
-                and not interconnect.speculative_no_vc):
-            interconnect = replace(interconnect, speculative_no_vc=True)
-        return interconnect
 
     def attach_recovery_injector(self, rate_per_second: float
                                  ) -> PeriodicInjectionSpeculation:

@@ -11,8 +11,7 @@ configuration it realises several of the paper's design points:
 * ``variant=SPECULATIVE`` + adaptive routing — the Section 3.1 design that
   speculates on point-to-point ordering (the ``directory-p2p-order``
   speculation);
-* ``interconnect.speculative_no_vc=True`` (or the
-  ``interconnect_no_vc_speculation`` flag) — the Section 4 design that
+* ``interconnect.speculative_no_vc=True`` — the Section 4 design that
   removes virtual-channel deadlock avoidance and recovers from deadlocks
   detected by transaction timeouts (the ``interconnect-deadlock``
   speculation);
@@ -20,8 +19,7 @@ configuration it realises several of the paper's design points:
   :meth:`~repro.system.base.System.attach_recovery_injector` — the
   Figure 4 stress test.
 
-Which speculations arm is decided by the registry-backed
-:class:`repro.sim.config.SpeculationConfig` (see
+Which speculations arm follows from ``variant`` and the protocol (see
 :meth:`repro.speculation.manager.SpeculationManager.arm`).
 """
 
@@ -56,14 +54,13 @@ class DirectorySystem(System):
     @staticmethod
     def _default_label(config: SystemConfig) -> str:
         parts = [config.variant.value, config.interconnect.routing.value]
-        if (config.interconnect.speculative_no_vc
-                or config.speculation.interconnect_no_vc_speculation):
+        if config.interconnect.speculative_no_vc:
             parts.append("no-vc")
         return "-".join(parts)
 
     def _build_fabric(self) -> None:
         self.network = InterconnectNetwork(
-            self.sim, self.effective_interconnect(),
+            self.sim, self.config.interconnect,
             frequency_hz=self.config.processor.frequency_hz,
             stats=self.stats)
 

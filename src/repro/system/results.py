@@ -32,8 +32,8 @@ class RunResult:
     instructions_retired: int
     finished: bool
     #: Mis-speculation / recovery accounting.  The ``*_by_kind`` maps are
-    #: keyed by :class:`SpeculationKind` values (the speculation-registry
-    #: names) and survive the JSON round-trip unchanged.
+    #: keyed by :class:`SpeculationKind` values and survive the JSON
+    #: round-trip unchanged.
     detections: int = 0
     recoveries: int = 0
     detections_by_kind: Dict[str, int] = field(default_factory=dict)

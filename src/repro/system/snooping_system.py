@@ -6,8 +6,8 @@ request count as its logical time base (Table 2: a checkpoint every 3,000
 requests).  The ``SPECULATIVE`` variant leaves the writeback corner case
 unhandled (the ``snooping-corner-case`` speculation) and recovers when it
 is detected; forward progress after such a recovery is the slow-start mode
-of Section 3.2.  Which speculations arm is decided by the registry-backed
-:class:`repro.sim.config.SpeculationConfig`.
+of Section 3.2.  Which speculations arm follows from ``variant`` (see
+:meth:`repro.speculation.manager.SpeculationManager.arm`).
 """
 
 from __future__ import annotations

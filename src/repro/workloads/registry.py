@@ -1,8 +1,7 @@
 """The workload registry.
 
-Mirrors the experiment registry (:mod:`repro.campaign.registry`), the
-topology registry (:mod:`repro.interconnect.topology`) and the speculation
-registry (:mod:`repro.speculation.registry`): a *workload family* is
+Mirrors the experiment registry (:mod:`repro.campaign.registry`) and the
+topology registry (:mod:`repro.interconnect.topology`): a *workload family* is
 registered under a stable string name and looked up by
 :class:`repro.sim.config.WorkloadConfig` validation and by
 :meth:`repro.system.base.System.load_workload` when a built system installs

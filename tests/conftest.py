@@ -69,8 +69,7 @@ def snooping_config() -> SystemConfig:
 
 @pytest.fixture
 def tiny_interconnect_config() -> InterconnectConfig:
-    return InterconnectConfig(mesh_width=4, mesh_height=4,
-                              link_latency_cycles=4,
+    return InterconnectConfig(link_latency_cycles=4,
                               switch_buffer_capacity=8)
 
 
@@ -98,7 +97,7 @@ def completed_adaptive_run():
     """A 16-node speculative run with adaptive routing (read-only)."""
     config = SystemConfig.small(num_processors=16, references=250, seed=9)
     config = config.with_updates(interconnect=InterconnectConfig(
-        mesh_width=4, mesh_height=4, routing=RoutingPolicy.ADAPTIVE,
+        routing=RoutingPolicy.ADAPTIVE,
         link_latency_cycles=4, switch_buffer_capacity=16,
         link_bandwidth_bytes_per_sec=800e6))
     system = build_system(config)

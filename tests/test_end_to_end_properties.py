@@ -19,6 +19,7 @@ from repro.sim.config import (
     ProtocolVariant,
     RoutingPolicy,
     SystemConfig,
+    TopologyConfig,
     WorkloadConfig,
 )
 from repro.system import build_system
@@ -37,10 +38,10 @@ def test_directory_runs_terminate_with_consistent_state(seed, workload, routing)
     config = SystemConfig.small(num_processors=4, references=120, seed=seed)
     config = config.with_updates(
         workload=WorkloadConfig(name=workload, references_per_processor=120, seed=seed),
-        interconnect=InterconnectConfig(mesh_width=2, mesh_height=2,
-                                        link_latency_cycles=4,
-                                        switch_buffer_capacity=16,
-                                        routing=routing))
+        interconnect=InterconnectConfig(
+            topology=TopologyConfig("torus", (2, 2)),
+            link_latency_cycles=4, switch_buffer_capacity=16,
+            routing=routing))
     system = build_system(config)
     result = system.run(max_cycles=3_000_000)
     assert result.finished

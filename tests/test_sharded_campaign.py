@@ -9,6 +9,7 @@ cache hit counters prove it).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -41,7 +42,7 @@ from repro.campaign import (
 from repro.campaign.executor import CACHE_SCHEMA
 from repro.campaign.sharding import _Heartbeat, _worker_entry
 from repro.experiments.common import benchmark_config
-from repro.sim.config import ProtocolKind, SpeculationConfig, SystemConfig
+from repro.sim.config import ProtocolKind, SystemConfig
 
 #: Deadline for every polling loop in this module; generous because CI
 #: machines can be slow, but the loops exit the moment the condition holds.
@@ -80,12 +81,8 @@ class TestSpecRoundTrip:
         benchmark_config("hotspot", topology="ring", num_processors=16,
                          references=50),
         benchmark_config("oltp", protocol=ProtocolKind.SNOOPING,
-                         references=50,
-                         speculation=SpeculationConfig(
-                             interconnect_no_vc_speculation=True)),
-        benchmark_config("jbb", references=50,
-                         speculation=SpeculationConfig(
-                             detectors=("interconnect-deadlock",))),
+                         references=50, speculative_no_vc=True),
+        benchmark_config("jbb", references=50, speculative_no_vc=True),
     ]
 
     @pytest.mark.parametrize("config", CONFIGS,
@@ -97,6 +94,26 @@ class TestSpecRoundTrip:
         rebuilt = config_from_dict(payload)
         assert canonical_json(config_to_dict(rebuilt)) == \
             canonical_json(payload)
+
+    def test_every_field_is_encoded(self):
+        """The canonical form omits no field and rewrites no value, at any
+        level, so two configurations hash alike only when they are equal."""
+        ring = benchmark_config("hotspot", topology="ring", num_processors=16,
+                                speculative_no_vc=True, references=50)
+        ring = dataclasses.replace(ring, workload=dataclasses.replace(
+            ring.workload, params={"hot_blocks": 4}))
+
+        def check(native, encoded, path):
+            for key, value in native.items():
+                assert key in encoded, f"{path}.{key} is not encoded"
+                if isinstance(value, dict):
+                    check(value, encoded[key], f"{path}.{key}")
+                else:
+                    assert json.dumps(encoded[key]) == json.dumps(value), \
+                        f"{path}.{key}"
+
+        for config in (SystemConfig.small(4), ring):
+            check(dataclasses.asdict(config), config_to_dict(config), "config")
 
     def test_spec_json_round_trip_keeps_content_hash(self):
         spec = small_spec(recovery_rate_per_second=0.0, max_cycles=123)

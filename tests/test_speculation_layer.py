@@ -1,7 +1,6 @@
 """Tests for the unified speculation subsystem.
 
-Covers the registry, the registry-backed :class:`SpeculationConfig`
-(including the canonical-encoding back-compat contract), the
+Covers the pinned cache key of a Figure 4 design point, the
 :class:`SpeculationManager` lifecycle (arming, coalescing, per-kind
 attribution), the shared :class:`System` base class, and the
 ``speculation_matrix`` campaign experiment's determinism contract
@@ -10,6 +9,7 @@ attribution), the shared :class:`System` base class, and the
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -21,12 +21,10 @@ from repro.campaign import (
     SerialExecutor,
     canonical_json,
 )
-from repro.campaign.spec import config_to_dict
 from repro.core.events import MisspeculationEvent, RecoveryRecord, SpeculationKind
 from repro.core.forward_progress import (
     CombinedPolicy,
     DisableAdaptiveRoutingPolicy,
-    NoOpPolicy,
     SlowStartPolicy,
 )
 from repro.experiments import speculation_matrix
@@ -37,7 +35,6 @@ from repro.sim.config import (
     CheckpointConfig,
     ProtocolKind,
     ProtocolVariant,
-    SpeculationConfig,
     SystemConfig,
 )
 from repro.sim.engine import Simulator
@@ -45,19 +42,17 @@ from repro.speculation import (
     DirectoryP2POrderSpeculation,
     InterconnectDeadlockSpeculation,
     PeriodicInjectionSpeculation,
-    SnoopingCornerCaseSpeculation,
     Speculation,
     SpeculationManager,
-    get_speculation,
-    speculation_names,
 )
 from repro.system import DirectorySystem, SnoopingSystem, System, build_system
 from repro.system.results import RunResult
 
-#: Content hash of the Figure 4 jbb baseline design point as produced by
-#: the pre-speculation-layer encoding.  If this pin breaks, every cached
-#: campaign result silently invalidates — see config_to_dict's contract.
-FIG4_JBB_BASELINE_HASH = "43f1969363af133b4631"
+#: Content hash of the Figure 4 jbb baseline design point under the
+#: ``repro.campaign.spec/v2`` encoding.  If this pin breaks, every cached
+#: campaign result silently invalidates — bump ``SPEC_SCHEMA`` when the
+#: encoding changes on purpose, then re-pin.
+FIG4_JBB_BASELINE_HASH = "c88359c4baa6c4472b37"
 
 
 def small_config(**updates) -> SystemConfig:
@@ -73,90 +68,20 @@ def make_manager():
     return sim, safetynet, SpeculationManager(sim, safetynet)
 
 
-class TestRegistry:
-    def test_kind_values_are_the_registry_names(self):
-        assert set(speculation_names()) == {k.value for k in SpeculationKind}
-
-    def test_lookup_returns_registered_classes(self):
-        assert get_speculation("directory-p2p-order") is DirectoryP2POrderSpeculation
-        assert get_speculation("snooping-corner-case") is SnoopingCornerCaseSpeculation
-        assert (get_speculation("interconnect-deadlock")
-                is InterconnectDeadlockSpeculation)
-        assert get_speculation("injected") is PeriodicInjectionSpeculation
-
-    def test_unknown_name_raises_with_known_listing(self):
-        with pytest.raises(KeyError, match="interconnect-deadlock"):
-            get_speculation("nope")
-
-    def test_registry_name_property_roundtrips(self):
-        for kind in SpeculationKind:
-            assert get_speculation(kind.registry_name).kind == kind
-
-
 class TestSpeculationConfig:
-    def test_default_enabled_set(self):
-        assert SpeculationConfig().enabled_speculations() == (
-            "directory-p2p-order", "snooping-corner-case",
-            "interconnect-deadlock")
-
-    def test_flags_shrink_the_derived_set(self):
-        spec = SpeculationConfig(directory_p2p_speculation=False,
-                                 snooping_corner_case_speculation=False)
-        assert spec.enabled_speculations() == ("interconnect-deadlock",)
-
-    def test_detectors_override_wins(self):
-        spec = SpeculationConfig(detectors=["snooping-corner-case"])
-        assert spec.enabled_speculations() == ("snooping-corner-case",)
-        assert spec.speculates("snooping-corner-case")
-        assert not spec.speculates("interconnect-deadlock")
-
-    def test_with_designs(self):
-        spec = SpeculationConfig().with_designs(s1=False, s3=True)
-        assert not spec.directory_p2p_speculation
-        assert spec.snooping_corner_case_speculation
-        assert spec.interconnect_no_vc_speculation
-
-    def test_canonical_encoding_omits_default_detectors(self):
-        payload = config_to_dict(small_config())
-        assert "detectors" not in payload["speculation"]
-        explicit = small_config(
-            speculation=SpeculationConfig(detectors=("interconnect-deadlock",)))
-        assert (config_to_dict(explicit)["speculation"]["detectors"]
-                == ["interconnect-deadlock"])
-
-    def test_explicit_detectors_change_the_content_hash(self):
-        base = RunSpec(config=small_config())
-        explicit = RunSpec(config=small_config(
-            speculation=SpeculationConfig(detectors=(
-                "directory-p2p-order", "snooping-corner-case",
-                "interconnect-deadlock"))))
-        assert base.content_hash() != explicit.content_hash()
-
     def test_fig4_baseline_hash_is_pinned(self):
-        """Pre-existing design points must keep their pre-layer cache keys."""
+        """The Figure 4 baseline design point keeps its cache key."""
         spec = RunSpec(config=_injection_config("jbb", seed=1, references=400),
                        label="no-injection")
         assert spec.content_hash() == FIG4_JBB_BASELINE_HASH
-
-    def test_no_vc_flag_encoding_diverges_from_the_inert_era(self):
-        """The flag used to be inert; it now forces the no-VC network, so
-        flag-True canonical forms must not collide with pre-layer cache
-        entries simulated under the old no-op semantics."""
-        payload = config_to_dict(small_config(
-            speculation=SpeculationConfig(interconnect_no_vc_speculation=True)))
-        assert (payload["speculation"]["interconnect_no_vc_speculation"]
-                == "forces-no-vc-network/v2")
-        # Flag-False configs (every pre-existing design point) still encode
-        # the plain boolean.
-        base = config_to_dict(small_config())
-        assert base["speculation"]["interconnect_no_vc_speculation"] is False
 
 
 class TestArming:
     def test_directory_speculative_arms_s1_and_watchdog(self):
         system = build_system(small_config())
-        names = {s.name for s in system.speculation.speculations}
-        assert names == {"directory-p2p-order", "interconnect-deadlock"}
+        kinds = {s.kind for s in system.speculation.speculations}
+        assert kinds == {SpeculationKind.DIRECTORY_P2P_ORDER,
+                         SpeculationKind.INTERCONNECT_DEADLOCK}
         assert all(s.armed_on == system.label
                    for s in system.speculation.speculations)
         assert isinstance(
@@ -168,14 +93,15 @@ class TestArming:
 
     def test_directory_full_variant_arms_only_the_watchdog(self):
         system = build_system(small_config(variant=ProtocolVariant.FULL))
-        names = {s.name for s in system.speculation.speculations}
-        assert names == {"interconnect-deadlock"}
+        kinds = {s.kind for s in system.speculation.speculations}
+        assert kinds == {SpeculationKind.INTERCONNECT_DEADLOCK}
         assert not any(c.p2p_detection_enabled for c in system.cache_controllers())
 
     def test_snooping_arms_s2_and_watchdog(self):
         system = build_system(small_config(protocol=ProtocolKind.SNOOPING))
-        names = {s.name for s in system.speculation.speculations}
-        assert names == {"snooping-corner-case", "interconnect-deadlock"}
+        kinds = {s.kind for s in system.speculation.speculations}
+        assert kinds == {SpeculationKind.SNOOPING_CORNER_CASE,
+                         SpeculationKind.INTERCONNECT_DEADLOCK}
         assert isinstance(
             system.speculation.policy_for(SpeculationKind.SNOOPING_CORNER_CASE),
             SlowStartPolicy)
@@ -192,24 +118,13 @@ class TestArming:
         assert all(c.timeout_cycles == 3 * snooping.checkpoint_interval_cycles()
                    for c in snooping.cache_controllers())
 
-    def test_empty_detector_set_disarms_everything(self):
-        config = small_config(speculation=SpeculationConfig(detectors=()))
-        system = build_system(config)
-        assert system.speculation.speculations == []
-        assert all(c.timeout_cycles is None for c in system.cache_controllers())
-        assert not any(c.p2p_detection_enabled for c in system.cache_controllers())
-        assert isinstance(
-            system.speculation.policy_for(SpeculationKind.DIRECTORY_P2P_ORDER),
-            NoOpPolicy)
-
     def test_no_vc_flag_forces_the_section4_network(self):
-        config = small_config(
-            speculation=SpeculationConfig(interconnect_no_vc_speculation=True))
+        config = small_config()
+        config = config.with_updates(interconnect=dataclasses.replace(
+            config.interconnect, speculative_no_vc=True))
         system = build_system(config)
         assert system.network.config.speculative_no_vc
         assert system.label.endswith("no-vc")
-        # The configuration object itself is untouched (it hashes as-is).
-        assert not config.interconnect.speculative_no_vc
 
     def test_ground_truth_scan_available_on_directory_systems(self):
         system = build_system(small_config())
@@ -279,8 +194,8 @@ class TestCoalescing:
         manager.report(self._event(SpeculationKind.DIRECTORY_P2P_ORDER, sim.now))
         summary = manager.summary()
         assert summary["detections_by_kind"] == {"directory-p2p-order": 1}
-        names = [s["name"] for s in summary["speculations"]]
-        assert names == ["directory-p2p-order"]
+        kinds = [s["kind"] for s in summary["speculations"]]
+        assert kinds == ["directory-p2p-order"]
 
 
 class TestInjectorSpeculation:
@@ -409,7 +324,7 @@ class TestSpeculationMatrix:
         s3_point = speculation_matrix._point_config(
             "jbb", ProtocolKind.DIRECTORY, (False, False, True), "torus", 4,
             references=60, seed=1)
-        assert s3_point.speculation.interconnect_no_vc_speculation
+        assert s3_point.interconnect.speculative_no_vc
 
     def test_serial_parallel_and_cached_are_byte_identical(self, tmp_path):
         serial = speculation_matrix.run("jbb", executor=SerialExecutor(),

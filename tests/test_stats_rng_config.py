@@ -158,12 +158,12 @@ class TestSystemConfig:
         cfg = SystemConfig.small(num_processors=4, references=100)
         assert cfg.num_processors == 4
         assert cfg.workload.references_per_processor == 100
-        assert cfg.interconnect.mesh_width * cfg.interconnect.mesh_height >= 4
+        assert cfg.interconnect.num_switches >= 4
 
     def test_torus_must_fit_processors(self):
         with pytest.raises(ValueError):
             SystemConfig(num_processors=32,
-                         interconnect=InterconnectConfig(mesh_width=4, mesh_height=4))
+                         interconnect=InterconnectConfig())
 
     def test_block_size_must_match(self):
         with pytest.raises(ValueError):

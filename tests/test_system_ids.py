@@ -49,7 +49,7 @@ def deadlocking_config(seed: int) -> SystemConfig:
     return dataclasses.replace(
         cfg,
         interconnect=InterconnectConfig(
-            mesh_width=4, mesh_height=4, routing=RoutingPolicy.STATIC,
+            routing=RoutingPolicy.STATIC,
             link_bandwidth_bytes_per_sec=800e6, link_latency_cycles=4,
             switch_buffer_capacity=4, speculative_no_vc=True,
             nic_injection_limit=4),

@@ -129,7 +129,7 @@ class TestNoVcNetworkSystem:
         return dataclasses.replace(
             cfg,
             interconnect=InterconnectConfig(
-                mesh_width=4, mesh_height=4, routing=RoutingPolicy.STATIC,
+                routing=RoutingPolicy.STATIC,
                 link_bandwidth_bytes_per_sec=800e6, link_latency_cycles=4,
                 switch_buffer_capacity=buffer_capacity,
                 speculative_no_vc=True, nic_injection_limit=4),

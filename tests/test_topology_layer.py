@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 
 from repro.campaign.executor import ParallelExecutor, ResultCache, SerialExecutor
-from repro.campaign.spec import RunSpec, canonical_json, config_to_dict
+from repro.campaign.spec import RunSpec, canonical_json
 from repro.core.events import SpeculationKind
 from repro.experiments import topology_scale
 from repro.experiments.common import benchmark_config
@@ -170,18 +170,6 @@ class TestRegistry:
 
 # ----------------------------------------------------------------- configuration
 class TestTopologyConfig:
-    def test_legacy_fields_resolve_to_torus(self):
-        ic = InterconnectConfig(mesh_width=4, mesh_height=2)
-        resolved = ic.resolved_topology()
-        assert resolved.kind == "torus" and resolved.dims == (4, 2)
-        assert ic.num_switches == 8
-
-    def test_explicit_topology_wins_over_legacy_fields(self):
-        ic = InterconnectConfig(mesh_width=4, mesh_height=4,
-                                topology=TopologyConfig("ring", (6,)))
-        assert ic.resolved_topology().kind == "ring"
-        assert ic.num_switches == 6
-
     def test_preset_shapes(self):
         assert TopologyConfig.preset("torus", 64).dims == (8, 8)
         assert TopologyConfig.preset("ring", 16).dims == (16,)
@@ -197,21 +185,6 @@ class TestTopologyConfig:
             SystemConfig(num_processors=8,
                          interconnect=InterconnectConfig(
                              topology=TopologyConfig("ring", (4,))))
-
-    def test_content_hash_unchanged_for_legacy_configs(self):
-        """topology=None must be invisible to the canonical spec encoding."""
-        config = SystemConfig.small(4, references=100)
-        payload = config_to_dict(config)
-        assert "topology" not in payload["interconnect"]
-        # An explicitly chosen geometry does hash in.
-        ring_cfg = dataclasses.replace(
-            config, interconnect=dataclasses.replace(
-                config.interconnect, topology=TopologyConfig("ring", (4,))))
-        ring_payload = config_to_dict(ring_cfg)
-        assert ring_payload["interconnect"]["topology"] == {
-            "kind": "ring", "dims": [4]}
-        assert (RunSpec(config=config).content_hash()
-                != RunSpec(config=ring_cfg).content_hash())
 
     def test_small_preset_rejects_non_tiling_counts(self):
         with pytest.raises(ValueError, match="do not tile"):
