@@ -12,6 +12,10 @@ stored on disk as :meth:`RunResult.to_json` documents keyed by the spec's
 content hash, so re-running a campaign only simulates design points whose
 configuration actually changed.  Sharded execution over a shared store
 lives in :mod:`repro.campaign.sharding`.
+
+Within one process :func:`execute_spec` also keeps a small memo of
+finished runs, and does not simulate a spec that provably repeats one of
+them (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -20,12 +24,17 @@ import gc
 import json
 import os
 import time
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, DefaultDict, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
+from repro import kernel
 from repro.campaign.manifest import atomic_write_json
 from repro.campaign.spec import RunSpec, SweepSpec
+from repro.sim.config import SystemConfig
 from repro.system import build_system
+from repro.system.builder import system_class
 from repro.system.results import RunResult, RESULT_SCHEMA
 
 
@@ -40,6 +49,55 @@ def reset_perf_counters() -> None:
     """Zero :data:`PERF_COUNTERS` (benchmark harnesses measure deltas)."""
     for key in PERF_COUNTERS:
         PERF_COUNTERS[key] = 0
+
+
+#: Finished runs the run memo keeps per kernel tier; past it the least
+#: recently used one is dropped, which costs a re-simulation, never a
+#: different result.
+RUN_MEMO_CAPACITY = 16
+
+#: Process-local replay tallies (observational only, like
+#: :data:`PERF_COUNTERS`): a hit is a spec answered from the memo.
+RUN_MEMO_STATS: Dict[str, int] = {"run_hits": 0, "run_misses": 0}
+
+#: Kernel tier -> ``(config, result)`` of runs that finished with no
+#: injection acting on them, least recently used first.  Both are the
+#: objects the run was given and returned, not copies.
+_RUN_MEMO: DefaultDict[str, List[Tuple[SystemConfig, RunResult]]] = (
+    defaultdict(list))
+
+
+def _replay(spec: RunSpec,
+            runs: List[Tuple[SystemConfig, RunResult]]) -> Optional[RunResult]:
+    """The stored run ``spec`` provably repeats, under the spec's label.
+
+    At most one stored run has a given configuration: a run of an equal
+    configuration that does not replay it stops short of it or is injected,
+    and is not stored.
+    """
+    for index, (config, result) in enumerate(runs):
+        # Most entries differ in the workload, the cheapest part to compare.
+        if config.workload != spec.config.workload or config != spec.config:
+            continue
+        cls = system_class(config)
+        if not cls.replays(result, config,
+                           rate_per_second=spec.recovery_rate_per_second,
+                           max_cycles=spec.max_cycles):
+            return None
+        runs.append(runs.pop(index))
+        payload = result.to_json()
+        payload["config_label"] = (spec.label if spec.label is not None
+                                   else cls._default_label(config))
+        return RunResult.from_json(payload)
+    return None
+
+
+def clear_run_memo() -> None:
+    """Drop every stored run and zero the tallies (tests, benchmarks, and
+    each :class:`ParallelExecutor` worker as it starts)."""
+    _RUN_MEMO.clear()
+    RUN_MEMO_STATS["run_hits"] = 0
+    RUN_MEMO_STATS["run_misses"] = 0
 
 
 def _run_point(spec: RunSpec) -> RunResult:
@@ -58,13 +116,20 @@ def _run_point(spec: RunSpec) -> RunResult:
 
 
 def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one design point from scratch and return its result.
+    """Run one design point and return its result.
 
     This is the single build-and-run path: it must stay importable at module
     level (the parallel executor ships it to worker processes by reference).
     Note the ``is not None`` check — an explicit ``0.0`` rate attaches an
     injector that never fires, which is a different system from one with no
     injector at all.
+
+    A spec that provably repeats a run in the run memo of the active kernel
+    tier is not simulated: it gets that run's result under its own label
+    (:meth:`repro.system.base.System.replays` states the rule).  No machine
+    is built then, so there is nothing for the collector to free.  A
+    simulated run is stored when its own spec would replay it, that is when
+    it finished with no injection acting on it.
 
     The cyclic garbage collector is paused for the duration of the run: a
     run allocates millions of short-lived objects whose lifetimes the kernel
@@ -77,14 +142,28 @@ def execute_spec(spec: RunSpec) -> RunResult:
     promote it to the oldest generation, which no collection inside a
     campaign's map loop ever reaches.
     """
+    runs = _RUN_MEMO[kernel.active_tier()]
+    replayed = _replay(spec, runs)
+    if replayed is not None:
+        RUN_MEMO_STATS["run_hits"] += 1
+        return replayed
+    RUN_MEMO_STATS["run_misses"] += 1
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run_point(spec)
+        result = _run_point(spec)
     finally:
         if gc_was_enabled:
             gc.enable()
             gc.collect(0)
+    if system_class(spec.config).replays(
+            result, spec.config,
+            rate_per_second=spec.recovery_rate_per_second,
+            max_cycles=spec.max_cycles):
+        runs.append((spec.config, result))
+        if len(runs) > RUN_MEMO_CAPACITY:
+            del runs[0]
+    return result
 
 
 def execute_spec_timed(spec: RunSpec) -> Tuple[RunResult, float]:
@@ -318,8 +397,11 @@ class ParallelExecutor(Executor):
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
+        # A forked worker would inherit this process's run memo; each starts
+        # empty, so what it returns it simulated or replayed itself.
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            self._pool = ProcessPoolExecutor(max_workers=self.max_workers,
+                                             initializer=clear_run_memo)
         return self._pool
 
     def map(self, specs: SpecBatch) -> List[RunResult]:

@@ -91,7 +91,10 @@ def run(workloads: Optional[Iterable[str]] = None,
 
     Two executor phases: every workload's no-injection baseline first (the
     injected runs' cycle bound depends on the baseline runtime), then every
-    injected design point across all workloads in one batch.
+    injected design point across all workloads in one batch.  Running the
+    baselines first also lets a point whose injector first fires after its
+    baseline finished replay that baseline from the run memo instead of
+    simulating it (DESIGN.md §9): at 60 references, the 1/s and 10/s points.
     """
     result = Fig4Result(rates=list(rates))
     names = default_workloads(workloads)

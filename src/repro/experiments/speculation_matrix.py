@@ -31,11 +31,16 @@ Semantics of a combination:
 
 The grid is deliberately the *full* cross product even where axes are
 inert — for the bus-based snooping system S1, S3 and the topology change
-nothing, so those points re-simulate identical behaviour under distinct
-design-point hashes.  That redundancy is the point (every Table 1 cell is
-demonstrated, including the "speculation X does not exist here" cells) and
-is cheap: the snooping runs carry no network simulation and the whole
-96-point grid completes in about a minute of CPU.
+nothing, and for the directory system S2 changes nothing.  That redundancy
+is the point (every Table 1 cell is demonstrated, including the
+"speculation X does not exist here" cells) and is cheap.  A point whose
+configuration equals an earlier point's (it differs only in a design that
+does not exist in its system) is replayed from the run memo while the
+memo still holds the original, not re-simulated (DESIGN.md §9): 8 of the
+quick grid's 16 points.  In the full grid each such point comes too many
+points after its original, so all 96 are simulated.  Points that differ
+in a field their system ignores (snooping with and without S3 set
+``speculative_no_vc``) are always simulated, as in the workload matrix.
 
 Quick mode shrinks the grid to the torus at 4 nodes; the combination axis
 is never reduced.

@@ -24,7 +24,10 @@ S3 on the bus-based snooping system changes nothing (there is no network
 to strip virtual channels from); those points re-simulate identical
 behaviour under distinct design-point hashes, which — as in the
 speculation matrix — is the point: every cell of the cross product is
-demonstrated, inert axes included.
+demonstrated, inert axes included.  The run memo (DESIGN.md §9) does not
+replay them on purpose: each twin's configuration differs in
+``speculative_no_vc``, and treating the two as equal would assume, not
+prove, that the setting has no effect.
 
 Quick mode shrinks the workload axis to one family per kind — one paper
 profile (``jbb``) and one parameterized family (``hotspot``) — and never

@@ -44,6 +44,18 @@ def transaction_timeout_cycles(checkpoint: CheckpointConfig,
     return max(1, speculation.timeout_checkpoint_intervals) * interval
 
 
+def injection_period_cycles(rate_per_second: float,
+                            cycles_per_second: float) -> Optional[int]:
+    """Cycles between two Figure 4 injections (``None`` for a zero rate).
+
+    An injector attached at cycle 0 first fires at this cycle, so the
+    replay rule of :meth:`repro.system.base.System.replays` reads it too.
+    """
+    if rate_per_second == 0:
+        return None
+    return max(1, int(round(cycles_per_second / rate_per_second)))
+
+
 class DirectoryP2POrderSpeculation(Speculation):
     """S1 — the directory protocol speculates on point-to-point ordering.
 
@@ -190,6 +202,8 @@ class PeriodicInjectionSpeculation(Speculation):
         super().__init__(manager)
         self.rate_per_second = rate_per_second
         self.cycles_per_second = cycles_per_second
+        self.period_cycles = injection_period_cycles(rate_per_second,
+                                                     cycles_per_second)
         self.injections = 0
         self._active = False
 
@@ -199,12 +213,6 @@ class PeriodicInjectionSpeculation(Speculation):
 
     def arm(self, system) -> None:
         """Nothing to wire: injection is driven by :meth:`start`."""
-
-    @property
-    def period_cycles(self) -> Optional[int]:
-        if self.rate_per_second == 0:
-            return None
-        return max(1, int(round(self.cycles_per_second / self.rate_per_second)))
 
     def start(self) -> None:
         """Begin injecting (no-op for a zero rate)."""

@@ -32,8 +32,12 @@ from repro.safetynet.manager import SafetyNet
 from repro.sim.config import ProtocolKind, SystemConfig
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
-from repro.speculation.detectors import PeriodicInjectionSpeculation
+from repro.speculation.detectors import (
+    PeriodicInjectionSpeculation,
+    injection_period_cycles,
+)
 from repro.speculation.manager import SpeculationManager
+from repro.core.events import SpeculationKind
 from repro.core.forward_progress import SlowStartGate
 from repro.system.results import RunResult
 from repro.workloads.base import SyntheticWorkload
@@ -100,8 +104,9 @@ class System(ABC):
         counterpart) runs the pure methods unchanged.
         """
 
+    @staticmethod
     @abstractmethod
-    def _default_max_cycles(self) -> int:
+    def _default_max_cycles(config: SystemConfig) -> int:
         """Run horizon used when the caller does not bound the run."""
 
     @abstractmethod
@@ -181,10 +186,41 @@ class System(ABC):
         for node in self.nodes:
             node.processor.start(on_finished)
 
-        limit = max_cycles if max_cycles is not None else self._default_max_cycles()
+        limit = (max_cycles if max_cycles is not None
+                 else self._default_max_cycles(self.config))
         self.sim.run(until=limit)
         finished = all(n.processor.finished_at is not None for n in self.nodes)
         return self._collect_results(finished)
+
+    @classmethod
+    def replays(cls, finished: RunResult, config: SystemConfig, *,
+                rate_per_second: Optional[float],
+                max_cycles: Optional[int]) -> bool:
+        """Whether :meth:`run` on a new build of ``config``, with an injector
+        at ``rate_per_second`` attached (``None``: none) and bounded by
+        ``max_cycles``, would repeat ``finished``, a run of an equal
+        configuration, event for event.
+
+        It would when ``finished`` finished at cycle ``B`` with no injection
+        acting on it, ``B`` is within the cycle bound, and the injector
+        first fires strictly after ``B``.  :meth:`run` executes events in
+        ``(time, seq)`` order, events at the bound included, and stops on
+        the event that finishes the last processor, at ``B``
+        (``runtime_cycles``).  Before its first firing an attached injector's
+        only effect is one queued event, which takes a sequence number but
+        changes no other event's order.  A firing at ``B`` itself would run
+        before the finishing event, which was queued after it.
+        """
+        if (not finished.finished
+                or finished.detections_of(SpeculationKind.INJECTED)):
+            return False
+        stopped_at = finished.runtime_cycles
+        limit = (max_cycles if max_cycles is not None
+                 else cls._default_max_cycles(config))
+        period = (None if rate_per_second is None
+                  else injection_period_cycles(rate_per_second,
+                                               config.cycles_per_second))
+        return stopped_at <= limit and (period is None or period > stopped_at)
 
     # ----------------------------------------------------------------- results
     def _collect_results(self, finished: bool) -> RunResult:

@@ -10,7 +10,7 @@ from :class:`repro.system.base.System`, which captures the shared
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Type
 
 from repro.sim.config import ProtocolKind, SystemConfig
 from repro.system.base import System
@@ -18,10 +18,15 @@ from repro.system.directory_system import DirectorySystem
 from repro.system.snooping_system import SnoopingSystem
 
 
+def system_class(config: SystemConfig) -> Type[System]:
+    """The concrete system class the configuration asks for."""
+    if config.protocol == ProtocolKind.DIRECTORY:
+        return DirectorySystem
+    if config.protocol == ProtocolKind.SNOOPING:
+        return SnoopingSystem
+    raise ValueError(f"unknown protocol kind {config.protocol!r}")
+
+
 def build_system(config: SystemConfig, *, label: Optional[str] = None) -> System:
     """Build the system the configuration asks for."""
-    if config.protocol == ProtocolKind.DIRECTORY:
-        return DirectorySystem(config, label=label)
-    if config.protocol == ProtocolKind.SNOOPING:
-        return SnoopingSystem(config, label=label)
-    raise ValueError(f"unknown protocol kind {config.protocol!r}")
+    return system_class(config)(config, label=label)

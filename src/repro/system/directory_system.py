@@ -218,8 +218,8 @@ class DirectorySystem(System):
                     MessageClass.WRITEBACK, MessageClass.FINAL_ACK)
 
     # --------------------------------------------------------------------- run
-    def _default_max_cycles(self) -> int:
-        cfg = self.config
+    @staticmethod
+    def _default_max_cycles(cfg: SystemConfig) -> int:
         per_ref_bound = 4 * (cfg.memory_latency_cycles
                              + 8 * cfg.interconnect.link_latency_cycles
                              + 100)

@@ -146,9 +146,10 @@ class SnoopingSystem(System):
                 ctrl.snoop = snoop_core.snoop
 
     # --------------------------------------------------------------------- run
-    def _default_max_cycles(self) -> int:
+    @staticmethod
+    def _default_max_cycles(config: SystemConfig) -> int:
         return max(1_000_000,
-                   self.config.workload.references_per_processor * 2_000)
+                   config.workload.references_per_processor * 2_000)
 
     # ----------------------------------------------------------------- results
     def _network_metrics(self, runtime: int) -> Dict[str, object]:

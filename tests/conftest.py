@@ -7,6 +7,7 @@ import types
 import pytest
 
 from repro import kernel
+from repro.campaign import clear_memos
 from repro.sim import engine as pure_engine
 from repro.sim.config import (
     CacheConfig,
@@ -21,6 +22,13 @@ from repro.sim.config import (
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
 from repro.system import build_system
+
+
+@pytest.fixture(autouse=True)
+def cold_memos() -> None:
+    """Every test starts with cold memos, so a run an earlier test left in
+    the run memo is simulated again rather than replayed."""
+    clear_memos()
 
 
 @pytest.fixture

@@ -11,6 +11,7 @@ import json
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -33,11 +34,12 @@ from repro.campaign import (
     register_experiment,
 )
 from repro.campaign import executor as executor_module
+from repro.campaign.executor import clear_run_memo
 from repro.campaign import registry as registry_module
 from repro.coherence import cache as cache_module
 from repro.core.events import MisspeculationEvent, RecoveryRecord, SpeculationKind
 from repro.experiments import common, runner
-from repro.sim.config import ProtocolKind, SystemConfig
+from repro.sim.config import ProtocolKind, RoutingPolicy, SystemConfig
 from repro.system.results import RunResult
 from repro.system.snooping_system import SnoopingSystem
 
@@ -45,6 +47,13 @@ from repro.system.snooping_system import SnoopingSystem
 def small_spec(references: int = 200, seed: int = 1, **spec_kwargs) -> RunSpec:
     return RunSpec(config=SystemConfig.small(4, references=references, seed=seed),
                    **spec_kwargs)
+
+
+def adaptive_twin(spec: RunSpec) -> RunSpec:
+    """``spec`` on adaptive routing: another machine on the same streams."""
+    config = spec.config
+    return RunSpec(config=config.with_updates(interconnect=replace(
+        config.interconnect, routing=RoutingPolicy.ADAPTIVE)))
 
 
 def result_bytes(result: RunResult) -> str:
@@ -134,6 +143,7 @@ class TestExecutors:
         executor = SerialExecutor()
         first = executor.run(spec)
         executor.run(small_spec(references=150, seed=5))  # warm the process
+        clear_run_memo()  # simulate the spec again instead of replaying it
         again = executor.run(spec)
         assert result_bytes(first) == result_bytes(again)
 
@@ -182,7 +192,7 @@ class TestExecutors:
     def test_memo_stats_counts_hits(self):
         clear_memos()
         spec_a = small_spec(references=80, seed=7)
-        spec_b = small_spec(references=80, seed=7, max_cycles=10_000_000)
+        spec_b = adaptive_twin(spec_a)
         SerialExecutor().map([spec_a, spec_b])
         stats = memo_stats()
         assert stats["stream_misses"] >= 1
@@ -311,13 +321,15 @@ class TestRunnerCLI:
     def test_memos_block_is_execution_side(self, tmp_path):
         """The runner surfaces memo_stats() in the execution block, next to
         the kernel tier, and compare_reports strips it: reports stay
-        byte-comparable."""
+        byte-comparable.  Quick fig4 replays its four 1/s and 10/s points
+        from the run memo and simulates the other four."""
         path = tmp_path / "report.json"
-        assert runner.main(["--only", "fig2", "--quick",
+        assert runner.main(["--only", "fig4", "--quick",
                             "--json", str(path)]) == 0
         payload = json.loads(path.read_text())
         memos = payload["execution"]["memos"]
         assert {"stream_hits", "stream_misses"} <= set(memos)
+        assert (memos["run_hits"], memos["run_misses"]) == (4, 4)
         assert {"kernel", "memos"} <= set(payload["execution"])
 
         doctored = tmp_path / "doctored.json"

@@ -391,7 +391,11 @@ class TestTierParity:
         Byte-for-byte on the result JSON, which includes ``events_executed``
         and every counter — the strictest cheap oracle we have.
         """
-        from repro.campaign.executor import SerialExecutor, execute_spec
+        from repro.campaign.executor import (
+            SerialExecutor,
+            clear_run_memo,
+            execute_spec,
+        )
         from repro.campaign.spec import RunSpec
         from repro.experiments.workload_matrix import (
             MAX_CYCLES,
@@ -413,6 +417,9 @@ class TestTierParity:
                 max_cycles=MAX_CYCLES) for workload, protocol, s3 in grid]
 
         def run_tier(tier: str, in_executor: bool = False):
+            # A leg that replayed the previous leg's runs would hold the
+            # oracle to itself; the stream and topology memos stay warm.
+            clear_run_memo()
             kernel.set_kernel_tier(tier)
             specs = grid_specs()
             if in_executor:

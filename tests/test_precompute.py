@@ -9,6 +9,7 @@ whenever any ingredient of the generated content changes.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -22,12 +23,13 @@ from repro.campaign import (
     make_executor,
     memo_stats,
 )
+from repro.campaign.executor import clear_run_memo
 from repro.interconnect.topology import (
     TOPOLOGY_MEMO_STATS,
     clear_topology_memo,
     shared_topology,
 )
-from repro.sim.config import SystemConfig
+from repro.sim.config import RoutingPolicy, SystemConfig
 from repro.system.results import RunResult
 from repro.workloads import get_family, make_workload
 from repro.workloads.memo import (
@@ -42,6 +44,13 @@ from repro.workloads.memo import (
 def small_spec(references: int = 150, seed: int = 1, **spec_kwargs) -> RunSpec:
     return RunSpec(config=SystemConfig.small(4, references=references, seed=seed),
                    **spec_kwargs)
+
+
+def adaptive_twin(spec: RunSpec) -> RunSpec:
+    """``spec`` on adaptive routing: another machine on the same streams."""
+    config = spec.config
+    return RunSpec(config=config.with_updates(interconnect=replace(
+        config.interconnect, routing=RoutingPolicy.ADAPTIVE)))
 
 
 def result_bytes(result: RunResult) -> str:
@@ -133,6 +142,7 @@ class TestColdWarmDeterminism:
         cold = result_bytes(execute_spec(spec))
         stats = memo_stats()
         assert stats["stream_misses"] == 1 and stats["stream_hits"] == 0
+        clear_run_memo()  # simulate on the warm streams, do not replay
         warm = result_bytes(execute_spec(spec))
         stats = memo_stats()
         assert stats["stream_hits"] == 1
@@ -164,8 +174,8 @@ class TestBatchExecutor:
         with pytest.raises(TypeError):
             make_executor(batched=True)
         clear_memos()
-        executor.map([small_spec(references=80, seed=7),
-                      small_spec(references=80, seed=7, max_cycles=10_000_000)])
+        spec = small_spec(references=80, seed=7)
+        executor.map([spec, adaptive_twin(spec)])
         assert memo_stats()["stream_hits"] >= 1
 
 
