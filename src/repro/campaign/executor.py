@@ -32,10 +32,12 @@ from typing import (Any, DefaultDict, Dict, List, Optional, Sequence, Tuple,
 from repro import kernel
 from repro.campaign.manifest import atomic_write_json
 from repro.campaign.spec import RunSpec, SweepSpec
+from repro.interconnect.topology import TOPOLOGY_MEMO_STATS
 from repro.sim.config import SystemConfig
 from repro.system import build_system
 from repro.system.builder import system_class
 from repro.system.results import RunResult, RESULT_SCHEMA
+from repro.workloads.memo import MEMO_STATS
 
 
 #: Process-local tallies of simulation work done by :func:`execute_spec`.
@@ -60,6 +62,11 @@ RUN_MEMO_CAPACITY = 16
 #: :data:`PERF_COUNTERS`): a hit is a spec answered from the memo.
 RUN_MEMO_STATS: Dict[str, int] = {"run_hits": 0, "run_misses": 0}
 
+#: Every memo tally of this process: streams, topologies and runs.  A
+#: :class:`ParallelExecutor` adds the tallies its workers moved into them.
+MEMO_TALLIES: Tuple[Dict[str, int], ...] = (MEMO_STATS, TOPOLOGY_MEMO_STATS,
+                                            RUN_MEMO_STATS)
+
 #: Kernel tier -> ``(config, result)`` of runs that finished with no
 #: injection acting on them, least recently used first.  Both are the
 #: objects the run was given and returned, not copies.
@@ -71,15 +78,27 @@ def _replay(spec: RunSpec,
             runs: List[Tuple[SystemConfig, RunResult]]) -> Optional[RunResult]:
     """The stored run ``spec`` provably repeats, under the spec's label.
 
-    At most one stored run has a given configuration: a run of an equal
-    configuration that does not replay it stops short of it or is injected,
-    and is not stored.
+    A stored run is usable for the spec when it stands for a run of the
+    spec's configuration (:meth:`~repro.system.base.System.stands_for`):
+    its configuration is equal, or is the variant twin and the run reached
+    no variant site.  A twin that reached one is skipped and the scan goes
+    on; the first usable run decides, because at most one is usable.  Take
+    two stored runs.  The later one was simulated while the earlier one was
+    stored.  If the earlier one was usable for it, ``replays`` failed, so
+    the later run stopped short of the earlier one's end or was injected,
+    and was not stored.  Otherwise the earlier one is the later one's twin
+    and reached a site; the later run repeated the same events up to that
+    site and reached it too.  Then neither stands for its twin's
+    configuration, and only one of them has the spec's.
     """
-    for index, (config, result) in enumerate(runs):
+    config = spec.config
+    for index, (stored, result) in enumerate(runs):
         # Most entries differ in the workload, the cheapest part to compare.
-        if config.workload != spec.config.workload or config != spec.config:
+        if stored.workload != config.workload:
             continue
         cls = system_class(config)
+        if not cls.stands_for(stored, result, config):
+            continue
         if not cls.replays(result, config,
                            rate_per_second=spec.recovery_rate_per_second,
                            max_cycles=spec.max_cycles):
@@ -126,7 +145,8 @@ def execute_spec(spec: RunSpec) -> RunResult:
 
     A spec that provably repeats a run in the run memo of the active kernel
     tier is not simulated: it gets that run's result under its own label
-    (:meth:`repro.system.base.System.replays` states the rule).  No machine
+    (:meth:`repro.system.base.System.stands_for` and
+    :meth:`~repro.system.base.System.replays` state the rule).  No machine
     is built then, so there is nothing for the collector to free.  A
     simulated run is stored when its own spec would replay it, that is when
     it finished with no injection acting on it.
@@ -178,6 +198,17 @@ def execute_spec_timed(spec: RunSpec) -> Tuple[RunResult, float]:
     start = time.perf_counter()
     result = execute_spec(spec)
     return result, time.perf_counter() - start
+
+
+def _execute_in_worker(spec: RunSpec
+                       ) -> Tuple[RunResult, float, List[Dict[str, int]]]:
+    """:func:`execute_spec_timed` in a :class:`ParallelExecutor` worker,
+    plus how far it moved each of the worker's :data:`MEMO_TALLIES`."""
+    before = [dict(tallies) for tallies in MEMO_TALLIES]
+    result, seconds = execute_spec_timed(spec)
+    moved = [{key: tallies[key] - was[key] for key in tallies}
+             for tallies, was in zip(MEMO_TALLIES, before)]
+    return result, seconds, moved
 
 
 #: Schema tag of a cache entry envelope.  v1 envelopes wrap the result
@@ -388,6 +419,14 @@ class ParallelExecutor(Executor):
     own counters, so a worker's results do not depend on which specs it
     happened to run before — serial and parallel execution are
     byte-identical.
+
+    Each task also returns how far it moved the worker's memo tallies, and
+    :meth:`map` adds them to this process's :data:`MEMO_TALLIES`, so
+    ``memo_stats()`` counts the workers' streams, topologies and replays.
+    Which specs replay depends on which worker ran what, so only the
+    totals are fixed (``run_hits + run_misses`` is the number of specs
+    simulated or replayed).  The sharded executor's workers
+    (:mod:`repro.campaign.sharding`) report no tallies.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -413,7 +452,7 @@ class ParallelExecutor(Executor):
             results[index] = result
         if pending:
             pool = self._ensure_pool()
-            futures = [(index, spec, pool.submit(execute_spec_timed, spec))
+            futures = [(index, spec, pool.submit(_execute_in_worker, spec))
                        for index, spec in pending]
             # Collect every future before surfacing a failure: a design point
             # that raises (bad config, unknown topology, broken workload)
@@ -424,13 +463,16 @@ class ParallelExecutor(Executor):
             first_error: Optional[Exception] = None
             for index, spec, future in futures:
                 try:
-                    result, seconds = future.result()
+                    result, seconds, moved = future.result()
                 except Exception as exc:  # noqa: BLE001 - KeyboardInterrupt
                     # and friends must still propagate immediately; worker
                     # failures (incl. BrokenProcessPool) are Exceptions.
                     if first_error is None:
                         first_error = exc
                     continue
+                for tallies, delta in zip(MEMO_TALLIES, moved):
+                    for key, value in delta.items():
+                        tallies[key] += value
                 self._store(spec, result, wall_seconds=seconds)
                 results[index] = result
             if first_error is not None:

@@ -25,18 +25,9 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.campaign.executor import RUN_MEMO_STATS, clear_run_memo
-from repro.interconnect.topology import (
-    TOPOLOGY_MEMO_STATS,
-    clear_topology_memo,
-    shared_topology,
-)
-from repro.workloads.memo import (
-    MEMO_STATS,
-    clear_stream_memo,
-    shared_streams,
-    stream_key,
-)
+from repro.campaign.executor import MEMO_TALLIES, clear_run_memo
+from repro.interconnect.topology import clear_topology_memo, shared_topology
+from repro.workloads.memo import clear_stream_memo, shared_streams, stream_key
 
 __all__ = [
     "clear_memos",
@@ -48,10 +39,12 @@ __all__ = [
 
 
 def memo_stats() -> Dict[str, int]:
-    """Merged hit/miss tallies of the three memos (a fresh copy)."""
-    merged = dict(MEMO_STATS)
-    merged.update(TOPOLOGY_MEMO_STATS)
-    merged.update(RUN_MEMO_STATS)
+    """Merged hit/miss tallies of the three memos (a fresh copy), with
+    those of any :class:`~repro.campaign.executor.ParallelExecutor`
+    workers this process used."""
+    merged: Dict[str, int] = {}
+    for tallies in MEMO_TALLIES:
+        merged.update(tallies)
     return merged
 
 

@@ -57,7 +57,6 @@ class BlockingCacheController(Component):
         super().__init__(name, sim, stats)
         self.node_id = node_id
         self.config = config
-        self.variant = config.variant
         self.cache = cache
         self.misspeculation_reporter = misspeculation_reporter
         #: The owning system's transaction id stream (shared by every

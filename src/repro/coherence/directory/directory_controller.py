@@ -86,7 +86,6 @@ class DirectoryController(Component):
         super().__init__(f"dir{node_id}", sim, stats)
         self.node_id = node_id
         self.config = config
-        self.variant = config.variant
         #: Hoisted str-enum comparison (checked per writeback race).
         self._full_variant = config.variant == ProtocolVariant.FULL
         self.send = send

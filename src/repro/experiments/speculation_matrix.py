@@ -35,11 +35,15 @@ nothing, and for the directory system S2 changes nothing.  That redundancy
 is the point (every Table 1 cell is demonstrated, including the
 "speculation X does not exist here" cells) and is cheap.  A point whose
 configuration equals an earlier point's (it differs only in a design that
-does not exist in its system) is replayed from the run memo while the
-memo still holds the original, not re-simulated (DESIGN.md §9): 8 of the
-quick grid's 16 points.  In the full grid each such point comes too many
-points after its original, so all 96 are simulated.  Points that differ
-in a field their system ignores (snooping with and without S3 set
+does not exist in its system), or is its variant twin (it differs only in
+the protocol's own speculation) and the earlier run never reached a site
+where the variants differ, is replayed from the run memo, not
+re-simulated (DESIGN.md §9).  The batch is submitted protocol, topology,
+scale, S3, combination, so each group of four such points sits together
+within the memo's reach, while the rows keep the combination-major order.
+The quick grid at the runner's 250 references simulates 4 of its 16
+points, and the full grid at 20 references 24 of its 96.  Points that
+differ in a field their system ignores (snooping with and without S3 set
 ``speculative_no_vc``) are always simulated, as in the workload matrix.
 
 Quick mode shrinks the grid to the torus at 4 nodes; the combination axis
@@ -133,6 +137,12 @@ def run(workload: str = "jbb", *,
               for protocol in protocols
               for topology in topologies
               for nodes in scales]
+    # Submitted protocol -> topology -> scale -> S3 -> combination, so that
+    # equal configurations and variant twins sit next to each other, within
+    # the run memo's reach; the rows keep the order above.
+    batch = sorted(points, key=lambda point: (
+        protocols.index(point[0]), topologies.index(point[2]),
+        scales.index(point[3]), point[1][2]))
     sweep = SweepSpec.of("speculation-matrix-grid", [
         RunSpec(
             config=_point_config(workload, protocol, combo, topology, nodes,
@@ -140,9 +150,10 @@ def run(workload: str = "jbb", *,
             label=(f"{protocol.value}/{combination_label(*combo)}"
                    f"@{topology}/{nodes}"),
             max_cycles=MAX_CYCLES)
-        for protocol, combo, topology, nodes in points])
-    results = run_specs(sweep, executor=executor)
-    for (protocol, combo, topology, nodes), point in zip(points, results):
+        for protocol, combo, topology, nodes in batch])
+    by_point = dict(zip(batch, run_specs(sweep, executor=executor)))
+    for protocol, combo, topology, nodes in points:
+        point = by_point[(protocol, combo, topology, nodes)]
         label = f"{protocol.value}/{combination_label(*combo)}@{topology}/{nodes}"
         result.rows[label] = {
             "protocol": protocol.value,

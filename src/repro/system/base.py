@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from typing import ClassVar, Dict, List, Optional
+from dataclasses import replace
+from typing import ClassVar, Dict, FrozenSet, List, Optional
 
 from repro import kernel
 from repro.safetynet.manager import SafetyNet
@@ -49,6 +50,9 @@ class System(ABC):
 
     #: The coherence protocol the concrete system implements.
     kind: ClassVar[ProtocolKind]
+    #: Counter names (after the component's ``.``) of the sites where the
+    #: FULL and SPECULATIVE variants act differently (:meth:`replays`).
+    VARIANT_SITES: ClassVar[FrozenSet[str]]
 
     def __init__(self, config: SystemConfig, *, label: Optional[str] = None) -> None:
         self.config = config
@@ -198,8 +202,8 @@ class System(ABC):
                 max_cycles: Optional[int]) -> bool:
         """Whether :meth:`run` on a new build of ``config``, with an injector
         at ``rate_per_second`` attached (``None``: none) and bounded by
-        ``max_cycles``, would repeat ``finished``, a run of an equal
-        configuration, event for event.
+        ``max_cycles``, would repeat ``finished``, a run that
+        :meth:`stands_for` a run of ``config``, event for event.
 
         It would when ``finished`` finished at cycle ``B`` with no injection
         acting on it, ``B`` is within the cycle bound, and the injector
@@ -210,6 +214,32 @@ class System(ABC):
         only effect is one queued event, which takes a sequence number but
         changes no other event's order.  A firing at ``B`` itself would run
         before the finishing event, which was queued after it.
+
+        A run of ``config``'s *variant twin* (the configuration that differs
+        only in ``variant``) is such a run when its counters name none of
+        :attr:`VARIANT_SITES`.  ``config.variant`` is read only by:
+
+        * the three detection-flag derivations, each with one use, which
+          counts on either variant: ``corner_case_detection_enabled`` in
+          snooping ``_corner_case`` (``corner_case_detections`` or
+          ``corner_case_handled``), ``p2p_detection_enabled`` in the
+          directory cache controller's ``_forwarded_request_without_data``
+          (``p2p_order_detections`` or ``race_forward_ignored``) and the
+          directory's ``_full_variant`` in its writeback race, counted as
+          ``writeback_races`` before the branch;
+        * S1's and S2's ``applies_to``.  Arming either only registers a
+          forward-progress policy, which only a recovery of that design's
+          own kind applies, and only a detection at one of those sites
+          reports that kind;
+        * the two ``_default_label`` functions, which name the result and
+          nothing else (a replay relabels it);
+        * spec decoding.
+
+        Every site counts in Python on both kernel tiers.  So, by induction
+        over their ``(time, seq)``-ordered events, two twin machines run the
+        same code on the same state until one of them reaches a site, where
+        both count it; a run whose counters name no site repeats its twin
+        event for event.
         """
         if (not finished.finished
                 or finished.detections_of(SpeculationKind.INJECTED)):
@@ -221,6 +251,20 @@ class System(ABC):
                   else injection_period_cycles(rate_per_second,
                                                config.cycles_per_second))
         return stopped_at <= limit and (period is None or period > stopped_at)
+
+    @classmethod
+    def stands_for(cls, stored: SystemConfig, finished: RunResult,
+                   config: SystemConfig) -> bool:
+        """Whether ``finished``, a run of ``stored``, is a run of ``config``
+        for :meth:`replays`: the configurations are equal, or they are
+        variant twins and ``finished.counters`` name none of
+        :attr:`VARIANT_SITES` (the argument is in :meth:`replays`)."""
+        if stored == config:
+            return True
+        return (stored.variant is not config.variant
+                and replace(stored, variant=config.variant) == config
+                and not any(name.rpartition(".")[2] in cls.VARIANT_SITES
+                            for name in finished.counters))
 
     # ----------------------------------------------------------------- results
     def _collect_results(self, finished: bool) -> RunResult:

@@ -49,6 +49,8 @@ class DirectorySystem(System):
     """A runnable directory-protocol multiprocessor."""
 
     kind = ProtocolKind.DIRECTORY
+    VARIANT_SITES = frozenset({"p2p_order_detections", "race_forward_ignored",
+                               "writeback_races"})
 
     # ------------------------------------------------------------------- build
     @staticmethod

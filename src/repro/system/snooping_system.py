@@ -35,6 +35,7 @@ class SnoopingSystem(System):
     """A runnable broadcast-snooping multiprocessor."""
 
     kind = ProtocolKind.SNOOPING
+    VARIANT_SITES = frozenset({"corner_case_detections", "corner_case_handled"})
 
     # ------------------------------------------------------------------- build
     @staticmethod

@@ -3,16 +3,19 @@
 A spec that provably repeats a finished run is answered from the memo
 instead of being simulated (DESIGN.md §9).  The load-bearing properties:
 every replayed result is byte-identical to a fresh simulation, and every
-spec outside the rule of :meth:`repro.system.base.System.replays` is
-simulated.  The tests run on the kernel tier ``REPRO_KERNEL`` selects.
+spec outside the rule of :meth:`repro.system.base.System.stands_for` and
+:meth:`~repro.system.base.System.replays` is simulated.  The tests run on
+the kernel tier ``REPRO_KERNEL`` selects.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
-from types import SimpleNamespace
+from types import FunctionType, SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import kernel
 from repro.campaign import (
@@ -26,13 +29,35 @@ from repro.campaign import (
 )
 from repro.campaign import executor as executor_module
 from repro.campaign.executor import PERF_COUNTERS, RUN_MEMO_CAPACITY
+from repro.coherence.common import MemoryOp, MemoryRequest
+from repro.coherence.directory.messages import CoherencePayload
+from repro.coherence.snooping.bus import BusRequest, BusRequestType
 from repro.core.events import SpeculationKind
 from repro.experiments import fig4_misspeculation_rate as fig4
-from repro.experiments import workload_matrix
-from repro.sim.config import ProtocolKind, SystemConfig
+from repro.experiments import (
+    runner,
+    snooping_cornercase,
+    speculation_matrix,
+    workload_matrix,
+)
+from repro.experiments.common import benchmark_config, default_workloads
+from repro.interconnect.message import MessageClass, NetworkMessage
+from repro.sim.config import (
+    CacheConfig,
+    ProtocolKind,
+    ProtocolVariant,
+    RoutingPolicy,
+    SystemConfig,
+    WorkloadConfig,
+)
 from repro.speculation.detectors import injection_period_cycles
+from repro.system import build_system
 from repro.system.builder import system_class
+from repro.system.directory_system import DirectorySystem
 from repro.system.results import RunResult
+from repro.system.snooping_system import SnoopingSystem
+
+FULL, SPECULATIVE = ProtocolVariant.FULL, ProtocolVariant.SPECULATIVE
 
 
 def small_spec(references: int = 60, seed: int = 1, **spec_kwargs) -> RunSpec:
@@ -54,6 +79,39 @@ def run_counted(spec: RunSpec):
 def run_memo_len() -> int:
     """Number of runs stored for the active kernel tier."""
     return len(executor_module._RUN_MEMO[kernel.active_tier()])
+
+
+def record_executions(monkeypatch) -> list:
+    """Record ``(spec, result, simulated)`` of every spec the executors run."""
+    calls = []
+    original = executor_module.execute_spec
+
+    def recording(spec):
+        runs = PERF_COUNTERS["runs"]
+        result = original(spec)
+        calls.append((spec, result, PERF_COUNTERS["runs"] == runs + 1))
+        return result
+
+    monkeypatch.setattr(executor_module, "execute_spec", recording)
+    return calls
+
+
+def twin(config: SystemConfig) -> SystemConfig:
+    """The configuration that differs from ``config`` only in ``variant``."""
+    return config.with_updates(
+        variant=SPECULATIVE if config.variant is FULL else FULL)
+
+
+def site_counters(counters, cls) -> dict:
+    """The counters of ``counters`` that name one of ``cls``'s variant sites."""
+    return {name: value for name, value in counters.items()
+            if name.rpartition(".")[2] in cls.VARIANT_SITES}
+
+
+def small_snooping() -> SystemConfig:
+    """A small FULL snooping configuration."""
+    return SystemConfig.small(4, references=60).with_updates(
+        protocol=ProtocolKind.SNOOPING, variant=FULL)
 
 
 def rate_first_firing_at(cycle: int, config: SystemConfig) -> float:
@@ -78,16 +136,7 @@ class TestFig4:
         """At 60 references every baseline finishes long before the 1/s
         and 10/s injectors first fire, so those ten points replay their
         baseline; each replay equals a fresh simulation byte for byte."""
-        calls = []
-        original = executor_module.execute_spec
-
-        def recording(spec):
-            runs = PERF_COUNTERS["runs"]
-            result = original(spec)
-            calls.append((spec, result, PERF_COUNTERS["runs"] == runs + 1))
-            return result
-
-        monkeypatch.setattr(executor_module, "execute_spec", recording)
+        calls = record_executions(monkeypatch)
         fig4.run(references=60, seed=1, executor=SerialExecutor())
         simulated = sorted((spec.workload, spec.label)
                            for spec, _, ran in calls if ran)
@@ -224,3 +273,251 @@ class TestParallelWorkers:
         with ParallelExecutor(max_workers=1) as executor:
             [parallel] = executor.map([spec])
         assert result_bytes(parallel) == result_bytes(result)
+
+    def test_runner_counts_every_worker_run(self, tmp_path):
+        """Under ``--parallel`` the workers' memo tallies reach the report.
+        Which specs replay depends on which worker ran the baseline, so
+        only the total is fixed: quick fig4 has eight specs."""
+        path = tmp_path / "report.json"
+        assert runner.main(["--only", "fig4", "--quick", "--parallel", "2",
+                            "--json", str(path)]) == 0
+        memos = json.loads(path.read_text())["execution"]["memos"]
+        assert memos["run_hits"] + memos["run_misses"] == 8
+
+
+def small_dir_l2(workload: str, variant: ProtocolVariant) -> SystemConfig:
+    """A directory point whose 8 KB 2-way L2 writes back often enough for
+    jbb to reach the directory's writeback race."""
+    return benchmark_config(workload, seed=1, references=200,
+                            variant=variant).with_updates(
+        l2=CacheConfig(8192, 2))
+
+
+class TestVariantTwins:
+    """A stored run also stands for its variant twin when its counters
+    name none of the system's variant sites."""
+
+    def test_snooping_cornercase_simulates_only_its_full_points(
+            self, monkeypatch):
+        calls = record_executions(monkeypatch)
+        snooping_cornercase.run(references=200, seed=1,
+                                executor=SerialExecutor())
+        simulated = sorted((spec.workload, spec.config.variant.value)
+                           for spec, _, ran in calls if ran)
+        replayed = [(spec, result) for spec, result, ran in calls if not ran]
+        workloads = sorted(default_workloads())
+        assert len(workloads) == 5 and len(calls) == 10
+        assert simulated == [(workload, "full") for workload in workloads]
+        assert sorted((spec.workload, spec.config.variant.value)
+                      for spec, _ in replayed) \
+            == [(workload, "speculative") for workload in workloads]
+        assert memo_stats()["run_hits"] == 5
+        for spec, result in replayed:
+            assert result.config_label == "snooping-speculative"
+            clear_memos()
+            fresh, simulated_now = run_counted(spec)
+            assert simulated_now
+            assert result_bytes(result) == result_bytes(fresh), spec.workload
+
+    def test_speculative_first_replays_too(self):
+        replayed = []
+        for workload in default_workloads():
+            for variant in (SPECULATIVE, FULL):
+                spec = RunSpec(config=benchmark_config(
+                    workload, seed=1, references=200,
+                    protocol=ProtocolKind.SNOOPING, variant=variant))
+                result, simulated = run_counted(spec)
+                assert simulated is (variant is SPECULATIVE)
+                if not simulated:
+                    replayed.append((spec, result))
+        assert len(replayed) == 5
+        for spec, result in replayed:
+            clear_memos()
+            fresh, _ = run_counted(spec)
+            assert result_bytes(result) == result_bytes(fresh), spec.workload
+
+    def test_directory_writeback_race_is_simulated(self):
+        """The counter-example: jbb reaches the directory's writeback race,
+        where the FULL directory also sends the data itself, and the twins
+        really differ."""
+        full, simulated = run_counted(RunSpec(config=small_dir_l2("jbb", FULL)))
+        assert simulated
+        races = site_counters(full.counters, DirectorySystem)
+        assert list(races.values()) == [1]
+        assert all(name.endswith(".writeback_races") for name in races)
+        speculative, simulated = run_counted(
+            RunSpec(config=small_dir_l2("jbb", SPECULATIVE)))
+        assert simulated
+        assert site_counters(speculative.counters, DirectorySystem) == races
+        assert (full.runtime_cycles, speculative.runtime_cycles) \
+            == (507_682, 507_596)
+
+    @pytest.mark.parametrize("workload", ["oltp", "hotspot"])
+    def test_directory_twins_that_reach_no_site_replay(self, workload):
+        full, simulated = run_counted(
+            RunSpec(config=small_dir_l2(workload, FULL)))
+        assert simulated
+        assert site_counters(full.counters, DirectorySystem) == {}
+        spec = RunSpec(config=small_dir_l2(workload, SPECULATIVE))
+        replayed, simulated = run_counted(spec)
+        assert not simulated
+        clear_memos()
+        fresh, _ = run_counted(spec)
+        assert result_bytes(replayed) == result_bytes(fresh)
+
+    def test_twin_of_a_run_that_names_a_site_is_simulated(self):
+        config = small_snooping()
+        _, simulated = run_counted(RunSpec(config=config))
+        assert simulated
+        replayed, simulated = run_counted(RunSpec(config=twin(config)))
+        assert not simulated  # the clean twin replays ...
+        assert replayed.config_label == "snooping-speculative"
+        clear_memos()
+        run_counted(RunSpec(config=config))
+        [(stored, result)] = executor_module._RUN_MEMO[kernel.active_tier()]
+        doctored = replace(result, counters={
+            **result.counters, "snoopctrl1.corner_case_handled": 1})
+        executor_module._RUN_MEMO[kernel.active_tier()][0] = (stored, doctored)
+        _, simulated = run_counted(RunSpec(config=twin(config)))
+        assert simulated  # ... the one that reached the corner case is not
+
+    def test_exact_entry_that_names_a_site_replays(self):
+        """The sites restrict twins only: an equal configuration replays
+        whatever its run reached."""
+        config = small_snooping()
+        result, _ = run_counted(RunSpec(config=config))
+        doctored = replace(result, counters={
+            **result.counters, "snoopctrl1.corner_case_handled": 1})
+        executor_module._RUN_MEMO[kernel.active_tier()][0] = (config, doctored)
+        replayed, simulated = run_counted(RunSpec(config=config))
+        assert not simulated
+        assert result_bytes(replayed) == result_bytes(doctored)
+
+    def test_twin_that_names_a_site_is_skipped_and_the_scan_goes_on(self):
+        config = small_snooping()
+        result, _ = run_counted(RunSpec(config=config))
+        doctored = replace(result, l2_hits=result.l2_hits + 1, counters={
+            **result.counters, "snoopctrl1.corner_case_detections": 1})
+        executor_module._RUN_MEMO[kernel.active_tier()].insert(
+            0, (twin(config), doctored))
+        replayed, simulated = run_counted(RunSpec(config=config))
+        assert not simulated
+        assert result_bytes(replayed) == result_bytes(result)
+
+    def test_twin_stored_on_the_other_tier_is_simulated(self, monkeypatch):
+        config = small_snooping()
+        run_counted(RunSpec(config=config))
+        other = "compiled" if kernel.active_tier() == "pure" else "pure"
+        monkeypatch.setattr(executor_module, "kernel",
+                            SimpleNamespace(active_tier=lambda: other))
+        _, simulated = run_counted(RunSpec(config=twin(config)))
+        assert simulated
+
+    def test_twins_differing_in_one_more_field_are_simulated(self):
+        """``speculative_no_vc`` is ignored by the bus-based system, but a
+        configuration that differs in it is not a variant twin."""
+        config = small_snooping()
+        run_counted(RunSpec(config=config))
+        other = twin(config).with_updates(interconnect=replace(
+            config.interconnect, speculative_no_vc=True))
+        _, simulated = run_counted(RunSpec(config=other))
+        assert simulated
+
+
+@given(seed=st.integers(0, 1_000),
+       workload=st.sampled_from(default_workloads()),
+       protocol=st.sampled_from(list(ProtocolKind)))
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_twin_runs_that_reach_no_site_are_identical(seed, workload, protocol):
+    """The argument behind the twin rule, checked on two real simulations
+    (no memo): when the FULL run's counters name no variant site, the
+    SPECULATIVE run equals it byte for byte apart from the label.  The
+    small L2 and adaptive routing make writebacks, races and reordering
+    likely, so some examples reach a site."""
+    config = SystemConfig.small(4, references=120, seed=seed).with_updates(
+        protocol=protocol, variant=FULL, l2=CacheConfig(16 * 1024, 2),
+        workload=WorkloadConfig(name=workload, references_per_processor=120,
+                                seed=seed))
+    config = config.with_updates(interconnect=replace(
+        config.interconnect, routing=RoutingPolicy.ADAPTIVE))
+    full = build_system(config, label="twin").run()
+    if not system_class(config).stands_for(config, full, twin(config)):
+        return
+    speculative = build_system(twin(config), label="twin").run()
+    assert result_bytes(speculative) == result_bytes(full)
+
+
+class TestSpeculationMatrix:
+    def test_full_grid_simulates_one_point_per_group(self):
+        """Submitted protocol, topology, scale, S3, combination, each group
+        of four equal or twin points is one simulation; the rows keep their
+        combination-major order."""
+        runs = PERF_COUNTERS["runs"]
+        result = speculation_matrix.run(references=20,
+                                        executor=SerialExecutor())
+        assert PERF_COUNTERS["runs"] - runs == 24
+        assert memo_stats()["run_hits"] == 72
+        assert list(result.rows)[:3] == [
+            "directory/none@torus/4", "directory/none@torus/16",
+            "directory/none@mesh/4"]
+
+
+def forced_snooping_corner_case(variant: ProtocolVariant):
+    """examples/snooping_corner_case.py's forced corner case on node 1."""
+    system = build_system(SystemConfig.small(
+        num_processors=4, references=0).with_updates(
+            protocol=ProtocolKind.SNOOPING, variant=variant))
+    ctrl = system.nodes[1].cache_controller
+    if kernel.active_tier() == "compiled":
+        # The compiled SnoopCore reaches the site through ``_corner_case``.
+        assert ctrl.snoop == ctrl._snoop_core.snoop
+    ctrl.access(MemoryRequest(node=1, op=MemoryOp.STORE, address=0x2000,
+                              value=7), lambda request: None)
+    system.sim.run()
+    ctrl._evict(system.nodes[1].l2_array.peek(0x2000))
+    for requestor in (2, 3):
+        ctrl.snoop(BusRequest(requestor=requestor, address=0x2000,
+                              rtype=BusRequestType.GETX))
+    system.sim.run()
+    return system
+
+
+def forwarded_request_without_data(variant: ProtocolVariant):
+    """A ForwardedRequestReadWrite delivered to node 1, which holds neither
+    the block nor a writeback of it."""
+    system = build_system(SystemConfig.small(
+        num_processors=4, references=0).with_updates(variant=variant))
+    receive = system.network._endpoints[1].receive
+    if kernel.active_tier() == "compiled":
+        assert not isinstance(receive, FunctionType)
+    receive(NetworkMessage(
+        src=0, dst=1, msg_class=MessageClass.FORWARDED_REQUEST_READ_WRITE,
+        size_bytes=8, payload=CoherencePayload(requestor=2), address=0x2000))
+    system.sim.run()
+    return system
+
+
+class TestVariantSites:
+    """Each declared counter is counted at its site, on the selected tier
+    (the jbb counter-example above covers ``writeback_races``)."""
+
+    @pytest.mark.parametrize("variant, counter", [
+        (FULL, "snoopctrl1.corner_case_handled"),
+        (SPECULATIVE, "snoopctrl1.corner_case_detections")])
+    def test_snooping_corner_case(self, variant, counter):
+        system = forced_snooping_corner_case(variant)
+        assert site_counters(system.stats.counters(), SnoopingSystem) \
+            == {counter: 1}
+        assert system.speculation.framework_stats.recoveries == (
+            variant is SPECULATIVE)
+
+    @pytest.mark.parametrize("variant, counter", [
+        (FULL, "l2ctrl1.race_forward_ignored"),
+        (SPECULATIVE, "l2ctrl1.p2p_order_detections")])
+    def test_forwarded_request_without_data(self, variant, counter):
+        system = forwarded_request_without_data(variant)
+        assert site_counters(system.stats.counters(), DirectorySystem) \
+            == {counter: 1}
+        assert system.speculation.framework_stats.recoveries == (
+            variant is SPECULATIVE)
