@@ -61,9 +61,10 @@ def forced_occurrence_demo() -> None:
     ctrl.snoop(BusRequest(requestor=3, address=0x2000, rtype=BusRequestType.GETX))
     system.sim.run()
 
-    stats = system.speculation.framework_stats
-    print(f"  detections: {stats.detections}, recoveries: {stats.recoveries}")
-    for record in system.speculation.records:
+    manager = system.speculation
+    print(f"  detections: {len(manager.events)}, "
+          f"recoveries: {len(manager.records)}")
+    for record in manager.records:
         print(f"  recovery for '{record.event.description}'")
         print(f"    work lost: {record.work_lost_cycles} cycles, "
               f"resumed at cycle {record.resumed_at}")

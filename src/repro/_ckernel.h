@@ -192,7 +192,7 @@ struct protocol_names {
         *references_completed, *state, *hits, *store_value_hook,
         *l1_hits, *gap, *next_send_seq, *send_seq,
         *messages_sent, *sent_name, *msg_class, *payload, *address,
-        *issued_at, *requests_ordered, *busy, *requests_issued,
+        *requests_ordered, *busy, *requests_issued,
         *arb_label, *snoop_label;
 };
 
@@ -204,7 +204,7 @@ struct ctrl_names {
         *pending_on_complete, *data_received, *acks_needed, *acks_received,
         *acks_expected, *completed, *on_complete_attr, *timeout_event,
         *txn_id, *op, *tick, *last_used, *misses, *evictions,
-        *completed_at, *cancel, *load_hits, *store_hits, *load_misses,
+        *cancel, *load_hits, *store_hits, *load_misses,
         *store_misses, *transactions_issued, *transactions_completed,
         *stale_data, *duplicate_data, *stale_acks, *memory_references,
         *value_hint;

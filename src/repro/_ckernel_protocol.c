@@ -1500,7 +1500,6 @@ struct CCtrlCoreT {
  * reference (blocking processor => at most one in flight per controller). */
 typedef struct {
     PyObject_HEAD
-    CCtrlCore *core;            /* strong (cycle collected via GC) */
     PyObject *request, *cb;     /* armed payload; NULL when idle */
 } CFinishThunk;
 
@@ -1586,7 +1585,6 @@ txn_set_state(PyObject *observer, PyObject *line, PyObject *address,
 static int
 Finish_traverse(CFinishThunk *self, visitproc visit, void *arg)
 {
-    Py_VISIT(self->core);
     Py_VISIT(self->request);
     Py_VISIT(self->cb);
     return 0;
@@ -1595,7 +1593,6 @@ Finish_traverse(CFinishThunk *self, visitproc visit, void *arg)
 static int
 Finish_clear_gc(CFinishThunk *self)
 {
-    Py_CLEAR(self->core);
     Py_CLEAR(self->request);
     Py_CLEAR(self->cb);
     return 0;
@@ -1612,7 +1609,7 @@ Finish_dealloc(CFinishThunk *self)
 static PyObject *
 Finish_call(CFinishThunk *self, PyObject *args, PyObject *kwds)
 {
-    /* _finish._done: stamp completion time, then hand the request back. */
+    /* _finish's scheduled callback: hand the request back. */
     PyObject *request = self->request;
     PyObject *cb = self->cb;
     self->request = NULL;
@@ -1621,11 +1618,6 @@ Finish_call(CFinishThunk *self, PyObject *args, PyObject *kwds)
         Py_XDECREF(request);
         Py_XDECREF(cb);
         PyErr_SetString(PyExc_RuntimeError, "finish thunk fired while idle");
-        return NULL;
-    }
-    if (setattr_ll(request, TS.completed_at, self->core->sim->now) < 0) {
-        Py_DECREF(request);
-        Py_DECREF(cb);
         return NULL;
     }
     PyObject *res = PyObject_CallOneArg(cb, request);
@@ -1910,7 +1902,6 @@ ctrl_new(PyTypeObject *type, PyObject *kwds, PyObject *ctrl,
         goto fail;
     ft->request = NULL;
     ft->cb = NULL;
-    ft->core = (CCtrlCore *)Py_NewRef(self);
     PyObject_GC_Track((PyObject *)ft);
     self->finish_thunk = (PyObject *)ft;
 
@@ -1984,20 +1975,14 @@ ctrl_issue(CCtrlCore *self, PyObject *request, PyObject *on_complete,
         Py_DECREF(res);
         return 0;
     }
-    PyObject *now_obj = PyLong_FromLongLong(self->sim->now);
-    if (now_obj == NULL)
-        return -1;
     PyObject *op = PyObject_GetAttr(request, TS.op);
-    if (op == NULL) {
-        Py_DECREF(now_obj);
+    if (op == NULL)
         return -1;
-    }
     PyObject *id_obj = next_txn_id(self->txn_ids);
     PyObject *txn = id_obj == NULL ? NULL : PyObject_CallFunctionObjArgs(
-        self->txn_cls, self->node_obj, addr_obj, op, now_obj, id_obj, NULL);
+        self->txn_cls, self->node_obj, addr_obj, op, id_obj, NULL);
     Py_XDECREF(id_obj);
     Py_DECREF(op);
-    Py_DECREF(now_obj);
     if (txn == NULL)
         return -1;
     if (PyObject_SetAttr(self->ctrl, TS.pending_request, request) < 0 ||
@@ -2161,8 +2146,6 @@ ctrl_complete(CCtrlCore *self, PyObject *txn)
         if (rc < 0)
             goto fail;
     }
-    if (setattr_ll(request, TS.completed_at, self->sim->now) < 0)
-        goto fail;
     res = PyObject_CallOneArg(oc, request);
     Py_DECREF(taddr_obj);
     Py_DECREF(oc);
@@ -2239,8 +2222,6 @@ CtrlCore_access(CCtrlCore *self, PyObject *const *args, Py_ssize_t nargs)
     }
     PyObject *request = args[0];
     PyObject *on_complete = args[1];
-    if (setattr_ll(request, PS.issued_at, self->sim->now) < 0)
-        return NULL;
     PyObject *addr_obj = PyObject_GetAttr(request, PS.address);
     if (addr_obj == NULL)
         return NULL;

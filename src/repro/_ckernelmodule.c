@@ -3338,7 +3338,6 @@ PyInit__ckernel(void)
     INTERN(msg_class, "msg_class");
     INTERN(payload, "payload");
     INTERN(address, "address");
-    INTERN(issued_at, "issued_at");
     INTERN(requests_ordered, "requests_ordered");
     INTERN(busy, "_busy");
     INTERN(requests_issued, "requests_issued");
@@ -3368,7 +3367,6 @@ PyInit__ckernel(void)
     INTERN(last_used, "last_used");
     INTERN(misses, "misses");
     INTERN(evictions, "evictions");
-    INTERN(completed_at, "completed_at");
     INTERN(cancel, "cancel");
     INTERN(load_hits, "load_hits");
     INTERN(store_hits, "store_hits");

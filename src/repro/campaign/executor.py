@@ -212,9 +212,8 @@ def _execute_in_worker(spec: RunSpec
 
 
 #: Schema tag of a cache entry envelope.  v1 envelopes wrap the result
-#: payload with execution metadata (wall seconds, worker id); bare
-#: pre-envelope entries (a raw ``RunResult.to_json`` document) stay
-#: readable — the *result* schema inside is what gates staleness.
+#: payload with execution metadata (wall seconds, worker id); the *result*
+#: schema inside is what gates staleness.  Any other document is a miss.
 CACHE_SCHEMA = "repro.campaign.cache/v1"
 
 
@@ -253,24 +252,20 @@ class ResultCache:
                 payload = json.load(handle)
         except (OSError, ValueError):
             return None
-        if not isinstance(payload, dict):
+        if not (isinstance(payload, dict)
+                and payload.get("schema") == CACHE_SCHEMA):
             return None
-        if payload.get("schema") == CACHE_SCHEMA:
-            recorded = payload.get("spec_hash")
-            if (expect_hash is not None and recorded is not None
-                    and recorded != expect_hash):
-                return None  # misfiled entry: never serve another spec's run
-            result = payload.get("result")
-            meta = payload.get("meta")
-            if not (isinstance(result, dict)
-                    and result.get("schema") == RESULT_SCHEMA):
-                return None
-            return {"result": result,
-                    "meta": meta if isinstance(meta, dict) else {}}
-        if payload.get("schema") == RESULT_SCHEMA:
-            # Pre-envelope entry: the document *is* the result payload.
-            return {"result": payload, "meta": {}}
-        return None
+        recorded = payload.get("spec_hash")
+        if (expect_hash is not None and recorded is not None
+                and recorded != expect_hash):
+            return None  # misfiled entry: never serve another spec's run
+        result = payload.get("result")
+        meta = payload.get("meta")
+        if not (isinstance(result, dict)
+                and result.get("schema") == RESULT_SCHEMA):
+            return None
+        return {"result": result,
+                "meta": meta if isinstance(meta, dict) else {}}
 
     def _load(self, spec: RunSpec) -> Optional[Dict[str, Any]]:
         return self._load_path(self.path_for(spec), spec.content_hash())
@@ -291,9 +286,9 @@ class ResultCache:
     def meta(self, spec: RunSpec) -> Optional[Dict[str, Any]]:
         """The execution metadata stored alongside a result.
 
-        ``None`` when the entry is absent/unreadable; ``{}`` for legacy
-        bare entries.  Never counts toward hit/miss tallies — metadata
-        probes (``campaign status`` throughput) are not cache traffic.
+        ``None`` when the entry is absent/unreadable.  Never counts toward
+        hit/miss tallies — metadata probes (``campaign status``
+        throughput) are not cache traffic.
         """
         return None if (entry := self._load(spec)) is None else entry["meta"]
 

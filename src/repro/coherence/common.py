@@ -24,25 +24,16 @@ class MemoryRequest:
     the per-instance ``__dict__`` measurable.
     """
 
-    __slots__ = ("node", "op", "address", "issued_at", "completed_at", "value")
+    __slots__ = ("node", "op", "address", "value")
 
     def __init__(self, node: int, op: MemoryOp, address: BlockAddress,
-                 issued_at: int = -1, completed_at: int = -1,
                  value: Optional[int] = None) -> None:
         self.node = node
         self.op = op
         self.address = address
-        self.issued_at = issued_at
-        self.completed_at = completed_at
         #: Value observed by a load / written by a store (data tracking for
         #: correctness checks; the timing model does not depend on it).
         self.value = value
-
-    @property
-    def latency(self) -> int:
-        if self.completed_at < 0 or self.issued_at < 0:
-            raise ValueError("request not complete")
-        return self.completed_at - self.issued_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MemoryRequest(node={self.node}, op={self.op!r}, "
@@ -59,13 +50,13 @@ class Transaction:
     process.
     """
 
-    __slots__ = ("node", "address", "op", "started_at", "txn_id",
+    __slots__ = ("node", "address", "op", "txn_id",
                  "acks_needed", "acks_received", "data_received",
                  "on_complete", "timeout_event", "completed",
                  "bus_ordered", "invalidate_on_install", "value_hint")
 
     def __init__(self, node: int, address: BlockAddress, op: MemoryOp,
-                 started_at: int, txn_id: int,
+                 txn_id: int,
                  acks_needed: int = 0, acks_received: int = 0,
                  data_received: bool = False,
                  on_complete: Optional[Callable[["Transaction"], None]] = None,
@@ -73,7 +64,6 @@ class Transaction:
         self.node = node
         self.address = address
         self.op = op
-        self.started_at = started_at
         self.txn_id = txn_id
         #: Invalidation acknowledgements still outstanding (directory protocol).
         self.acks_needed = acks_needed

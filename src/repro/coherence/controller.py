@@ -95,7 +95,6 @@ class BlockingCacheController(Component):
         ever has one reference outstanding.
         """
         address = request.address
-        request.issued_at = self.sim._now
         cache = self.cache
         line = cache.lookup(address)
         state = line.state if line is not None else self.INVALID
@@ -125,10 +124,7 @@ class BlockingCacheController(Component):
 
     def _finish(self, request: MemoryRequest,
                 on_complete: Callable[[MemoryRequest], None], delay: int) -> None:
-        def _done() -> None:
-            request.completed_at = self.sim.now
-            on_complete(request)
-        self.schedule(delay, _done)
+        self.schedule(delay, lambda: on_complete(request))
 
     # ============================================================= transactions
     def _issue_transaction(self, request: MemoryRequest,
@@ -141,8 +137,7 @@ class BlockingCacheController(Component):
             return
 
         txn = Transaction(node=self.node_id, address=request.address,
-                          op=request.op, started_at=self.sim._now,
-                          txn_id=next(self._txn_ids))
+                          op=request.op, txn_id=next(self._txn_ids))
         self._pending_request = request
         self._pending_on_complete = on_complete
         txn.on_complete = self._complete_current
@@ -185,7 +180,6 @@ class BlockingCacheController(Component):
                 # Late-invalidated load (snooping): the data satisfied the
                 # load but the line was not retained.
                 request.value = txn.value_hint
-        request.completed_at = self.sim.now
         on_complete(request)
 
     def _transaction_done(self, txn: Transaction) -> None:

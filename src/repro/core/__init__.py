@@ -3,9 +3,10 @@
 The framework of Section 2 specifies four features a speculative design must
 provide; this package implements them as composable pieces:
 
-1. **Infrequency** — not a mechanism but a property; the manager accounts
-   for mis-speculation rates so experiments can verify it
-   (:class:`repro.speculation.manager.SpeculationManager` statistics).
+1. **Infrequency** — not a mechanism but a property; the manager records
+   every detection and every recovery once, in its ``events`` and
+   ``records`` lists, so experiments can verify it
+   (:class:`repro.speculation.manager.SpeculationManager`).
 2. **Detection** — detection logic lives where the paper puts it (inside the
    cache controllers as "one specific invalid transition", and as a
    transaction timeout armed by the ``interconnect-deadlock`` speculation);
@@ -16,8 +17,8 @@ provide; this package implements them as composable pieces:
    two policies the paper uses: selectively disabling adaptive routing, and
    "slow-start" restriction of outstanding coherence transactions.
 
-The pattern itself — one reusable arm/detect/recover/account lifecycle,
-applied three times — is rendered by the
+The pattern itself — one reusable arm/detect/recover lifecycle, applied
+three times — is rendered by the
 :mod:`repro.speculation` package; this package keeps the event vocabulary
 (:mod:`repro.core.events`), the policies and the Table 1 catalog
 (:mod:`repro.core.catalog`).

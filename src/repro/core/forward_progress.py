@@ -68,11 +68,9 @@ class DisableAdaptiveRoutingPolicy(ForwardProgressPolicy):
             raise ValueError("window must be non-negative")
         self._disable = disable
         self.window_cycles = window_cycles
-        self.applications = 0
 
     def apply(self, event: MisspeculationEvent) -> None:
         self._disable(self.window_cycles)
-        self.applications += 1
 
 
 class SlowStartGate:
@@ -134,11 +132,9 @@ class SlowStartPolicy(ForwardProgressPolicy):
         self.gate = gate
         self.max_outstanding = max_outstanding
         self.duration_cycles = duration_cycles
-        self.applications = 0
 
     def apply(self, event: MisspeculationEvent) -> None:
         self.gate.enter_slow_start(self.max_outstanding, self.duration_cycles)
-        self.applications += 1
 
 
 class CombinedPolicy(ForwardProgressPolicy):
@@ -160,7 +156,6 @@ class CombinedPolicy(ForwardProgressPolicy):
         self.free_retries = free_retries
         self.window_cycles = window_cycles
         self._recent: List[int] = []
-        self.escalations = 0
 
     def apply(self, event: MisspeculationEvent) -> None:
         now = self.sim.now
@@ -168,7 +163,6 @@ class CombinedPolicy(ForwardProgressPolicy):
         self._recent.append(now)
         if len(self._recent) > self.free_retries:
             self.heavyweight.apply(event)
-            self.escalations += 1
 
     def describe(self) -> str:
         return f"resume then {self.heavyweight.describe()}"

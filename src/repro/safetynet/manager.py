@@ -58,12 +58,10 @@ class SafetyNet:
         self._restore_fns: Dict[str, RestoreFn] = {}
         self._participants: List[CheckpointParticipant] = []
         self._squash_hooks: List[Callable[[], None]] = []
-        self._recovery_listeners: List[Callable[[RecoveryRecord], None]] = []
         self._checkpoints: List[Checkpoint] = []
         self._next_seq = 0
         self._requests_seen = 0
         self._active = False
-        self.recoveries: List[RecoveryRecord] = []
         #: End of the most recent recovery (execution stalls until then).
         self.stalled_until = 0
         # The initial checkpoint (recovery can never go before time zero).
@@ -121,15 +119,6 @@ class SafetyNet:
     def add_squash_hook(self, hook: Callable[[], None]) -> None:
         self._squash_hooks.append(hook)
 
-    def add_recovery_listener(self, listener: Callable[[RecoveryRecord], None]) -> None:
-        """Register a callback invoked after every completed recovery.
-
-        The speculation layer subscribes here so per-design accounting sees
-        every rollback regardless of which path triggered it.  Listeners run
-        after all state has been restored and must not schedule events.
-        """
-        self._recovery_listeners.append(listener)
-
     # -------------------------------------------------------------- checkpoints
     @property
     def checkpoints_taken(self) -> int:
@@ -182,9 +171,12 @@ class SafetyNet:
         """The checkpoint a recovery would roll back to (most recent one)."""
         return self._checkpoints[-1]
 
-    def recover(self, event: MisspeculationEvent, *,
-                messages_squashed_hint: int = 0) -> RecoveryRecord:
-        """Perform a system-wide recovery to the active recovery point."""
+    def recover(self, event: MisspeculationEvent) -> RecoveryRecord:
+        """Perform a system-wide recovery to the active recovery point.
+
+        The caller keeps the returned record: SafetyNet counts recoveries
+        (the ``safetynet.recoveries*`` counters) but does not store them.
+        """
         started_at = self.sim.now
         target = self.recovery_point
         undone = 0
@@ -201,7 +193,7 @@ class SafetyNet:
 
         # 2. Squash in-flight state (network messages, transient controller
         #    state).  Hooks may return a squash count for accounting.
-        squashed = messages_squashed_hint
+        squashed = 0
         for hook in self._squash_hooks:
             result = hook()
             if isinstance(result, int):
@@ -227,19 +219,11 @@ class SafetyNet:
             messages_squashed=squashed,
             log_entries_undone=undone,
         )
-        self.recoveries.append(record)
         self.stats.counter("safetynet.recoveries").add()
         self.stats.counter(f"safetynet.recoveries.{event.kind.value}").add()
         self.stats.counter("safetynet.work_lost_cycles").add(work_lost)
-        for listener in self._recovery_listeners:
-            listener(record)
         return record
 
     # ------------------------------------------------------------------- stats
-    def recovery_count(self, kind=None) -> int:
-        if kind is None:
-            return len(self.recoveries)
-        return sum(1 for r in self.recoveries if r.event.kind == kind)
-
     def peak_log_occupancy_entries(self) -> int:
         return max((log.peak_occupancy for log in self.logs.values()), default=0)

@@ -5,8 +5,10 @@ lifecycle for one row of Table 1.  The *detection sites* stay where the
 paper puts them — inside the protocol controllers ("one specific invalid
 transition") and the per-transaction timeout — but everything around a
 site that the two system classes used to duplicate now lives here: which
-configurations arm the design, the timeout calculation, the
-forward-progress policy construction, and the per-design accounting.
+configurations arm the design, the timeout calculation and the
+forward-progress policy construction.  Every detection is reported to the
+system's :class:`repro.speculation.manager.SpeculationManager`, which
+records it.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class DirectoryP2POrderSpeculation(Speculation):
     """
 
     kind = SpeculationKind.DIRECTORY_P2P_ORDER
-    paper_section = "3.1"
 
     @classmethod
     def applies_to(cls, config: SystemConfig) -> bool:
@@ -75,20 +76,9 @@ class DirectoryP2POrderSpeculation(Speculation):
                 and config.variant == ProtocolVariant.SPECULATIVE)
 
     def arm(self, system) -> None:
-        spec = system.config.speculation
-        self.network = system.network
-        self.policy = DisableAdaptiveRoutingPolicy(
+        self.manager.set_policy(self.kind, DisableAdaptiveRoutingPolicy(
             system.network.disable_adaptive_routing,
-            spec.adaptive_routing_disable_cycles)
-        self.manager.set_policy(self.kind, self.policy)
-
-    def stats(self):
-        payload = super().stats()
-        if self.armed_on is not None:
-            payload["routing_windows_applied"] = self.policy.applications
-            payload["adaptive_routing_disabled"] = (
-                self.network.adaptive_routing_disabled)
-        return payload
+            system.config.speculation.adaptive_routing_disable_cycles))
 
 
 class SnoopingCornerCaseSpeculation(Speculation):
@@ -102,7 +92,6 @@ class SnoopingCornerCaseSpeculation(Speculation):
     """
 
     kind = SpeculationKind.SNOOPING_CORNER_CASE
-    paper_section = "3.2"
 
     @classmethod
     def applies_to(cls, config: SystemConfig) -> bool:
@@ -111,11 +100,10 @@ class SnoopingCornerCaseSpeculation(Speculation):
 
     def arm(self, system) -> None:
         spec = system.config.speculation
-        self.policy = SlowStartPolicy(
+        self.manager.set_policy(self.kind, SlowStartPolicy(
             system.slow_start_gate,
             max_outstanding=spec.slow_start_max_outstanding,
-            duration_cycles=spec.slow_start_cycles)
-        self.manager.set_policy(self.kind, self.policy)
+            duration_cycles=spec.slow_start_cycles))
 
 
 class InterconnectDeadlockSpeculation(Speculation):
@@ -129,7 +117,6 @@ class InterconnectDeadlockSpeculation(Speculation):
     """
 
     kind = SpeculationKind.INTERCONNECT_DEADLOCK
-    paper_section = "4"
 
     @classmethod
     def applies_to(cls, config: SystemConfig) -> bool:
@@ -138,11 +125,11 @@ class InterconnectDeadlockSpeculation(Speculation):
     def arm(self, system) -> None:
         config = system.config
         spec = config.speculation
-        self.timeout_cycles = transaction_timeout_cycles(
+        timeout_cycles = transaction_timeout_cycles(
             config.checkpoint, spec,
             checkpoint_interval_cycles=system.checkpoint_interval_cycles())
         for controller in system.cache_controllers():
-            controller.timeout_cycles = self.timeout_cycles
+            controller.timeout_cycles = timeout_cycles
         slow_start = SlowStartPolicy(
             system.slow_start_gate,
             max_outstanding=spec.slow_start_max_outstanding,
@@ -150,33 +137,13 @@ class InterconnectDeadlockSpeculation(Speculation):
         if system.kind == ProtocolKind.DIRECTORY:
             # The directory system escalates: the first recovery just
             # perturbs timing, repeats within the window enter slow-start.
-            self.policy = CombinedPolicy(
+            policy = CombinedPolicy(
                 system.sim, slow_start, free_retries=1,
                 window_cycles=max(spec.slow_start_cycles,
                                   4 * config.checkpoint.directory_interval_cycles))
         else:
-            self.policy = slow_start
-        self.manager.set_policy(self.kind, self.policy)
-
-    def ground_truth_report(self, system):
-        """Wait-for-graph scan of the system's network (tests/diagnostics).
-
-        The production detector is the timeout; this exposes the explicit
-        :func:`repro.interconnect.deadlock.detect_network_deadlock` scan for
-        systems that have a packet-switched network (None otherwise).
-        """
-        network = getattr(system, "network", None)
-        if network is None:
-            return None
-        from repro.interconnect.deadlock import detect_network_deadlock
-
-        return detect_network_deadlock(network)
-
-    def stats(self):
-        payload = super().stats()
-        if self.armed_on is not None:
-            payload["timeout_cycles"] = self.timeout_cycles
-        return payload
+            policy = slow_start
+        self.manager.set_policy(self.kind, policy)
 
 
 class PeriodicInjectionSpeculation(Speculation):
@@ -184,14 +151,13 @@ class PeriodicInjectionSpeculation(Speculation):
 
     Not armed from configuration (``applies_to`` is always False); it is
     attached explicitly through
-    :meth:`repro.speculation.manager.SpeculationManager.attach_injector`
-    with the requested rate.  The injector converts the rate into a period
+    :meth:`repro.system.base.System.attach_recovery_injector` with the
+    requested rate.  The injector converts the rate into a period
     in cycles using the system's ``cycles_per_second`` scale and reports an
     ``INJECTED`` mis-speculation every period.
     """
 
     kind = SpeculationKind.INJECTED
-    paper_section = "5.3"
 
     def __init__(self, manager, *, rate_per_second: float,
                  cycles_per_second: float) -> None:
@@ -222,12 +188,7 @@ class PeriodicInjectionSpeculation(Speculation):
         self._active = True
         self.sim.schedule(period, self._fire, label="recovery-injector")
 
-    def stop(self) -> None:
-        self._active = False
-
     def _fire(self) -> None:
-        if not self._active:
-            return
         self.injections += 1
         self.manager.report(MisspeculationEvent(
             kind=SpeculationKind.INJECTED,
@@ -237,9 +198,3 @@ class PeriodicInjectionSpeculation(Speculation):
         period = self.period_cycles
         assert period is not None
         self.sim.schedule(period, self._fire, label="recovery-injector")
-
-    def stats(self):
-        payload = super().stats()
-        payload["injections"] = self.injections
-        payload["rate_per_second"] = self.rate_per_second
-        return payload

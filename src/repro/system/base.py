@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import replace
 from typing import ClassVar, Dict, FrozenSet, List, Optional
 
@@ -134,8 +135,8 @@ class System(ABC):
     def attach_recovery_injector(self, rate_per_second: float
                                  ) -> PeriodicInjectionSpeculation:
         """Attach the Figure 4 stress-test injector (call before :meth:`run`)."""
-        self.injector = self.speculation.attach_injector(
-            rate_per_second=rate_per_second,
+        self.injector = PeriodicInjectionSpeculation(
+            self.speculation, rate_per_second=rate_per_second,
             cycles_per_second=self.config.cycles_per_second)
         return self.injector
 
@@ -268,12 +269,17 @@ class System(ABC):
 
     # ----------------------------------------------------------------- results
     def _collect_results(self, finished: bool) -> RunResult:
+        """The run's :class:`RunResult`.  Every detection and recovery count
+        is derived from the speculation manager's ``events`` and ``records``
+        lists (per-kind counts in first-occurrence order), so no count can
+        disagree with ``recovery_records``."""
         runtime = max((n.processor.finished_at or self.sim.now) for n in self.nodes)
         refs = sum(n.processor.references_completed for n in self.nodes)
         instructions = sum(n.processor.retired_instructions for n in self.nodes)
         l2_hits = sum(n.l2_array.hits for n in self.nodes)
         l2_misses = sum(n.l2_array.misses for n in self.nodes)
-        fs = self.speculation.framework_stats
+        events = self.speculation.events
+        records = self.speculation.records
         return RunResult(
             workload=self.config.workload.name,
             config_label=self.label,
@@ -281,12 +287,11 @@ class System(ABC):
             references_completed=refs,
             instructions_retired=instructions,
             finished=finished,
-            detections=fs.detections,
-            detections_by_kind={k.value: v
-                                for k, v in fs.detections_by_kind.items()},
-            recoveries=fs.recoveries,
-            recoveries_by_kind={k.value: v for k, v in fs.recoveries_by_kind.items()},
-            recovery_records=list(self.speculation.records),
+            detections=len(events),
+            detections_by_kind=dict(Counter(e.kind.value for e in events)),
+            recoveries=len(records),
+            recoveries_by_kind=dict(Counter(r.kind.value for r in records)),
+            recovery_records=list(records),
             l2_misses=l2_misses,
             l2_hits=l2_hits,
             checkpoints_taken=self.safetynet.checkpoints_taken,

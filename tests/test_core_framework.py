@@ -57,11 +57,15 @@ class TestFramework:
                 applied.append(event)
 
         framework.set_policy(SpeculationKind.DIRECTORY_P2P_ORDER, Probe())
-        record = framework.report(_event())
+        event = _event()
+        record = framework.report(event)
         assert isinstance(record, RecoveryRecord)
         assert applied and applied[0].kind == SpeculationKind.DIRECTORY_P2P_ORDER
-        assert framework.recovery_count() == 1
-        assert safetynet.recovery_count() == 1
+        assert framework.events == [event]
+        assert framework.records == [record]
+        assert safetynet.stats.counters("safetynet.recoveries") == {
+            "safetynet.recoveries": 1,
+            "safetynet.recoveries.directory-p2p-order": 1}
 
     def test_detections_during_recovery_are_coalesced(self):
         sim, safetynet, framework = make_framework()
@@ -71,27 +75,14 @@ class TestFramework:
         # state and must not trigger another recovery.
         second = framework.report(_event(at=sim.now))
         assert second is None
-        assert framework.recovery_count() == 1
-        assert framework.detection_count() == 2
-        assert framework.framework_stats.coalesced == 1
+        assert len(framework.events) == 2
+        assert framework.records == [first]
+        assert framework.stats.counters("speculation.coalesced") == {
+            "speculation.coalesced": 1}
 
     def test_unregistered_kind_uses_noop_policy(self):
         sim, safetynet, framework = make_framework()
         assert isinstance(framework.policy_for(SpeculationKind.INJECTED), NoOpPolicy)
-
-    def test_recoveries_per_second(self):
-        sim, safetynet, framework = make_framework()
-        framework.report(_event())
-        assert framework.recoveries_per_second(1_000_000, 1e6) == pytest.approx(1.0)
-        assert framework.recoveries_per_second(0, 1e6) == 0.0
-
-    def test_summary_shape(self):
-        sim, safetynet, framework = make_framework()
-        framework.report(_event())
-        summary = framework.summary()
-        assert summary["recoveries"] == 1
-        assert summary["detections"] == 1
-        assert SpeculationKind.DIRECTORY_P2P_ORDER.value in summary["recoveries_by_kind"]
 
 
 class TestForwardProgress:
@@ -134,7 +125,6 @@ class TestForwardProgress:
         policy = SlowStartPolicy(gate, max_outstanding=1, duration_cycles=100)
         policy.apply(_event())
         assert gate.active
-        assert policy.applications == 1
 
     def test_disable_adaptive_routing_policy(self):
         calls = []
@@ -157,7 +147,6 @@ class TestForwardProgress:
         assert heavy_calls == []           # first recovery: just resume
         policy.apply(_event())
         assert len(heavy_calls) == 1       # second within window: escalate
-        assert policy.escalations == 1
 
     def test_combined_policy_window_expires(self):
         sim = Simulator()
@@ -206,16 +195,6 @@ class TestDetectionHelpers:
         sim.run(until=10_000)
         assert len(events) == 5
         assert all(e.kind == SpeculationKind.INJECTED for e in events)
-
-    def test_injector_stop(self):
-        sim = Simulator()
-        events = []
-        injector = make_injector(sim, events.append, rate_per_second=5,
-                                 cycles_per_second=10_000)
-        injector.start()
-        injector.stop()
-        sim.run(until=10_000)
-        assert events == []
 
     def test_injector_validation(self):
         sim = Simulator()

@@ -8,7 +8,6 @@ import pytest
 
 from repro.coherence.common import (
     MemoryOp,
-    MemoryRequest,
     Transaction,
     block_address,
     home_node,
@@ -125,25 +124,17 @@ class TestCommonHelpers:
         with pytest.raises(ValueError):
             home_node(0, 0, 64)
 
-    def test_memory_request_latency(self):
-        request = MemoryRequest(node=0, op=MemoryOp.LOAD, address=0)
-        with pytest.raises(ValueError):
-            _ = request.latency
-        request.issued_at, request.completed_at = 10, 35
-        assert request.latency == 25
-
     def test_transaction_completion_is_idempotent(self):
         calls = []
-        txn = Transaction(node=0, address=0, op=MemoryOp.STORE, started_at=0,
-                          txn_id=0)
+        txn = Transaction(node=0, address=0, op=MemoryOp.STORE, txn_id=0)
         txn.on_complete = calls.append
         txn.complete()
         txn.complete()
         assert len(calls) == 1
 
     def test_transaction_satisfied_requires_data_and_acks(self):
-        txn = Transaction(node=0, address=0, op=MemoryOp.STORE, started_at=0,
-                          txn_id=0, acks_needed=2)
+        txn = Transaction(node=0, address=0, op=MemoryOp.STORE, txn_id=0,
+                          acks_needed=2)
         assert not txn.satisfied
         txn.data_received = True
         assert not txn.satisfied

@@ -104,9 +104,10 @@ BLOCK = 64
 class TestBasicTransitions:
     def test_load_miss_installs_shared(self):
         h = DirectHarness()
-        request = h.access(1, MemoryOp.LOAD, 0x1000)
+        before = h.sim.now
+        h.access(1, MemoryOp.LOAD, 0x1000)
         assert h.state(1, 0x1000) == CacheState.SHARED
-        assert request.latency > 0
+        assert h.sim.now > before
         entry = h.dir_entry(0x1000)
         assert entry.state == DirectoryState.SHARED
         assert 1 in entry.sharers
@@ -292,7 +293,7 @@ class TestSection31Race:
         for message in fwd + wback:
             h.deliver(message)
         h.sim.run()
-        assert done and done[0].completed_at >= 0
+        assert len(done) == 1
         assert not h.events
         assert h.state(2, 0x1000) == CacheState.MODIFIED
         assert h.access(3, MemoryOp.LOAD, 0x1000).value == 222

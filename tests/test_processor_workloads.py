@@ -36,11 +36,7 @@ class FakeMemorySystem:
         self.requests.append(request)
         self.states[request.address] = (
             CacheState.MODIFIED if request.op == MemoryOp.STORE else CacheState.SHARED)
-
-        def _done():
-            request.completed_at = self.sim.now
-            on_complete(request)
-        self.sim.schedule(self.latency, _done)
+        self.sim.schedule(self.latency, lambda: on_complete(request))
 
     def state_of(self, address: int) -> CacheState:
         return self.states.get(address, CacheState.INVALID)

@@ -509,8 +509,7 @@ class TestVariantSites:
         system = forced_snooping_corner_case(variant)
         assert site_counters(system.stats.counters(), SnoopingSystem) \
             == {counter: 1}
-        assert system.speculation.framework_stats.recoveries == (
-            variant is SPECULATIVE)
+        assert len(system.speculation.records) == (variant is SPECULATIVE)
 
     @pytest.mark.parametrize("variant, counter", [
         (FULL, "l2ctrl1.race_forward_ignored"),
@@ -519,5 +518,4 @@ class TestVariantSites:
         system = forwarded_request_without_data(variant)
         assert site_counters(system.stats.counters(), DirectorySystem) \
             == {counter: 1}
-        assert system.speculation.framework_stats.recoveries == (
-            variant is SPECULATIVE)
+        assert len(system.speculation.records) == (variant is SPECULATIVE)

@@ -224,5 +224,7 @@ class TestSafetyNetRecovery:
         sim, safetynet, store, write = self.build()
         safetynet.recover(_event(SpeculationKind.INTERCONNECT_DEADLOCK))
         safetynet.recover(_event(SpeculationKind.INJECTED))
-        assert safetynet.recovery_count() == 2
-        assert safetynet.recovery_count(SpeculationKind.INTERCONNECT_DEADLOCK) == 1
+        assert safetynet.stats.counters("safetynet.recoveries") == {
+            "safetynet.recoveries": 2,
+            "safetynet.recoveries.interconnect-deadlock": 1,
+            "safetynet.recoveries.injected": 1}

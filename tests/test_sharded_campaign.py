@@ -179,19 +179,6 @@ class TestResultCacheEnvelope:
         assert payload["schema"] == CACHE_SCHEMA
         assert payload["spec_hash"] == spec.content_hash()
 
-    def test_legacy_bare_entry_still_served(self, tmp_path):
-        """Pre-envelope entries (a raw result document) remain readable."""
-        cache = ResultCache(str(tmp_path))
-        spec = small_spec(references=60)
-        result = execute_spec(spec)
-        with open(cache.path_for(spec), "w", encoding="utf-8") as handle:
-            json.dump(result.to_json(), handle, sort_keys=True)
-        loaded = cache.get(spec)
-        assert loaded is not None
-        assert canonical_json(loaded.to_json()) == \
-            canonical_json(result.to_json())
-        assert cache.meta(spec) == {}
-
     def test_half_written_entry_is_a_miss(self, tmp_path):
         """A torn entry (crash mid-write) must never poison the spec."""
         cache = ResultCache(str(tmp_path))
@@ -209,14 +196,20 @@ class TestResultCacheEnvelope:
         assert cache.get(spec) is not None
 
     def test_misfiled_entry_rejected(self, tmp_path):
-        """An envelope recorded for another spec hash is never served."""
+        """An envelope recorded for another spec hash is never served, and
+        neither is a bare result document (the store writes only
+        envelopes)."""
         cache = ResultCache(str(tmp_path))
         spec = small_spec(references=60)
         result = execute_spec(spec)
-        with open(cache.path_for(spec), "w", encoding="utf-8") as handle:
-            json.dump({"schema": CACHE_SCHEMA, "spec_hash": "f" * 20,
-                       "result": result.to_json(), "meta": {}}, handle)
-        assert cache.get(spec) is None
+        misfiled = {"schema": CACHE_SCHEMA, "spec_hash": "f" * 20,
+                    "result": result.to_json(), "meta": {}}
+        for rejected in (misfiled, result.to_json()):
+            with open(cache.path_for(spec), "w", encoding="utf-8") as handle:
+                json.dump(rejected, handle)
+            assert cache.get(spec) is None
+            assert cache.meta(spec) is None and not cache.peek(spec)
+        assert cache.misses == 2 and cache.hits == 0
 
     def test_peek_counts_no_traffic(self, tmp_path):
         cache = ResultCache(str(tmp_path))

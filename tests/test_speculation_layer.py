@@ -2,7 +2,8 @@
 
 Covers the pinned cache key of a Figure 4 design point, the
 :class:`SpeculationManager` lifecycle (arming, coalescing, per-kind
-attribution), the shared :class:`System` base class, and the
+attribution derived from its ``events`` and ``records`` lists), the shared
+:class:`System` base class, and the
 ``speculation_matrix`` campaign experiment's determinism contract
 (serial == parallel == cached, byte-identical).
 """
@@ -25,11 +26,12 @@ from repro.core.events import MisspeculationEvent, RecoveryRecord, SpeculationKi
 from repro.core.forward_progress import (
     CombinedPolicy,
     DisableAdaptiveRoutingPolicy,
+    NoOpPolicy,
     SlowStartPolicy,
 )
 from repro.experiments import speculation_matrix
 from repro.experiments.fig4_misspeculation_rate import _injection_config
-from repro.interconnect.deadlock import DeadlockReport
+from repro.interconnect.deadlock import DeadlockReport, detect_network_deadlock
 from repro.safetynet.manager import SafetyNet
 from repro.sim.config import (
     CheckpointConfig,
@@ -39,14 +41,13 @@ from repro.sim.config import (
 )
 from repro.sim.engine import Simulator
 from repro.speculation import (
-    DirectoryP2POrderSpeculation,
-    InterconnectDeadlockSpeculation,
     PeriodicInjectionSpeculation,
     Speculation,
     SpeculationManager,
 )
 from repro.system import DirectorySystem, SnoopingSystem, System, build_system
 from repro.system.results import RunResult
+from test_system_ids import MAX_CYCLES, deadlocking_config
 
 #: Content hash of the Figure 4 jbb baseline design point under the
 #: ``repro.campaign.spec/v2`` encoding.  If this pin breaks, every cached
@@ -68,6 +69,14 @@ def make_manager():
     return sim, safetynet, SpeculationManager(sim, safetynet)
 
 
+def armed_kinds(system):
+    """The kinds whose design registered a forward-progress policy (what
+    arming a Table 1 design does; ``table1`` checks its wiring the same
+    way)."""
+    return {kind for kind in SpeculationKind
+            if not isinstance(system.speculation.policy_for(kind), NoOpPolicy)}
+
+
 class TestSpeculationConfig:
     def test_fig4_baseline_hash_is_pinned(self):
         """The Figure 4 baseline design point keeps its cache key."""
@@ -79,11 +88,9 @@ class TestSpeculationConfig:
 class TestArming:
     def test_directory_speculative_arms_s1_and_watchdog(self):
         system = build_system(small_config())
-        kinds = {s.kind for s in system.speculation.speculations}
-        assert kinds == {SpeculationKind.DIRECTORY_P2P_ORDER,
-                         SpeculationKind.INTERCONNECT_DEADLOCK}
-        assert all(s.armed_on == system.label
-                   for s in system.speculation.speculations)
+        assert armed_kinds(system) == {SpeculationKind.DIRECTORY_P2P_ORDER,
+                                       SpeculationKind.INTERCONNECT_DEADLOCK}
+        assert all(c.p2p_detection_enabled for c in system.cache_controllers())
         assert isinstance(
             system.speculation.policy_for(SpeculationKind.DIRECTORY_P2P_ORDER),
             DisableAdaptiveRoutingPolicy)
@@ -93,15 +100,13 @@ class TestArming:
 
     def test_directory_full_variant_arms_only_the_watchdog(self):
         system = build_system(small_config(variant=ProtocolVariant.FULL))
-        kinds = {s.kind for s in system.speculation.speculations}
-        assert kinds == {SpeculationKind.INTERCONNECT_DEADLOCK}
+        assert armed_kinds(system) == {SpeculationKind.INTERCONNECT_DEADLOCK}
         assert not any(c.p2p_detection_enabled for c in system.cache_controllers())
 
     def test_snooping_arms_s2_and_watchdog(self):
         system = build_system(small_config(protocol=ProtocolKind.SNOOPING))
-        kinds = {s.kind for s in system.speculation.speculations}
-        assert kinds == {SpeculationKind.SNOOPING_CORNER_CASE,
-                         SpeculationKind.INTERCONNECT_DEADLOCK}
+        assert armed_kinds(system) == {SpeculationKind.SNOOPING_CORNER_CASE,
+                                       SpeculationKind.INTERCONNECT_DEADLOCK}
         assert isinstance(
             system.speculation.policy_for(SpeculationKind.SNOOPING_CORNER_CASE),
             SlowStartPolicy)
@@ -127,17 +132,16 @@ class TestArming:
         assert system.label.endswith("no-vc")
 
     def test_ground_truth_scan_available_on_directory_systems(self):
+        """The wait-for-graph scan, the ground truth behind the timeout
+        detector, runs on a directory system's packet-switched network (a
+        snooping system has none)."""
         system = build_system(small_config())
-        watchdog = system.speculation.speculation_for(
-            SpeculationKind.INTERCONNECT_DEADLOCK)
-        report = watchdog.ground_truth_report(system)
+        report = detect_network_deadlock(system.network)
         assert isinstance(report, DeadlockReport)
         assert not report.deadlocked
         assert report.to_json()["deadlocked"] is False
         snooping = build_system(small_config(protocol=ProtocolKind.SNOOPING))
-        snoop_watchdog = snooping.speculation.speculation_for(
-            SpeculationKind.INTERCONNECT_DEADLOCK)
-        assert snoop_watchdog.ground_truth_report(snooping) is None
+        assert getattr(snooping, "network", None) is None
 
 
 class TestCoalescing:
@@ -148,9 +152,6 @@ class TestCoalescing:
 
     def test_two_detections_during_rollback_produce_one_recovery(self):
         sim, safetynet, manager = make_manager()
-        s1 = manager.attach(DirectoryP2POrderSpeculation(manager))
-        watchdog = manager.attach(InterconnectDeadlockSpeculation(manager))
-
         first = manager.report(self._event(SpeculationKind.DIRECTORY_P2P_ORDER,
                                            sim.now))
         assert isinstance(first, RecoveryRecord)
@@ -163,39 +164,23 @@ class TestCoalescing:
         assert manager.report(self._event(SpeculationKind.INTERCONNECT_DEADLOCK,
                                           sim.now)) is None
 
-        assert safetynet.recovery_count() == 1
-        assert manager.recovery_count() == 1
-        fs = manager.framework_stats
-        assert fs.detections == 3 and fs.coalesced == 2
+        # Every detection is recorded, in order; only the first recovered.
+        assert [e.kind for e in manager.events] == [
+            SpeculationKind.DIRECTORY_P2P_ORDER,
+            SpeculationKind.DIRECTORY_P2P_ORDER,
+            SpeculationKind.INTERCONNECT_DEADLOCK]
+        assert manager.records == [first]
         # Per-kind attribution: the recovery belongs to the first detection's
-        # kind; the coalesced kinds are accounted as detections only.
-        assert fs.recoveries_by_kind == {SpeculationKind.DIRECTORY_P2P_ORDER: 1}
-        assert fs.detections_by_kind == {
-            SpeculationKind.DIRECTORY_P2P_ORDER: 2,
-            SpeculationKind.INTERCONNECT_DEADLOCK: 1}
-        # The per-instance accounting matches.
-        assert (s1.detections, s1.coalesced, s1.recoveries) == (2, 1, 1)
-        assert (watchdog.detections, watchdog.coalesced,
-                watchdog.recoveries) == (1, 1, 0)
-
-    def test_recovery_listener_attributes_external_recoveries(self):
-        sim, safetynet, manager = make_manager()
-        watchdog = manager.attach(InterconnectDeadlockSpeculation(manager))
-        # A recovery triggered directly on SafetyNet (outside the manager)
-        # still notifies the attached speculation of its kind.
-        safetynet.recover(self._event(SpeculationKind.INTERCONNECT_DEADLOCK,
-                                      sim.now))
-        assert watchdog.recoveries == 1
-        assert watchdog.stats()["recoveries"] == 1
-
-    def test_summary_includes_per_speculation_stats(self):
-        sim, safetynet, manager = make_manager()
-        manager.attach(DirectoryP2POrderSpeculation(manager))
-        manager.report(self._event(SpeculationKind.DIRECTORY_P2P_ORDER, sim.now))
-        summary = manager.summary()
-        assert summary["detections_by_kind"] == {"directory-p2p-order": 1}
-        kinds = [s["kind"] for s in summary["speculations"]]
-        assert kinds == ["directory-p2p-order"]
+        # kind; the coalesced kinds are counted as detections only.
+        assert manager.stats.counters() == {
+            "speculation.detected.directory-p2p-order": 2,
+            "speculation.detected.interconnect-deadlock": 1,
+            "speculation.coalesced": 2,
+        }
+        assert safetynet.stats.counters("safetynet.recoveries") == {
+            "safetynet.recoveries": 1,
+            "safetynet.recoveries.directory-p2p-order": 1,
+        }
 
 
 class TestInjectorSpeculation:
@@ -208,12 +193,12 @@ class TestInjectorSpeculation:
             injector = system.attach_recovery_injector(rate_per_second=400)
             assert isinstance(injector, PeriodicInjectionSpeculation)
             assert isinstance(injector, Speculation)
-            assert system.speculation.speculation_for(
-                SpeculationKind.INJECTED) is injector
+            assert system.injector is injector
+            assert injector.manager is system.speculation
             result = system.run()
             assert injector.injections > 0
+            assert injector.injections == result.detections
             assert result.recoveries_by_kind.get("injected") == result.recoveries
-            assert injector.stats()["injections"] == injector.injections
 
     def test_injection_recoveries_attributed_per_kind(self):
         system = build_system(small_config())
@@ -261,6 +246,40 @@ class TestResultAccounting:
         assert clone.detections_by_kind == result.detections_by_kind
         assert clone.recoveries_by_kind == result.recoveries_by_kind
         assert canonical_json(clone.to_json()) == canonical_json(result.to_json())
+
+    def test_counts_agree_with_records_and_counters(self):
+        """Every detection and recovery count of a result is derived from
+        the manager's ``events`` and ``records`` lists, so it agrees with
+        ``recovery_records`` and with the ``speculation.*`` and
+        ``safetynet.*`` counters, on injected runs of both protocols and on
+        a no-VC run that deadlocks."""
+        results = []
+        for protocol in (ProtocolKind.DIRECTORY, ProtocolKind.SNOOPING):
+            system = build_system(small_config(protocol=protocol))
+            system.attach_recovery_injector(rate_per_second=400)
+            results.append(system.run())
+        deadlocked = build_system(deadlocking_config(3)).run(
+            max_cycles=MAX_CYCLES)
+        assert deadlocked.recoveries_of(SpeculationKind.INTERCONNECT_DEADLOCK)
+        results.append(deadlocked)
+        for result in results:
+            counters = result.counters
+            records = result.recovery_records
+            assert result.recoveries > 0
+            assert sum(result.detections_by_kind.values()) == result.detections
+            assert (result.recoveries == len(records)
+                    == counters.get("safetynet.recoveries", 0))
+            assert {name for name in counters
+                    if name.startswith("safetynet.recoveries.")} == {
+                "safetynet.recoveries." + kind
+                for kind in result.recoveries_by_kind}
+            for kind, count in result.recoveries_by_kind.items():
+                assert count == counters["safetynet.recoveries." + kind]
+                assert count == sum(1 for r in records if r.kind.value == kind)
+            for kind, count in result.detections_by_kind.items():
+                assert count == counters["speculation.detected." + kind]
+            assert (result.detections - result.recoveries
+                    == counters.get("speculation.coalesced", 0))
 
     def test_summary_line_breaks_recoveries_down_per_kind(self):
         result = RunResult(
