@@ -40,7 +40,6 @@ typedef struct {
     PyObject *label;        /* never NULL once constructed */
     PyObject *queue;        /* owning CEventQueue, NULL means None */
     char cancelled;
-    char is_static;
 } CEvent;
 
 typedef struct {
@@ -54,8 +53,6 @@ typedef struct {
     HeapEntry *heap;
     Py_ssize_t heap_size;
     Py_ssize_t heap_cap;
-    PyObject **free_pool;   /* strong references, LIFO */
-    Py_ssize_t free_size;
     long long seq;
     Py_ssize_t live;
     long long compactions;
@@ -73,8 +70,7 @@ CK_EXTERN PyTypeObject CSimulator_Type;
 
 /* Defined in _ckernelmodule.c; queue_push_internal returns a new reference
  * to the scheduled event. */
-CK_EXTERN CEvent *event_alloc(long long time, long long seq,
-                              PyObject *callback, PyObject *label);
+CK_EXTERN CEvent *event_alloc(PyObject *callback, PyObject *label);
 CK_EXTERN PyObject *queue_push_internal(CEventQueue *q, long long time,
                                         PyObject *callback, PyObject *label);
 
@@ -148,6 +144,27 @@ heap_push_entry(CEventQueue *q, HeapEntry entry)
     }
     q->heap[q->heap_size++] = entry;
     heap_bubble_up(q->heap, q->heap_size - 1);
+    return 0;
+}
+
+/* Queue `ev` at absolute cycle `time` under the queue's next seq, as
+ * EventQueue.push_static does: the one push path for the permanent events
+ * their owners re-queue (switch scans, bus arbitration) and for the fresh
+ * events of queue_push_internal.  The event must not be queued already. */
+static inline int
+queue_push_static_internal(CEventQueue *q, CEvent *ev, long long time)
+{
+    long long seq = q->seq++;
+    ev->time = time;
+    ev->seq = seq;
+    ev->cancelled = 0;
+    Py_INCREF(q);
+    Py_XSETREF(ev->queue, (PyObject *)q);
+    HeapEntry entry = {time, seq, ev};
+    Py_INCREF(ev);
+    if (heap_push_entry(q, entry) < 0)
+        return -1;
+    q->live++;
     return 0;
 }
 

@@ -1313,36 +1313,14 @@ BusCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     Py_DECREF(busy);
     if (self->busy < 0)
         goto fail;
-    self->arb_event = event_alloc(0, 0, (PyObject *)self, PS.arb_label);
+    self->arb_event = event_alloc((PyObject *)self, PS.arb_label);
     if (self->arb_event == NULL)
         goto fail;
-    self->arb_event->is_static = 1;
     return (PyObject *)self;
 
 fail:
     Py_DECREF(self);
     return NULL;
-}
-
-/* Push the static arbitration event at absolute cycle `time` (mirror of
- * core_push_scan). */
-static int
-bus_push_arb(CBusCore *self, long long time)
-{
-    CEventQueue *q = self->cqueue;
-    CEvent *ev = self->arb_event;
-    long long seq = q->seq++;
-    ev->time = time;
-    ev->seq = seq;
-    ev->cancelled = 0;
-    Py_INCREF(q);
-    Py_XSETREF(ev->queue, (PyObject *)q);
-    HeapEntry entry = {time, seq, ev};
-    Py_INCREF(ev);
-    if (heap_push_entry(q, entry) < 0)
-        return -1;
-    q->live++;
-    return 0;
 }
 
 static int
@@ -1358,7 +1336,9 @@ bus_try_start(CBusCore *self)
     self->busy = 1;
     if (PyObject_SetAttr(self->bus, PS.busy, Py_True) < 0)
         return -1;
-    return bus_push_arb(self, self->sim->now + self->arbitration_cycles);
+    return queue_push_static_internal(
+        self->cqueue, self->arb_event,
+        self->sim->now + self->arbitration_cycles);
 }
 
 /* The static arbitration event fires the core itself: _order_next. */

@@ -48,10 +48,8 @@
 #define CKERNEL_SOURCE_SHA256 ""
 #endif
 
-/* Copies of repro.sim.engine.EventQueue.FREELIST_MAX and
- * COMPACT_MIN_ENTRIES; the engine tests hold the compiled queue to the pure
- * class's values. */
-#define FREELIST_MAX 8192
+/* Copy of repro.sim.engine.EventQueue.COMPACT_MIN_ENTRIES; the engine tests
+ * hold the compiled queue to the pure class's value. */
 #define COMPACT_MIN_ENTRIES 512
 #define TIME_SENTINEL (1LL << 62)
 
@@ -65,78 +63,25 @@ static PyTypeObject CEventQueue_Type;
 
 static void queue_compact(CEventQueue *q);
 
-/* ---- freelist ---- */
-
-static inline void
-freelist_put(CEventQueue *q, CEvent *ev)
-{
-    if (q->free_size < FREELIST_MAX) {
-        if (q->free_pool == NULL) {
-            q->free_pool = PyMem_Malloc(FREELIST_MAX * sizeof(PyObject *));
-            if (q->free_pool == NULL)
-                return;         /* just skip pooling on allocation failure */
-        }
-        Py_INCREF(ev);
-        q->free_pool[q->free_size++] = (PyObject *)ev;
-    }
-}
-
-/* Pool a cancelled entry skimmed off the heap (cancel() already nulled the
- * callback and disowned the queue). */
-static inline void
-recycle_cancelled(CEventQueue *q, CEvent *ev)
-{
-    Py_INCREF(empty_string);
-    Py_XSETREF(ev->label, empty_string);
-    freelist_put(q, ev);
-}
-
 /* ------------------------------------------------------------ Event type */
 
+/* A new unqueued event; queue_push_static_internal sets its time and seq. */
 CEvent *
-event_alloc(long long time, long long seq, PyObject *callback,
-            PyObject *label)
+event_alloc(PyObject *callback, PyObject *label)
 {
     CEvent *ev = PyObject_GC_New(CEvent, &CEvent_Type);
     if (ev == NULL)
         return NULL;
-    ev->time = time;
-    ev->seq = seq;
+    ev->time = 0;
+    ev->seq = 0;
     Py_XINCREF(callback);
     ev->callback = callback;
     Py_INCREF(label);
     ev->label = label;
     ev->queue = NULL;
     ev->cancelled = 0;
-    ev->is_static = 0;
     PyObject_GC_Track((PyObject *)ev);
     return ev;
-}
-
-static PyObject *
-Event_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"time", "seq", "callback", "label", "queue",
-                             NULL};
-    long long time, seq;
-    PyObject *callback, *label = NULL, *queue = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LLO|UO", kwlist,
-                                     &time, &seq, &callback, &label, &queue))
-        return NULL;
-    if (queue != Py_None && !Py_IS_TYPE(queue, &CEventQueue_Type)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "queue must be a compiled EventQueue or None");
-        return NULL;
-    }
-    CEvent *ev = event_alloc(time, seq, callback,
-                             label ? label : empty_string);
-    if (ev == NULL)
-        return NULL;
-    if (queue != Py_None) {
-        Py_INCREF(queue);
-        ev->queue = queue;
-    }
-    return (PyObject *)ev;
 }
 
 static int
@@ -200,30 +145,10 @@ Event_get_time(CEvent *self, void *closure)
     return PyLong_FromLongLong(self->time);
 }
 
-static int
-Event_set_time(CEvent *self, PyObject *value, void *closure)
-{
-    long long v = PyLong_AsLongLong(value);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    self->time = v;
-    return 0;
-}
-
 static PyObject *
 Event_get_seq(CEvent *self, void *closure)
 {
     return PyLong_FromLongLong(self->seq);
-}
-
-static int
-Event_set_seq(CEvent *self, PyObject *value, void *closure)
-{
-    long long v = PyLong_AsLongLong(value);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    self->seq = v;
-    return 0;
 }
 
 static PyObject *
@@ -234,33 +159,11 @@ Event_get_callback(CEvent *self, void *closure)
     return cb;
 }
 
-static int
-Event_set_callback(CEvent *self, PyObject *value, void *closure)
-{
-    if (value == NULL || value == Py_None) {
-        Py_CLEAR(self->callback);
-        return 0;
-    }
-    Py_INCREF(value);
-    Py_XSETREF(self->callback, value);
-    return 0;
-}
-
 static PyObject *
 Event_get_label(CEvent *self, void *closure)
 {
     Py_INCREF(self->label);
     return self->label;
-}
-
-static int
-Event_set_label(CEvent *self, PyObject *value, void *closure)
-{
-    if (value == NULL)
-        value = empty_string;
-    Py_INCREF(value);
-    Py_XSETREF(self->label, value);
-    return 0;
 }
 
 static PyObject *
@@ -269,68 +172,12 @@ Event_get_cancelled(CEvent *self, void *closure)
     return PyBool_FromLong(self->cancelled);
 }
 
-static int
-Event_set_cancelled(CEvent *self, PyObject *value, void *closure)
-{
-    int v = PyObject_IsTrue(value);
-    if (v < 0)
-        return -1;
-    self->cancelled = (char)v;
-    return 0;
-}
-
-static PyObject *
-Event_get_static(CEvent *self, void *closure)
-{
-    return PyBool_FromLong(self->is_static);
-}
-
-static int
-Event_set_static(CEvent *self, PyObject *value, void *closure)
-{
-    int v = PyObject_IsTrue(value);
-    if (v < 0)
-        return -1;
-    self->is_static = (char)v;
-    return 0;
-}
-
-static PyObject *
-Event_get_queue(CEvent *self, void *closure)
-{
-    PyObject *q = self->queue ? self->queue : Py_None;
-    Py_INCREF(q);
-    return q;
-}
-
-static int
-Event_set_queue(CEvent *self, PyObject *value, void *closure)
-{
-    if (value == NULL || value == Py_None) {
-        Py_CLEAR(self->queue);
-        return 0;
-    }
-    if (!Py_IS_TYPE(value, &CEventQueue_Type)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "_queue must be a compiled EventQueue or None");
-        return -1;
-    }
-    Py_INCREF(value);
-    Py_XSETREF(self->queue, value);
-    return 0;
-}
-
 static PyGetSetDef Event_getset[] = {
-    {"time", (getter)Event_get_time, (setter)Event_set_time, NULL, NULL},
-    {"seq", (getter)Event_get_seq, (setter)Event_set_seq, NULL, NULL},
-    {"callback", (getter)Event_get_callback, (setter)Event_set_callback,
-     NULL, NULL},
-    {"label", (getter)Event_get_label, (setter)Event_set_label, NULL, NULL},
-    {"cancelled", (getter)Event_get_cancelled, (setter)Event_set_cancelled,
-     NULL, NULL},
-    {"static", (getter)Event_get_static, (setter)Event_set_static,
-     NULL, NULL},
-    {"_queue", (getter)Event_get_queue, (setter)Event_set_queue, NULL, NULL},
+    {"time", (getter)Event_get_time, NULL, NULL, NULL},
+    {"seq", (getter)Event_get_seq, NULL, NULL, NULL},
+    {"callback", (getter)Event_get_callback, NULL, NULL, NULL},
+    {"label", (getter)Event_get_label, NULL, NULL, NULL},
+    {"cancelled", (getter)Event_get_cancelled, NULL, NULL, NULL},
     {NULL}
 };
 
@@ -352,7 +199,6 @@ static PyTypeObject CEvent_Type = {
     .tp_clear = (inquiry)Event_clear_gc,
     .tp_methods = Event_methods,
     .tp_getset = Event_getset,
-    .tp_new = Event_new,
 };
 
 /* ------------------------------------------------------- EventQueue type */
@@ -366,8 +212,6 @@ queue_alloc(void)
     q->heap = NULL;
     q->heap_size = 0;
     q->heap_cap = 0;
-    q->free_pool = NULL;
-    q->free_size = 0;
     q->seq = 0;
     q->live = 0;
     q->compactions = 0;
@@ -390,8 +234,6 @@ Queue_traverse(CEventQueue *self, visitproc visit, void *arg)
 {
     for (Py_ssize_t i = 0; i < self->heap_size; i++)
         Py_VISIT(self->heap[i].ev);
-    for (Py_ssize_t i = 0; i < self->free_size; i++)
-        Py_VISIT(self->free_pool[i]);
     return 0;
 }
 
@@ -402,10 +244,6 @@ Queue_clear_gc(CEventQueue *self)
     self->heap_size = 0;
     for (Py_ssize_t i = 0; i < n; i++)
         Py_DECREF(self->heap[i].ev);
-    n = self->free_size;
-    self->free_size = 0;
-    for (Py_ssize_t i = 0; i < n; i++)
-        Py_DECREF(self->free_pool[i]);
     return 0;
 }
 
@@ -415,7 +253,6 @@ Queue_dealloc(CEventQueue *self)
     PyObject_GC_UnTrack(self);
     Queue_clear_gc(self);
     PyMem_Free(self->heap);
-    PyMem_Free(self->free_pool);
     PyObject_GC_Del(self);
 }
 
@@ -425,12 +262,8 @@ queue_compact(CEventQueue *q)
     Py_ssize_t out = 0;
     for (Py_ssize_t i = 0; i < q->heap_size; i++) {
         CEvent *ev = q->heap[i].ev;
-        if (ev->cancelled) {
-            Py_INCREF(empty_string);
-            Py_XSETREF(ev->label, empty_string);
-            freelist_put(q, ev);
+        if (ev->cancelled)
             Py_DECREF(ev);
-        }
         else
             q->heap[out++] = q->heap[i];
     }
@@ -451,34 +284,13 @@ queue_push_internal(CEventQueue *q, long long time, PyObject *callback,
                      "cannot schedule event at negative time %lld", time);
         return NULL;
     }
-    long long seq = q->seq++;
-    CEvent *ev;
-    if (q->free_size > 0) {
-        ev = (CEvent *)q->free_pool[--q->free_size];   /* we own this ref */
-        ev->time = time;
-        ev->seq = seq;
-        Py_INCREF(callback);
-        Py_XSETREF(ev->callback, callback);
-        Py_INCREF(label);
-        Py_XSETREF(ev->label, label);
-        ev->cancelled = 0;
-        Py_INCREF(q);
-        Py_XSETREF(ev->queue, (PyObject *)q);
-    }
-    else {
-        ev = event_alloc(time, seq, callback, label);
-        if (ev == NULL)
-            return NULL;
-        Py_INCREF(q);
-        ev->queue = (PyObject *)q;
-    }
-    HeapEntry entry = {time, seq, ev};
-    Py_INCREF(ev);
-    if (heap_push_entry(q, entry) < 0) {
+    CEvent *ev = event_alloc(callback, label);
+    if (ev == NULL)
+        return NULL;
+    if (queue_push_static_internal(q, ev, time) < 0) {
         Py_DECREF(ev);
         return NULL;
     }
-    q->live++;
     return (PyObject *)ev;
 }
 
@@ -564,7 +376,6 @@ Queue_push_static(CEventQueue *self, PyObject *const *args, Py_ssize_t nargs)
                         "push_static() requires a compiled Event");
         return NULL;
     }
-    CEvent *ev = (CEvent *)args[0];
     if (!PyLong_Check(args[1])) {
         PyErr_SetString(PyExc_TypeError, "event time must be an int");
         return NULL;
@@ -572,17 +383,8 @@ Queue_push_static(CEventQueue *self, PyObject *const *args, Py_ssize_t nargs)
     long long time = PyLong_AsLongLong(args[1]);
     if (time == -1 && PyErr_Occurred())
         return NULL;
-    long long seq = self->seq++;
-    ev->time = time;
-    ev->seq = seq;
-    ev->cancelled = 0;
-    Py_INCREF(self);
-    Py_XSETREF(ev->queue, (PyObject *)self);
-    HeapEntry entry = {time, seq, ev};
-    Py_INCREF(ev);
-    if (heap_push_entry(self, entry) < 0)
+    if (queue_push_static_internal(self, (CEvent *)args[0], time) < 0)
         return NULL;
-    self->live++;
     Py_RETURN_NONE;
 }
 
@@ -619,43 +421,8 @@ Queue_new_static_event(CEventQueue *self, PyObject *const *args,
             }
         }
     }
-    CEvent *ev = event_alloc(0, 0, slots[0],
-                             slots[1] != NULL ? slots[1] : empty_string);
-    if (ev == NULL)
-        return NULL;
-    ev->is_static = 1;
-    return (PyObject *)ev;
-}
-
-static PyObject *
-Queue_pop(CEventQueue *self, PyObject *Py_UNUSED(ignored))
-{
-    while (self->heap_size) {
-        HeapEntry entry = heap_pop_root(self);
-        CEvent *ev = entry.ev;
-        if (ev->cancelled) {
-            recycle_cancelled(self, ev);
-            Py_DECREF(ev);
-            continue;
-        }
-        self->live--;
-        Py_CLEAR(ev->queue);
-        return (PyObject *)ev;
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Queue_peek_time(CEventQueue *self, PyObject *Py_UNUSED(ignored))
-{
-    while (self->heap_size && self->heap[0].ev->cancelled) {
-        HeapEntry entry = heap_pop_root(self);
-        recycle_cancelled(self, entry.ev);
-        Py_DECREF(entry.ev);
-    }
-    if (self->heap_size == 0)
-        Py_RETURN_NONE;
-    return PyLong_FromLongLong(self->heap[0].time);
+    return (PyObject *)event_alloc(slots[0],
+                                   slots[1] != NULL ? slots[1] : empty_string);
 }
 
 static Py_ssize_t
@@ -683,55 +450,15 @@ Queue_get_heap(CEventQueue *self, void *closure)
 }
 
 static PyObject *
-Queue_get_free(CEventQueue *self, void *closure)
-{
-    PyObject *list = PyList_New(self->free_size);
-    if (list == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < self->free_size; i++) {
-        Py_INCREF(self->free_pool[i]);
-        PyList_SET_ITEM(list, i, self->free_pool[i]);
-    }
-    return list;
-}
-
-static PyObject *
-Queue_get_seq(CEventQueue *self, void *closure)
-{
-    return PyLong_FromLongLong(self->seq);
-}
-
-static PyObject *
-Queue_get_live(CEventQueue *self, void *closure)
-{
-    return PyLong_FromSsize_t(self->live);
-}
-
-static PyObject *
 Queue_get_compactions(CEventQueue *self, void *closure)
 {
     return PyLong_FromLongLong(self->compactions);
 }
 
-static int
-Queue_set_compactions(CEventQueue *self, PyObject *value, void *closure)
-{
-    long long v = PyLong_AsLongLong(value);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    self->compactions = v;
-    return 0;
-}
-
 static PyGetSetDef Queue_getset[] = {
     {"_heap", (getter)Queue_get_heap, NULL,
      "Snapshot of the heap as (time, seq, event) tuples.", NULL},
-    {"_free", (getter)Queue_get_free, NULL,
-     "Snapshot of the event freelist.", NULL},
-    {"_seq", (getter)Queue_get_seq, NULL, NULL, NULL},
-    {"_live", (getter)Queue_get_live, NULL, NULL, NULL},
-    {"compactions", (getter)Queue_get_compactions,
-     (setter)Queue_set_compactions, NULL, NULL},
+    {"compactions", (getter)Queue_get_compactions, NULL, NULL, NULL},
     {NULL}
 };
 
@@ -744,11 +471,7 @@ static PyMethodDef Queue_methods[] = {
      "Re-queue a caller-owned permanent event at absolute cycle `time`."},
     {"new_static_event", (PyCFunction)(void (*)(void))Queue_new_static_event,
      METH_FASTCALL | METH_KEYWORDS,
-     "Create a caller-owned static event compatible with this queue."},
-    {"pop", (PyCFunction)Queue_pop, METH_NOARGS,
-     "Pop the next non-cancelled event, or None if the queue is empty."},
-    {"peek_time", (PyCFunction)Queue_peek_time, METH_NOARGS,
-     "Firing time of the next live event without popping it."},
+     "Create a caller-owned permanent event compatible with this queue."},
     {NULL}
 };
 
@@ -888,7 +611,6 @@ sim_run_internal(CSimulator *self, PyObject *until_obj, PyObject *maxev_obj)
         HeapEntry entry = heap_pop_root(q);
         CEvent *ev = entry.ev;
         if (ev->cancelled) {
-            recycle_cancelled(q, ev);
             Py_DECREF(ev);
             continue;
         }
@@ -916,13 +638,6 @@ sim_run_internal(CSimulator *self, PyObject *until_obj, PyObject *maxev_obj)
         }
         Py_DECREF(res);
         executed++;
-        if (!ev->is_static) {
-            Py_CLEAR(ev->callback);
-            Py_INCREF(empty_string);
-            Py_XSETREF(ev->label, empty_string);
-            ev->cancelled = 1;
-            freelist_put(q, ev);
-        }
         Py_DECREF(ev);
     }
     self->events_executed += executed;
@@ -969,30 +684,10 @@ Sim_get_now(CSimulator *self, void *closure)
     return PyLong_FromLongLong(self->now);
 }
 
-static int
-Sim_set_now(CSimulator *self, PyObject *value, void *closure)
-{
-    long long v = PyLong_AsLongLong(value);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    self->now = v;
-    return 0;
-}
-
 static PyObject *
 Sim_get_events_executed(CSimulator *self, void *closure)
 {
     return PyLong_FromLongLong(self->events_executed);
-}
-
-static int
-Sim_set_events_executed(CSimulator *self, PyObject *value, void *closure)
-{
-    long long v = PyLong_AsLongLong(value);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    self->events_executed = v;
-    return 0;
 }
 
 static PyObject *
@@ -1002,31 +697,12 @@ Sim_get_queue(CSimulator *self, void *closure)
     return (PyObject *)self->queue;
 }
 
-static PyObject *
-Sim_get_stop_requested(CSimulator *self, void *closure)
-{
-    return PyBool_FromLong(self->stop_requested);
-}
-
-static int
-Sim_set_stop_requested(CSimulator *self, PyObject *value, void *closure)
-{
-    int v = PyObject_IsTrue(value);
-    if (v < 0)
-        return -1;
-    self->stop_requested = (char)v;
-    return 0;
-}
-
 static PyGetSetDef Sim_getset[] = {
     {"now", (getter)Sim_get_now, NULL,
      "Current simulation time in cycles.", NULL},
-    {"_now", (getter)Sim_get_now, (setter)Sim_set_now, NULL, NULL},
-    {"events_executed", (getter)Sim_get_events_executed,
-     (setter)Sim_set_events_executed, NULL, NULL},
+    {"_now", (getter)Sim_get_now, NULL, NULL, NULL},
+    {"events_executed", (getter)Sim_get_events_executed, NULL, NULL, NULL},
     {"queue", (getter)Sim_get_queue, NULL, NULL, NULL},
-    {"_stop_requested", (getter)Sim_get_stop_requested,
-     (setter)Sim_set_stop_requested, NULL, NULL},
     {NULL}
 };
 
@@ -1195,23 +871,10 @@ core_count(CSwitchCore *self, PyObject *label)
 }
 
 /* Schedule this core's scan via push_static at absolute cycle `time`. */
-static int
+static inline int
 core_push_scan(CSwitchCore *self, long long time)
 {
-    CEventQueue *q = self->cqueue;
-    CEvent *ev = self->scan_event;
-    long long seq = q->seq++;
-    ev->time = time;
-    ev->seq = seq;
-    ev->cancelled = 0;
-    Py_INCREF(q);
-    Py_XSETREF(ev->queue, (PyObject *)q);
-    HeapEntry entry = {time, seq, ev};
-    Py_INCREF(ev);
-    if (heap_push_entry(q, entry) < 0)
-        return -1;
-    q->live++;
-    return 0;
+    return queue_push_static_internal(self->cqueue, self->scan_event, time);
 }
 
 /* The shared "message landed in a buffer slot" tail used by inject /
@@ -2102,12 +1765,11 @@ Core_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         Py_DECREF(scan_cb);
         goto fail;
     }
-    self->scan_event = event_alloc(0, 0, scan_cb, label);
+    self->scan_event = event_alloc(scan_cb, label);
     Py_DECREF(scan_cb);
     Py_DECREF(label);
     if (self->scan_event == NULL)
         goto fail;
-    self->scan_event->is_static = 1;
     return (PyObject *)self;
 
 fail:

@@ -187,8 +187,8 @@ class BlockingCacheController(Component):
 
     def _transaction_timeout(self, txn: Transaction) -> None:
         """A coherence transaction timed out: the Section 4 deadlock detector."""
-        # The timeout event has fired: its handle is dead (the kernel pools
-        # fired events) and must not be cancelled later.
+        # The timeout event has fired; dropping the handle breaks the
+        # transaction -> event -> callback -> transaction reference cycle.
         txn.timeout_event = None
         if txn.completed or self.transaction is not txn:
             return

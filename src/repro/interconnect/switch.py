@@ -116,8 +116,8 @@ class Switch(Component):
         self._scan_label = f"{self.name}.scan"
         #: Permanent scan event: scans fire constantly (one per message-move
         #: wave per switch), are never cancelled, and at most one is pending
-        #: (``_scan_scheduled``), so the switch owns a single static Event
-        #: that the kernel re-pushes without touching the freelist.
+        #: (``_scan_scheduled``), so the switch owns a single Event that it
+        #: re-queues with ``push_static`` instead of allocating one per scan.
         #: Created by the queue itself so the event matches the kernel tier
         #: the simulator was built with (a compiled queue only accepts
         #: compiled events).

@@ -22,26 +22,25 @@ Hot-path structure (see DESIGN.md §5 for the full performance model):
 
 * **Fused dispatch loop** — :meth:`Simulator.run` owns the heap directly:
   it discards cancelled heads lazily and pops-and-executes events with no
-  per-event ``peek``/``pop`` function calls, tallying ``events_executed``
-  once at the end.  Execution order is the heap's ``(time, seq)`` order,
-  identical to the classic pop-one-dispatch-one loop.  (A calendar-bucket
+  per-event method calls, tallying ``events_executed`` once at the end.
+  Execution order is the heap's ``(time, seq)`` order, identical to the
+  classic pop-one-dispatch-one loop.  (A calendar-bucket
   variant — one FIFO bucket per time, heap of times — was measured and
   rejected: at this simulator's typical batch size of 1-3 the per-key
   dict/deque overhead exceeds the saved heap sifts.)
-* **Event pool** — fired events are recycled through a bounded freelist
-  instead of being reallocated.  The lifecycle rule this imposes on callers:
-  an :class:`Event` handle is dead once the event has fired (or been
-  cancelled); holding it past that point and calling :meth:`Event.cancel`
-  later may touch an unrelated recycled event.  A callback that stores its
-  own event handle must clear it when it fires.
+* **One object per event** — every push creates a new :class:`Event`, and
+  the kernel never reuses one, so a handle can only ever reach its own
+  event: cancelling it after it fired (or was cancelled) does nothing.
+  The one exception is a permanent event its owner re-queues itself
+  (:meth:`EventQueue.push_static`), which no other code holds.
 * **Heap compaction** — cancelled events stay in the heap (the classic lazy
   -deletion scheme), but when they outnumber live events the queue rebuilds
   the heap from the live entries only.  Compaction preserves dispatch order
   (the ``(time, seq)`` keys are untouched) and bounds both memory
   and the cancelled-entry skip loops.
 * **Reference hygiene** — ``callback`` (and the queue backref) are nulled
-  the moment an event is cancelled or recycled, so the heap never keeps
-  closures alive for the remainder of a long campaign run.
+  the moment an event is cancelled, so a cancelled entry parked in the heap
+  never keeps a closure alive for the remainder of a long campaign run.
 """
 
 from __future__ import annotations
@@ -71,42 +70,36 @@ class Event:
         ordering among events with equal ``time``.
     callback:
         Zero-argument callable invoked when the event fires.  Nulled once
-        the event is cancelled or recycled so the heap retains no closures.
+        the event is cancelled so the heap retains no closures.
     label:
         Optional human-readable tag (used in traces and error messages).
     cancelled:
         Cancelled events stay in the heap but are skipped when popped.
 
-    Lifecycle: a handle returned by :meth:`EventQueue.push` /
-    :meth:`Simulator.schedule` is valid until the event fires or is
-    cancelled, after which the kernel may recycle the object for a new
-    event.  Do not retain fired events (DESIGN.md §5).
+    Every :meth:`EventQueue.push` / :meth:`Simulator.schedule` returns a
+    new object that no later push reuses, so a handle stays valid for as
+    long as it is held (DESIGN.md §5).
     """
 
-    __slots__ = ("time", "seq", "callback", "label", "cancelled", "static",
-                 "_queue")
+    __slots__ = ("time", "seq", "callback", "label", "cancelled", "_queue")
 
     def __init__(self, time: int, seq: int, callback: Callable[[], None],
-                 label: str = "", queue: Optional["EventQueue"] = None) -> None:
+                 label: str = "") -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.label = label
         self.cancelled = False
-        #: Static events are owned by their scheduler (e.g. a switch's scan
-        #: event) and re-enter the queue via :meth:`EventQueue.push_static`;
-        #: the dispatch loop must never recycle them — the owner may have
-        #: already re-pushed the same object from inside its own callback.
-        self.static = False
-        self._queue = queue
+        self._queue: Optional["EventQueue"] = None
 
     def cancel(self) -> None:
         """Mark the event as cancelled; it will be dropped when reached.
 
         The owning queue's live count is kept consistent, and cancelling an
-        event that already fired is a no-op.  The callback reference is
-        released immediately so a cancelled entry parked deep in the heap
-        cannot keep a closure (and everything it captures) alive.
+        event that already fired or was cancelled does nothing to the
+        queue.  The callback reference is released immediately so a
+        cancelled entry parked deep in the heap cannot keep a closure (and
+        everything it captures) alive.
         """
         if not self.cancelled:
             self.cancelled = True
@@ -134,19 +127,20 @@ _HeapEntry = Tuple[int, int, Event]
 
 
 class EventQueue:
-    """Priority queue of :class:`Event` objects keyed by time."""
+    """Priority queue of :class:`Event` objects keyed by time.
+
+    Events leave the queue only through :meth:`Simulator.run`, which owns
+    the heap directly.
+    """
 
     #: Heaps smaller than this are never compacted (rebuild cost would
     #: exceed the skip cost it saves).  Read by :meth:`Event.cancel`.
     COMPACT_MIN_ENTRIES = 512
-    #: Upper bound on pooled Event objects kept for reuse.
-    FREELIST_MAX = 8192
 
     def __init__(self) -> None:
         self._heap: List[_HeapEntry] = []
         self._seq = 0
         self._live = 0
-        self._free: List[Event] = []
         self.compactions = 0
 
     def __len__(self) -> int:
@@ -164,17 +158,15 @@ class EventQueue:
             raise SimulationError(f"cannot schedule event at negative time {time}")
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.callback = callback
-            event.label = label
-            event.cancelled = False
-            event._queue = self
-        else:
-            event = Event(time, seq, callback, label, queue=self)
+        # Slot stores on a bare object: a Python ``__init__`` frame per push
+        # is measurable on the pure tier.
+        event = object.__new__(Event)
+        event.time = time
+        event.seq = seq
+        event.callback = callback
+        event.label = label
+        event.cancelled = False
+        event._queue = self
         heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
@@ -184,11 +176,9 @@ class EventQueue:
 
         The fast path for events that fire millions of times and are never
         cancelled (switch scans): only the time and sequence number change,
-        the callback and label are fixed at construction, and the pool
-        is bypassed entirely.  The caller guarantees the event is not
-        currently queued (one pending instance at a time) and has set
-        ``event.static`` so the dispatch loop leaves the object alone after
-        firing it.
+        and the callback and label are fixed at construction, so nothing is
+        allocated.  The caller guarantees the event is not currently queued
+        (one pending instance at a time).
         """
         seq = self._seq
         self._seq = seq + 1
@@ -201,76 +191,22 @@ class EventQueue:
 
     def new_static_event(self, callback: Callable[[], None],
                          label: str = "") -> Event:
-        """Create a caller-owned static event compatible with this queue.
+        """Create a caller-owned permanent event compatible with this queue.
 
-        Static events (e.g. a switch's scan event) are re-queued via
-        :meth:`push_static` and never recycled by the dispatch loop.  Both
-        kernel tiers provide this factory so owners never construct events
-        of the wrong tier (a compiled queue only accepts compiled events).
+        Permanent events (e.g. a switch's scan event) are re-queued via
+        :meth:`push_static`.  Both kernel tiers provide this factory so
+        owners never construct events of the wrong tier (a compiled queue
+        only accepts compiled events).
         """
-        event = Event(0, 0, callback, label)
-        event.static = True
-        return event
-
-    def _recycle_cancelled(self, event: Event) -> None:
-        """Pool a cancelled entry skimmed off the heap.
-
-        Cancellation already nulled the callback and disowned the queue, and
-        the handle is dead by the lifecycle rule (DESIGN.md §5), so the
-        object is free for reuse the moment its heap entry is discarded.
-        Without this, timeout-heavy patterns (schedule + cancel per
-        transaction) allocate a fresh ``Event`` per timeout even though the
-        freelist exists — the ``event_churn`` regression fixed in PR 7.
-        """
-        event.label = ""
-        free = self._free
-        if len(free) < self.FREELIST_MAX:
-            free.append(event)
-
-    def pop(self) -> Optional[Event]:
-        """Pop the next non-cancelled event, or ``None`` if the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            if event.cancelled:
-                self._recycle_cancelled(event)
-                continue
-            self._live -= 1
-            # Disown the event: a later cancel() on an already-fired event
-            # (e.g. clearing a transaction timeout after it went off) must
-            # not decrement the live count again.
-            event._queue = None
-            return event
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Return the firing time of the next live event without popping it."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            self._recycle_cancelled(heapq.heappop(heap)[2])
-        if not heap:
-            return None
-        return heap[0][0]
+        return Event(0, 0, callback, label)
 
     def _compact(self) -> None:
         """Drop cancelled entries and rebuild the heap from live ones.
 
         Keys are untouched, so the total dispatch order is identical — only
-        the heap's internal arrangement changes.  Dropped (cancelled)
-        entries feed the freelist: they are exactly the objects a
-        cancel-heavy pattern would otherwise reallocate.
+        the heap's internal arrangement changes.
         """
-        live: List[_HeapEntry] = []
-        free = self._free
-        freelist_max = self.FREELIST_MAX
-        for entry in self._heap:
-            event = entry[2]
-            if event.cancelled:
-                event.label = ""
-                if len(free) < freelist_max:
-                    free.append(event)
-            else:
-                live.append(entry)
-        self._heap = live
+        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
         heapq.heapify(self._heap)
         self.compactions += 1
 
@@ -318,7 +254,7 @@ class Simulator:
         Returns the simulation time at which execution stopped.
 
         The dispatch loop is fused with the queue (direct heap access, no
-        per-event ``peek``/``pop`` calls): events come off the heap in
+        per-event method calls): events come off the heap in
         ``(time, seq)`` order and execute immediately, so the
         order is identical to the classic pop-one-dispatch-one loop —
         including events a callback schedules for the current cycle, whose
@@ -329,8 +265,6 @@ class Simulator:
         queue = self.queue
         heap = queue._heap
         heappop = heapq.heappop
-        freelist = queue._free
-        freelist_max = queue.FREELIST_MAX
         # Sentinel bounds: one int compare per event instead of a None check
         # plus a compare.  Simulation times and event counts stay far below
         # 2**62 (a 4 GHz machine would need ~36 years of simulated time).
@@ -353,13 +287,6 @@ class Simulator:
                 entry = heappop(heap)
                 event = entry[2]
                 if event.cancelled:
-                    # Recycle the skimmed entry (cancel already nulled the
-                    # callback and disowned the queue; the handle is dead).
-                    event.label = ""
-                    if len(freelist) < freelist_max:
-                        freelist.append(event)
-                    # Compaction may have replaced the heap list.
-                    heap = queue._heap
                     continue
                 next_time = entry[0]
                 if next_time > until_bound:
@@ -373,17 +300,6 @@ class Simulator:
                 self._now = next_time
                 event.callback()
                 executed += 1
-                # Recycle the fired event — this is the single hottest
-                # statement sequence in the simulator.  Static events are
-                # owner-managed and skipped: the callback may have already
-                # re-pushed the same object (scan rescheduling itself), and
-                # recycling it here would corrupt the queued entry.
-                if not event.static:
-                    event.callback = None
-                    event.label = ""
-                    event.cancelled = True
-                    if len(freelist) < freelist_max:
-                        freelist.append(event)
                 # A callback may compact the queue (via cancel); re-read.
                 heap = queue._heap
         finally:

@@ -41,9 +41,9 @@ def engine() -> types.SimpleNamespace:
     """The event kernel of the selected tier (``REPRO_KERNEL``).
 
     ``Simulator`` and ``EventQueue`` come from the compiled extension when
-    that tier is selected, else from :mod:`repro.sim.engine`.  The freelist
-    and compaction bounds always come from the pure class: the C macros copy
-    its values, so the compiled queue is held to them.  A compiled request
+    that tier is selected, else from :mod:`repro.sim.engine`.  The
+    compaction bound always comes from the pure class: the C macro copies
+    its value, so the compiled queue is held to it.  A compiled request
     without a usable extension skips.
     """
     try:
@@ -54,7 +54,6 @@ def engine() -> types.SimpleNamespace:
         impl = pure_engine
     return types.SimpleNamespace(
         Simulator=impl.Simulator, EventQueue=impl.EventQueue,
-        FREELIST_MAX=pure_engine.EventQueue.FREELIST_MAX,
         COMPACT_MIN_ENTRIES=pure_engine.EventQueue.COMPACT_MIN_ENTRIES)
 
 

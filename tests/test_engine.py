@@ -14,50 +14,43 @@ from repro.sim.engine import SimulationError
 
 class TestEventQueue:
     def test_events_pop_in_time_order(self, engine):
-        queue = engine.EventQueue()
+        sim = engine.Simulator()
         fired = []
-        queue.push(30, lambda: fired.append(30))
-        queue.push(10, lambda: fired.append(10))
-        queue.push(20, lambda: fired.append(20))
-        times = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            times.append(event.time)
-        assert times == [10, 20, 30]
+        sim.queue.push(30, lambda: fired.append(sim.now))
+        sim.queue.push(10, lambda: fired.append(sim.now))
+        sim.queue.push(20, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [10, 20, 30]
 
     def test_same_time_events_are_fifo(self, engine):
-        queue = engine.EventQueue()
-        first = queue.push(5, lambda: None)
-        second = queue.push(5, lambda: None)
-        assert queue.pop() is first
-        assert queue.pop() is second
+        sim = engine.Simulator()
+        fired = []
+        sim.queue.push(5, lambda: fired.append("first"))
+        sim.queue.push(5, lambda: fired.append("second"))
+        sim.run()
+        assert fired == ["first", "second"]
 
     def test_cancelled_events_are_skipped(self, engine):
-        queue = engine.EventQueue()
-        event = queue.push(1, lambda: None)
-        keeper = queue.push(2, lambda: None)
+        sim = engine.Simulator()
+        queue = sim.queue
+        fired = []
+        event = queue.push(1, lambda: fired.append(1))
+        queue.push(2, lambda: fired.append(2))
         event.cancel()
         assert len(queue) == 1
-        assert queue.pop() is keeper
-
-    def test_peek_time_skips_cancelled(self, engine):
-        queue = engine.EventQueue()
-        event = queue.push(1, lambda: None)
-        queue.push(7, lambda: None)
-        event.cancel()
-        assert queue.peek_time() == 7
+        sim.run()
+        assert fired == [2]
 
     def test_direct_event_cancel_keeps_live_count_consistent(self, engine):
         """Regression: ``Event.cancel()`` used to leave ``len(queue)`` overcounted."""
-        queue = engine.EventQueue()
+        sim = engine.Simulator()
+        queue = sim.queue
         event = queue.push(1, lambda: None)
-        keeper = queue.push(2, lambda: None)
+        queue.push(2, lambda: None)
         event.cancel()
         assert len(queue) == 1
-        assert queue.pop() is keeper
-        assert queue.pop() is None
+        assert sim.run() == 2
+        assert sim.events_executed == 1
         assert len(queue) == 0
 
     def test_double_cancel_decrements_once(self, engine):
@@ -71,27 +64,22 @@ class TestEventQueue:
     def test_cancel_after_pop_does_not_corrupt_live_count(self, engine):
         """Cancelling an event that already fired must be count-neutral.
 
-        Coherence controllers clear transaction timeouts with
-        ``timeout_event.cancel()`` even when the timeout already went off.
+        A component may keep a handle past its event's firing, such as a
+        transaction timeout that is cancelled when the transaction
+        completes.
         """
-        queue = engine.EventQueue()
+        sim = engine.Simulator()
+        queue = sim.queue
         fired = queue.push(1, lambda: None)
-        queue.push(2, lambda: None)
-        assert queue.pop() is fired
+        later = []
+        queue.push(2, lambda: later.append(sim.now))
+        sim.run(until=1)
         fired.cancel()
         fired.cancel()
         assert len(queue) == 1
-        assert queue.pop() is not None
+        sim.run()
+        assert later == [2]
         assert len(queue) == 0
-
-    def test_cancel_then_peek_then_len(self, engine):
-        """peek_time discards cancelled heap entries without touching the count."""
-        queue = engine.EventQueue()
-        event = queue.push(1, lambda: None)
-        queue.push(9, lambda: None)
-        event.cancel()
-        assert queue.peek_time() == 9
-        assert len(queue) == 1
 
     def test_negative_time_rejected(self, engine):
         queue = engine.EventQueue()

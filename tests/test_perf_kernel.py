@@ -3,9 +3,10 @@
 Covers the behaviours the optimizations must preserve and the new
 machinery they introduce:
 
-* fused batch dispatch order, event freelist recycling, heap compaction,
-  and the cancel/fire reference-hygiene rules of the event kernel, on the
-  tier the ``engine`` fixture selects (``tests/conftest.py``);
+* fused batch dispatch order, one object per event (a kept handle reaches
+  only its own event), permanent events, heap compaction and the cancel
+  reference-hygiene rule of the event kernel, on the tier the ``engine``
+  fixture selects (``tests/conftest.py``);
 * O(1) occupancy and overflow-stall accounting in the SafetyNet log;
 * explicit floor+half-up serialization rounding in ``repro.interconnect``;
 * precomputed routing tables vs. the raw geometry;
@@ -84,25 +85,8 @@ class TestBatchDispatch:
 
 
 class TestEventPool:
-    def test_fired_events_are_recycled(self, engine):
-        queue = engine.EventQueue()
-        first = queue.push(1, lambda: None)
-        sim = engine.Simulator()
-        ev = sim.schedule(1, lambda: None)
-        sim.run()
-        # The fired event object is handed out again by the next push.
-        again = sim.queue.push(5, lambda: None)
-        assert again is ev
-        del first
-
-    def test_fired_event_drops_callback_reference(self, engine):
-        sim = engine.Simulator()
-        marker = []
-        closure = lambda: marker.append(1)  # noqa: E731
-        ev = sim.schedule(1, closure)
-        sim.run()
-        assert marker == [1]
-        assert ev.callback is None
+    """Every push is a new event object, so a kept handle reaches only its
+    own event."""
 
     def test_cancel_drops_callback_reference(self, engine):
         sim = engine.Simulator()
@@ -119,31 +103,54 @@ class TestEventPool:
         ev.cancel()
         assert len(sim.queue) == live_before
 
-    def test_freelist_is_bounded(self, engine):
+    def test_stale_handle_cannot_cancel_a_later_event(self, engine):
         sim = engine.Simulator()
-        for i in range(engine.FREELIST_MAX + 500):
-            sim.schedule(0, lambda: None)
+        fired = []
+        stale = sim.schedule(1, lambda: fired.append("first"))
         sim.run()
-        assert len(sim.queue._free) <= engine.FREELIST_MAX
+        sim.schedule(1, lambda: fired.append("second"))
+        stale.cancel()
+        sim.run()
+        assert fired == ["first", "second"]
+
+    def test_static_event_requeues_itself_from_its_callback(self, engine):
+        sim = engine.Simulator()
+        queue = sim.queue
+        fired = []
+
+        def tick() -> None:
+            fired.append(sim.now)
+            if sim.now < 5:
+                queue.push_static(event, sim.now + 2)
+
+        event = queue.new_static_event(tick, "tick")
+        queue.push_static(event, 1)
+        sim.run()
+        assert fired == [1, 3, 5]
+        assert len(queue) == 0
 
 
 class TestHeapCompaction:
     def test_compaction_triggers_and_preserves_order(self, engine):
-        queue = engine.EventQueue()
-        keep, kill = [], []
+        sim = engine.Simulator()
+        queue = sim.queue
+        fired = []
+        kill = []
         for i in range(1500):
-            ev = queue.push(10_000 + i, lambda: None)
-            (keep if i % 10 == 0 else kill).append(ev)
+            ev = queue.push(10_000 + i, lambda i=i: fired.append(i))
+            if i % 10:
+                kill.append(ev)
         for ev in kill:
             ev.cancel()
+        keep = [i for i in range(1500) if i % 10 == 0]
         assert queue.compactions >= 1
         assert len(queue) == len(keep)
         # Compaction bounds the heap: lingering cancelled entries stay below
         # the compaction threshold instead of accumulating without limit.
         assert len(keep) <= len(queue._heap) < engine.COMPACT_MIN_ENTRIES
-        popped = [queue.pop() for _ in range(len(keep))]
-        assert popped == keep
-        assert queue.pop() is None
+        sim.run()
+        assert fired == keep
+        assert len(queue) == 0
 
     def test_no_compaction_below_threshold(self, engine):
         queue = engine.EventQueue()
