@@ -147,14 +147,11 @@ heap_push_entry(CEventQueue *q, HeapEntry entry)
     return 0;
 }
 
-/* Queue `ev` at absolute cycle `time` under the queue's next seq, as
- * EventQueue.push_static does: the one push path for the permanent events
- * their owners re-queue (switch scans, bus arbitration) and for the fresh
- * events of queue_push_internal.  The event must not be queued already. */
+/* Queue `ev` at the key (time, seq).  The event must not be queued
+ * already. */
 static inline int
-queue_push_static_internal(CEventQueue *q, CEvent *ev, long long time)
+queue_push_keyed(CEventQueue *q, CEvent *ev, long long time, long long seq)
 {
-    long long seq = q->seq++;
     ev->time = time;
     ev->seq = seq;
     ev->cancelled = 0;
@@ -166,6 +163,16 @@ queue_push_static_internal(CEventQueue *q, CEvent *ev, long long time)
         return -1;
     q->live++;
     return 0;
+}
+
+/* Queue `ev` at absolute cycle `time` under the queue's next seq, as
+ * EventQueue.push_static does: the one push path for the permanent events
+ * their owners re-queue (switch scans, bus arbitration) and for the fresh
+ * events of queue_push_internal.  The event must not be queued already. */
+static inline int
+queue_push_static_internal(CEventQueue *q, CEvent *ev, long long time)
+{
+    return queue_push_keyed(q, ev, time, q->seq++);
 }
 
 /* Pop the root; the caller owns the returned entry's event reference.

@@ -389,6 +389,41 @@ Queue_push_static(CEventQueue *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyObject *
+Queue_reserve(CEventQueue *self, PyObject *Py_UNUSED(ignored))
+{
+    return PyLong_FromLongLong(self->seq++);
+}
+
+static PyObject *
+Queue_push_reserved(CEventQueue *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"time", "seq", "callback", "label", NULL};
+    long long time, seq;
+    PyObject *callback, *label = empty_string;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "LLO|O:push_reserved",
+                                     kwlist, &time, &seq, &callback, &label))
+        return NULL;
+    if (time < 0) {
+        PyErr_Format(SimulationError,
+                     "cannot schedule event at negative time %lld", time);
+        return NULL;
+    }
+    if (seq < 0 || seq >= self->seq) {
+        PyErr_Format(SimulationError,
+                     "sequence number %lld was never reserved", seq);
+        return NULL;
+    }
+    CEvent *ev = event_alloc(callback, label);
+    if (ev == NULL)
+        return NULL;
+    if (queue_push_keyed(self, ev, time, seq) < 0) {
+        Py_DECREF(ev);
+        return NULL;
+    }
+    return (PyObject *)ev;
+}
+
+static PyObject *
 Queue_new_static_event(CEventQueue *self, PyObject *const *args,
                        Py_ssize_t nargs, PyObject *kwnames)
 {
@@ -469,6 +504,11 @@ static PyMethodDef Queue_methods[] = {
     {"push_static", (PyCFunction)(void (*)(void))Queue_push_static,
      METH_FASTCALL,
      "Re-queue a caller-owned permanent event at absolute cycle `time`."},
+    {"reserve", (PyCFunction)Queue_reserve, METH_NOARGS,
+     "Hand out the next sequence number without queueing an event."},
+    {"push_reserved", (PyCFunction)(void (*)(void))Queue_push_reserved,
+     METH_VARARGS | METH_KEYWORDS,
+     "Schedule callback at absolute cycle `time` under a reserved `seq`."},
     {"new_static_event", (PyCFunction)(void (*)(void))Queue_new_static_event,
      METH_FASTCALL | METH_KEYWORDS,
      "Create a caller-owned permanent event compatible with this queue."},

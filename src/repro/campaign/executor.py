@@ -15,7 +15,9 @@ lives in :mod:`repro.campaign.sharding`.
 
 Within one process :func:`execute_spec` also keeps a small memo of
 finished runs, and does not simulate a spec that provably repeats one of
-them (DESIGN.md §9).
+them (DESIGN.md §9).  :class:`SerialExecutor` also resumes an injected
+point from its baseline in a forked child instead of simulating their
+shared prefix again.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from __future__ import annotations
 import gc
 import json
 import os
+import signal
+import threading
 import time
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import (Any, DefaultDict, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -34,7 +39,9 @@ from repro.campaign.manifest import atomic_write_json
 from repro.campaign.spec import RunSpec, SweepSpec
 from repro.interconnect.topology import TOPOLOGY_MEMO_STATS
 from repro.sim.config import SystemConfig
+from repro.speculation.detectors import injection_period_cycles
 from repro.system import build_system
+from repro.system.base import System
 from repro.system.builder import system_class
 from repro.system.results import RunResult, RESULT_SCHEMA
 from repro.workloads.memo import MEMO_STATS
@@ -59,8 +66,11 @@ def reset_perf_counters() -> None:
 RUN_MEMO_CAPACITY = 16
 
 #: Process-local replay tallies (observational only, like
-#: :data:`PERF_COUNTERS`): a hit is a spec answered from the memo.
-RUN_MEMO_STATS: Dict[str, int] = {"run_hits": 0, "run_misses": 0}
+#: :data:`PERF_COUNTERS`): a hit is a spec answered from the memo, a miss
+#: one simulated in-process, a resume one resumed from its baseline in a
+#: forked child (:class:`SerialExecutor`).
+RUN_MEMO_STATS: Dict[str, int] = {"run_hits": 0, "run_misses": 0,
+                                  "run_resumes": 0}
 
 #: Every memo tally of this process: streams, topologies and runs.  A
 #: :class:`ParallelExecutor` adds the tallies its workers moved into them.
@@ -115,8 +125,173 @@ def clear_run_memo() -> None:
     """Drop every stored run and zero the tallies (tests, benchmarks, and
     each :class:`ParallelExecutor` worker as it starts)."""
     _RUN_MEMO.clear()
-    RUN_MEMO_STATS["run_hits"] = 0
-    RUN_MEMO_STATS["run_misses"] = 0
+    for key in RUN_MEMO_STATS:
+        RUN_MEMO_STATS[key] = 0
+
+
+def _resume(system: System, spec: RunSpec) -> RunResult:
+    """Turn ``system``, a baseline paused one cycle before ``spec``'s
+    injector first fires, into ``spec``'s run and run it to its bound.
+
+    The body of a resumed point's child (:class:`_Resumes`); the argument
+    that the result is a fresh run's is in
+    :meth:`repro.system.base.System.replays`.
+    """
+    system.label = (spec.label if spec.label is not None
+                    else system._default_label(spec.config))
+    injector = system.attach_recovery_injector(spec.recovery_rate_per_second)
+    injector.start(system.injector_seq)
+    return system.run_on(max_cycles=spec.max_cycles)
+
+
+#: A forked child: its pid and the read end of its pipe.
+_Child = Tuple[int, int]
+
+
+class _Resumes:
+    """The children one :meth:`SerialExecutor.map` batch forks.
+
+    ``plan`` maps ``id`` of a baseline spec, one without an injector, to the
+    later specs of the batch it can resume: an equal configuration, a
+    positive rate, and a cycle bound at or past the pause.  While the
+    baseline runs, :meth:`fork` forks a child at each pause, and
+    :meth:`collect` hands a child's result to :func:`execute_spec` when the
+    batch reaches its spec.  At most :attr:`cap` children are alive at once.
+    """
+
+    def __init__(self, plan: Dict[int, List[RunSpec]]) -> None:
+        self.plan = plan
+        try:
+            usable = len(os.sched_getaffinity(0))
+        except AttributeError:
+            usable = os.cpu_count() or 1
+        #: One CPU stays with the parent, which runs on.
+        self.cap = max(1, usable - 1)
+        #: ``id(spec)`` -> child, oldest first.
+        self.children: Dict[int, _Child] = {}
+        #: ``id(spec)`` -> ``(result, suffix events)`` of a child reaped
+        #: before the batch reached its spec; ``None`` if it failed.
+        self.reaped: Dict[int, Optional[Tuple[RunResult, int]]] = {}
+
+    @classmethod
+    def plan_for(cls, specs: SpecBatch,
+                 cached: Dict[int, RunResult]) -> Optional["_Resumes"]:
+        """The forks of a batch; ``None`` when it has none, or when this
+        process cannot fork safely (no ``os.fork``, or a second thread)."""
+        if not hasattr(os, "fork") or threading.active_count() != 1:
+            return None
+        injected = [(index, spec) for index, spec in enumerate(specs)
+                    if index not in cached
+                    and (spec.recovery_rate_per_second or 0) > 0]
+        if not injected:
+            return None
+        plan: Dict[int, List[RunSpec]] = {}
+        # Children are keyed by spec object, so a spec listed twice in the
+        # batch is resumed at most once (its other entry is simulated).
+        claimed = set()
+        for index, spec in enumerate(specs):
+            if index in cached or spec.recovery_rate_per_second is not None:
+                continue
+            config = spec.config
+            limit = system_class(config).cycle_limit
+            forks = []
+            for at, later in injected:
+                if (at > index and id(later) not in claimed
+                        and later.config == config
+                        and _pause_cycle(later) - 1
+                        <= limit(config, later.max_cycles)):
+                    claimed.add(id(later))
+                    forks.append(later)
+            if forks:
+                plan[id(spec)] = forks
+        return cls(plan) if plan else None
+
+    def pauses(self, spec: RunSpec) -> List[Tuple[int, Any]]:
+        """The pause points of ``spec``'s run: one fork per spec it resumes."""
+        return sorted(((_pause_cycle(later), partial(self.fork, later))
+                       for later in self.plan.pop(id(spec), ())),
+                      key=lambda pause: pause[0])
+
+    def fork(self, spec: RunSpec, system: System) -> None:
+        """Fork a child that resumes ``spec`` from the paused ``system``."""
+        if len(self.children) >= self.cap:
+            oldest = next(iter(self.children))
+            self.reaped[oldest] = self._reap(self.children.pop(oldest))
+        prefix_events = system.sim.events_executed
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            # No child: the batch simulates the spec in-process.
+            os.close(read_fd)
+            os.close(write_fd)
+            return
+        if pid == 0:
+            # Never unwind into the caller's frames, never flush inherited
+            # stdio: leave through os._exit, non-zero on any exception.
+            code = 1
+            try:
+                os.close(read_fd)
+                result = _resume(system, spec)
+                payload = json.dumps({
+                    "result": result.to_json(),
+                    "events": system.sim.events_executed - prefix_events})
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(payload.encode("utf-8"))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self.children[id(spec)] = (pid, read_fd)
+
+    @staticmethod
+    def _reap(child: _Child) -> Optional[Tuple[RunResult, int]]:
+        """Read a child's payload and reap it; ``None`` if it failed."""
+        pid, read_fd = child
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+        _, status = os.waitpid(pid, 0)
+        if os.waitstatus_to_exitcode(status) != 0:
+            return None
+        try:
+            payload = json.loads(data)
+            return RunResult.from_json(payload["result"]), int(payload["events"])
+        except (ValueError, KeyError, TypeError):
+            return None
+
+    def collect(self, spec: RunSpec) -> Optional[RunResult]:
+        """The result of ``spec``'s child, counting its suffix's events;
+        ``None`` if no child resumed ``spec`` or it failed."""
+        key = id(spec)
+        child = self.children.pop(key, None)
+        outcome = (self._reap(child) if child is not None
+                   else self.reaped.pop(key, None))
+        if outcome is None:
+            return None
+        result, events = outcome
+        PERF_COUNTERS["events_executed"] += events
+        return result
+
+    def close(self) -> None:
+        """Kill and reap every child still alive."""
+        for pid, read_fd in self.children.values():
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+        self.children.clear()
+
+
+#: The forks of the :meth:`SerialExecutor.map` batch in progress, if any.
+_RESUMES: Optional[_Resumes] = None
+
+
+def _pause_cycle(spec: RunSpec) -> int:
+    """The cycle of the first firing of ``spec``'s (positive-rate) injector."""
+    return injection_period_cycles(spec.recovery_rate_per_second,
+                                   spec.config.cycles_per_second)
 
 
 def _run_point(spec: RunSpec) -> RunResult:
@@ -128,7 +303,8 @@ def _run_point(spec: RunSpec) -> RunResult:
     system = build_system(spec.config, label=spec.label)
     if spec.recovery_rate_per_second is not None:
         system.attach_recovery_injector(spec.recovery_rate_per_second)
-    result = system.run(max_cycles=spec.max_cycles)
+    pauses = () if _RESUMES is None else _RESUMES.pauses(spec)
+    result = system.run(max_cycles=spec.max_cycles, pauses=pauses)
     PERF_COUNTERS["runs"] += 1
     PERF_COUNTERS["events_executed"] += system.sim.events_executed
     return result
@@ -151,6 +327,12 @@ def execute_spec(spec: RunSpec) -> RunResult:
     simulated run is stored when its own spec would replay it, that is when
     it finished with no injection acting on it.
 
+    Inside a :meth:`SerialExecutor.map` batch, a baseline's run forks a
+    child for each injected point of the batch it can resume, and the
+    injected point's call returns the child's result (DESIGN.md §9).  A
+    child that failed or sent a bad payload leaves its spec to be simulated
+    here, so a deterministic error still raises in this process.
+
     The cyclic garbage collector is paused for the duration of the run: a
     run allocates millions of short-lived objects whose lifetimes the kernel
     already manages through reference counting and free lists, so mid-run
@@ -167,15 +349,19 @@ def execute_spec(spec: RunSpec) -> RunResult:
     if replayed is not None:
         RUN_MEMO_STATS["run_hits"] += 1
         return replayed
-    RUN_MEMO_STATS["run_misses"] += 1
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        result = _run_point(spec)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-            gc.collect(0)
+    result = None if _RESUMES is None else _RESUMES.collect(spec)
+    if result is not None:
+        RUN_MEMO_STATS["run_resumes"] += 1
+    else:
+        RUN_MEMO_STATS["run_misses"] += 1
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = _run_point(spec)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+                gc.collect(0)
     if system_class(spec.config).replays(
             result, spec.config,
             rate_per_second=spec.recovery_rate_per_second,
@@ -390,18 +576,34 @@ class SerialExecutor(Executor):
     Each point is built from scratch by :func:`execute_spec_timed` and
     shares only the content-keyed workload and topology memos with the
     points before it, so a batch's results do not depend on its order.
+
+    An injected point whose baseline, the same configuration with no
+    injector, comes earlier in the batch is not simulated from cycle 0:
+    the baseline's run pauses one cycle before the injector first fires
+    and forks a child that resumes the injected point from there, while
+    this process runs on (DESIGN.md §9).  That happens only where
+    ``os.fork`` exists and this process runs one thread, with at most
+    ``max(1, usable CPUs - 1)`` children alive.  Every child is reaped
+    before :meth:`map` returns or raises.  The other executors never fork.
     """
 
     def map(self, specs: SpecBatch) -> List[RunResult]:
+        global _RESUMES
         cached = self._lookup(specs)
         results: List[Optional[RunResult]] = [None] * len(specs)
-        for index, spec in enumerate(specs):
-            if index in cached:
-                results[index] = cached[index]
-                continue
-            result, seconds = execute_spec_timed(spec)
-            self._store(spec, result, wall_seconds=seconds)
-            results[index] = result
+        outer, _RESUMES = _RESUMES, _Resumes.plan_for(specs, cached)
+        try:
+            for index, spec in enumerate(specs):
+                if index in cached:
+                    results[index] = cached[index]
+                    continue
+                result, seconds = execute_spec_timed(spec)
+                self._store(spec, result, wall_seconds=seconds)
+                results[index] = result
+        finally:
+            if _RESUMES is not None:
+                _RESUMES.close()
+            _RESUMES = outer
         return results  # type: ignore[return-value]
 
 

@@ -33,6 +33,11 @@ Hot-path structure (see DESIGN.md §5 for the full performance model):
   event: cancelling it after it fired (or was cancelled) does nothing.
   The one exception is a permanent event its owner re-queues itself
   (:meth:`EventQueue.push_static`), which no other code holds.
+* **Reserved sequence numbers** — :meth:`EventQueue.reserve` hands out a
+  sequence number with no event, and :meth:`EventQueue.push_reserved`
+  later queues an event under it, at the place in ``(time, seq)`` order a
+  push at the reservation would have taken.  Every system run reserves
+  one for the Figure 4 injector (DESIGN.md §9).
 * **Heap compaction** — cancelled events stay in the heap (the classic lazy
   -deletion scheme), but when they outnumber live events the queue rebuilds
   the heap from the live entries only.  Compaction preserves dispatch order
@@ -166,6 +171,30 @@ class EventQueue:
         event.callback = callback
         event.label = label
         event.cancelled = False
+        event._queue = self
+        heapq.heappush(self._heap, (time, seq, event))
+        self._live += 1
+        return event
+
+    def reserve(self) -> int:
+        """Hand out the next sequence number without queueing an event.
+
+        The event :meth:`push_reserved` later queues under it takes the
+        place in ``(time, seq)`` order that a push made now would have had.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        return seq
+
+    def push_reserved(self, time: int, seq: int, callback: Callable[[], None],
+                      label: str = "") -> Event:
+        """Schedule ``callback`` at absolute cycle ``time`` under ``seq``, a
+        sequence number :meth:`reserve` handed out, and return the event."""
+        if time < 0:
+            raise SimulationError(f"cannot schedule event at negative time {time}")
+        if not 0 <= seq < self._seq:
+            raise SimulationError(f"sequence number {seq} was never reserved")
+        event = Event(time, seq, callback, label)
         event._queue = self
         heapq.heappush(self._heap, (time, seq, event))
         self._live += 1

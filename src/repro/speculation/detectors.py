@@ -50,8 +50,10 @@ def injection_period_cycles(rate_per_second: float,
                             cycles_per_second: float) -> Optional[int]:
     """Cycles between two Figure 4 injections (``None`` for a zero rate).
 
-    An injector attached at cycle 0 first fires at this cycle, so the
-    replay rule of :meth:`repro.system.base.System.replays` reads it too.
+    An injector first fires at this cycle, so the replay rule of
+    :meth:`repro.system.base.System.replays` reads it too, and a point
+    resumed from its baseline forks at one cycle before it
+    (:class:`repro.campaign.executor.SerialExecutor`).
     """
     if rate_per_second == 0:
         return None
@@ -180,13 +182,19 @@ class PeriodicInjectionSpeculation(Speculation):
     def arm(self, system) -> None:
         """Nothing to wire: injection is driven by :meth:`start`."""
 
-    def start(self) -> None:
-        """Begin injecting (no-op for a zero rate)."""
+    def start(self, seq: Optional[int] = None) -> None:
+        """Begin injecting: queue the first firing at cycle ``period`` under
+        ``seq``, the sequence number
+        :meth:`repro.system.base.System.run` reserved for the injector
+        (``None``: reserve one now).  A no-op for a zero rate."""
         period = self.period_cycles
         if period is None or self._active:
             return
         self._active = True
-        self.sim.schedule(period, self._fire, label="recovery-injector")
+        queue = self.sim.queue
+        if seq is None:
+            seq = queue.reserve()
+        queue.push_reserved(period, seq, self._fire, "recovery-injector")
 
     def _fire(self) -> None:
         self.injections += 1

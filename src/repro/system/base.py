@@ -27,7 +27,8 @@ import itertools
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import replace
-from typing import ClassVar, Dict, FrozenSet, List, Optional
+from typing import (Callable, ClassVar, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple)
 
 from repro import kernel
 from repro.safetynet.manager import SafetyNet
@@ -75,6 +76,9 @@ class System(ABC):
         self.slow_start_gate = SlowStartGate(self.sim)
         self.nodes: List = []
         self.injector: Optional[PeriodicInjectionSpeculation] = None
+        #: The sequence number :meth:`run` reserves for the injector's
+        #: first firing (``None`` until the run starts).
+        self.injector_seq: Optional[int] = None
         self._build_nodes()
         self.speculation.arm(self)
         # Rebind protocol hot paths onto compiled cores (no-op on the pure
@@ -177,25 +181,63 @@ class System(ABC):
         self.safetynet.start()
 
     def run(self, *, workload: Optional[SyntheticWorkload] = None,
-            max_cycles: Optional[int] = None) -> RunResult:
-        """Run the workload to completion and collect results."""
+            max_cycles: Optional[int] = None,
+            pauses: Sequence[Tuple[int, Callable[["System"], None]]] = ()
+            ) -> RunResult:
+        """Run the workload to completion and collect results.
+
+        One sequence number is reserved for the injector's first firing,
+        after the clocks start and before the processors do, whether or
+        not an injector is attached (:meth:`replays`).
+
+        ``pauses`` are ``(cycle, callback)`` pairs in ascending cycle
+        order.  For each, the run executes every event up to ``cycle - 1``
+        and calls ``callback(self)``; then it goes on.  Both kernel tiers
+        stop at a bound and resume without reordering an event, so a paused
+        run is the unpaused one.  If every processor has finished by a
+        pause, the run ends there, and a pause beyond the cycle bound is
+        never reached.  The campaign layer forks a resumed injected point
+        from a pause (:class:`repro.campaign.executor.SerialExecutor`).
+        """
         self.load_workload(workload)
         self._start_clocks()
+        self.injector_seq = self.sim.queue.reserve()
         if self.injector is not None:
-            self.injector.start()
+            self.injector.start(self.injector_seq)
 
         def on_finished(_node: int) -> None:
-            if all(n.processor.finished_at is not None for n in self.nodes):
+            if self._all_finished():
                 self.sim.stop()
 
         for node in self.nodes:
             node.processor.start(on_finished)
 
-        limit = (max_cycles if max_cycles is not None
-                 else self._default_max_cycles(self.config))
-        self.sim.run(until=limit)
-        finished = all(n.processor.finished_at is not None for n in self.nodes)
-        return self._collect_results(finished)
+        limit = self.cycle_limit(self.config, max_cycles)
+        for cycle, callback in pauses:
+            if cycle - 1 > limit:
+                break
+            self.sim.run(until=cycle - 1)
+            # A second Simulator.run would clear the stop on_finished set.
+            if self._all_finished():
+                return self._collect_results(True)
+            callback(self)
+        return self.run_on(max_cycles=max_cycles)
+
+    def run_on(self, *, max_cycles: Optional[int] = None) -> RunResult:
+        """Run a started run on to its end or its cycle bound and collect
+        results: the rest of :meth:`run` after a pause."""
+        self.sim.run(until=self.cycle_limit(self.config, max_cycles))
+        return self._collect_results(self._all_finished())
+
+    @classmethod
+    def cycle_limit(cls, config: SystemConfig,
+                    max_cycles: Optional[int]) -> int:
+        """The cycle bound of a run of ``config`` given ``max_cycles``."""
+        return (max_cycles if max_cycles is not None
+                else cls._default_max_cycles(config))
+
+    def _all_finished(self) -> bool:
+        return all(n.processor.finished_at is not None for n in self.nodes)
 
     @classmethod
     def replays(cls, finished: RunResult, config: SystemConfig, *,
@@ -212,9 +254,26 @@ class System(ABC):
         ``(time, seq)`` order, events at the bound included, and stops on
         the event that finishes the last processor, at ``B``
         (``runtime_cycles``).  Before its first firing an attached injector's
-        only effect is one queued event, which takes a sequence number but
-        changes no other event's order.  A firing at ``B`` itself would run
-        before the finishing event, which was queued after it.
+        only effect is one queued event, under the sequence number every run
+        reserves for it, so no other event's key depends on the injector.  A
+        firing at ``B`` itself would run before the finishing event, which
+        was queued after it.
+
+        The same argument lets an injected point *resume* from its
+        baseline, the run of the same configuration with no injector,
+        instead of simulating their shared prefix.  Take an injector whose
+        first firing is at cycle ``P``, and pause the baseline at
+        ``P - 1`` (:meth:`run`'s ``pauses``).  At that pause the baseline's
+        machine is the injected run's machine, except for the one queued
+        first firing: building and attaching a
+        :class:`~repro.speculation.detectors.PeriodicInjectionSpeculation`
+        has no other side effect, and every event so far has the same key
+        in both runs.  Attach the injector there and queue its first firing
+        at ``(P, injector_seq)``, the key it would have had.  Then both
+        machines hold the same events under the same keys, and by
+        induction over ``(time, seq)`` order the resumed run repeats the
+        fresh injected run event for event, ``events_executed`` included.
+        It must be bounded at or past ``P - 1``, which the prefix reached.
 
         A run of ``config``'s *variant twin* (the configuration that differs
         only in ``variant``) is such a run when its counters name none of
@@ -246,8 +305,7 @@ class System(ABC):
                 or finished.detections_of(SpeculationKind.INJECTED)):
             return False
         stopped_at = finished.runtime_cycles
-        limit = (max_cycles if max_cycles is not None
-                 else cls._default_max_cycles(config))
+        limit = cls.cycle_limit(config, max_cycles)
         period = (None if rate_per_second is None
                   else injection_period_cycles(rate_per_second,
                                                config.cycles_per_second))

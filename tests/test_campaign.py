@@ -321,15 +321,17 @@ class TestRunnerCLI:
     def test_memos_block_is_execution_side(self, tmp_path):
         """The runner surfaces memo_stats() in the execution block, next to
         the kernel tier, and compare_reports strips it: reports stay
-        byte-comparable.  Quick fig4 replays its four 1/s and 10/s points
-        from the run memo and simulates the other four."""
+        byte-comparable.  Quick fig4 simulates its two baselines, replays
+        its four 1/s and 10/s points from the run memo and resumes its two
+        100/s points from their baselines in forked children."""
         path = tmp_path / "report.json"
         assert runner.main(["--only", "fig4", "--quick",
                             "--json", str(path)]) == 0
         payload = json.loads(path.read_text())
         memos = payload["execution"]["memos"]
         assert {"stream_hits", "stream_misses"} <= set(memos)
-        assert (memos["run_hits"], memos["run_misses"]) == (4, 4)
+        assert (memos["run_hits"], memos["run_misses"],
+                memos["run_resumes"]) == (4, 2, 2)
         assert {"kernel", "memos"} <= set(payload["execution"])
 
         doctored = tmp_path / "doctored.json"

@@ -87,6 +87,53 @@ class TestEventQueue:
             queue.push(-1, lambda: None)
 
 
+class TestReservedSequenceNumbers:
+    def test_reserve_hands_out_consecutive_seqs(self, engine):
+        queue = engine.EventQueue()
+        first = queue.reserve()
+        assert queue.reserve() == first + 1
+        assert queue.push(5, lambda: None).seq == first + 2
+
+    def test_reserved_event_fires_at_the_reservation_place(self, engine):
+        """Among same-time events it fires after those queued before the
+        reservation and before those queued after it."""
+        sim = engine.Simulator()
+        queue = sim.queue
+        fired = []
+        queue.push(5, lambda: fired.append("before"))
+        seq = queue.reserve()
+        queue.push(5, lambda: fired.append("after"))
+        queue.push(4, lambda: fired.append("earlier"))
+        event = queue.push_reserved(5, seq, lambda: fired.append("reserved"),
+                                    "reserved")
+        assert (event.time, event.seq, event.label) == (5, seq, "reserved")
+        assert len(queue) == 4
+        sim.run()
+        assert fired == ["earlier", "before", "reserved", "after"]
+
+    def test_unreserved_seq_raises(self, engine):
+        queue = engine.EventQueue()
+        with pytest.raises(SimulationError):
+            queue.push_reserved(1, queue.reserve() + 1, lambda: None)
+        with pytest.raises(SimulationError):
+            queue.push_reserved(1, -1, lambda: None)
+        with pytest.raises(SimulationError):
+            queue.push_reserved(-1, queue.reserve(), lambda: None)
+        assert len(queue) == 0
+
+    def test_reserved_event_can_be_cancelled(self, engine):
+        sim = engine.Simulator()
+        queue = sim.queue
+        fired = []
+        event = queue.push_reserved(1, queue.reserve(),
+                                    lambda: fired.append(1))
+        queue.push(2, lambda: fired.append(2))
+        event.cancel()
+        assert len(queue) == 1
+        sim.run()
+        assert fired == [2]
+
+
 class TestSimulator:
     def test_clock_advances_to_event_times(self, engine):
         sim = engine.Simulator()

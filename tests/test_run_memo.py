@@ -28,7 +28,8 @@ from repro.campaign import (
     memo_stats,
 )
 from repro.campaign import executor as executor_module
-from repro.campaign.executor import PERF_COUNTERS, RUN_MEMO_CAPACITY
+from repro.campaign.executor import (PERF_COUNTERS, RUN_MEMO_CAPACITY,
+                                     RUN_MEMO_STATS)
 from repro.coherence.common import MemoryOp, MemoryRequest
 from repro.coherence.directory.messages import CoherencePayload
 from repro.coherence.snooping.bus import BusRequest, BusRequestType
@@ -135,22 +136,41 @@ class TestFig4:
             self, monkeypatch):
         """At 60 references every baseline finishes long before the 1/s
         and 10/s injectors first fire, so those ten points replay their
-        baseline; each replay equals a fresh simulation byte for byte."""
-        calls = record_executions(monkeypatch)
+        baseline, and the five 100/s points are resumed from their baseline
+        in forked children: only the baselines are simulated.  Each replay
+        and each resumed result equals a fresh simulation byte for byte."""
+        calls = []
+        original = executor_module.execute_spec
+
+        def recording(spec):
+            before = dict(RUN_MEMO_STATS)
+            result = original(spec)
+            moved, = (key for key in RUN_MEMO_STATS
+                      if RUN_MEMO_STATS[key] != before[key])
+            calls.append((spec, result, moved))
+            return result
+
+        monkeypatch.setattr(executor_module, "execute_spec", recording)
         fig4.run(references=60, seed=1, executor=SerialExecutor())
-        simulated = sorted((spec.workload, spec.label)
-                           for spec, _, ran in calls if ran)
-        replayed = [(spec, result) for spec, result, ran in calls if not ran]
         workloads = sorted({spec.workload for spec, _, _ in calls})
         assert len(workloads) == 5
-        assert simulated == sorted(
-            (workload, label) for workload in workloads
-            for label in ("no-injection", "inject-100s"))
-        assert sorted((spec.workload, spec.label) for spec, _ in replayed) \
-            == sorted((workload, label) for workload in workloads
-                      for label in ("inject-1s", "inject-10s"))
-        assert memo_stats()["run_hits"] == 10
-        for spec, result in replayed:
+
+        def points(outcome):
+            return sorted((spec.workload, spec.label)
+                          for spec, _, moved in calls if moved == outcome)
+
+        def expected(*labels):
+            return sorted((workload, label) for workload in workloads
+                          for label in labels)
+
+        assert points("run_misses") == expected("no-injection")
+        assert points("run_resumes") == expected("inject-100s")
+        assert points("run_hits") == expected("inject-1s", "inject-10s")
+        stats = memo_stats()
+        assert (stats["run_hits"], stats["run_resumes"]) == (10, 5)
+        for spec, result, moved in calls:
+            if moved == "run_misses":
+                continue
             clear_memos()
             fresh, simulated_now = run_counted(spec)
             assert simulated_now

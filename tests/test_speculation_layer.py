@@ -188,14 +188,18 @@ class TestInjectorSpeculation:
         for config in (small_config(),
                        small_config(protocol=ProtocolKind.SNOOPING)):
             system = build_system(config)
-            # Period = cycles_per_second / rate = 2,500 cycles: short enough
-            # to fire inside even the quick snooping run (~12k cycles).
-            injector = system.attach_recovery_injector(rate_per_second=400)
+            # Period = cycles_per_second / rate = 5,000 cycles, longer than
+            # the ~4,600 cycles a recovery costs here, so the run still
+            # finishes (the directory run after 59 injections, the snooping
+            # run after 26); the first firing takes the key System.run
+            # reserves for it.
+            injector = system.attach_recovery_injector(rate_per_second=200)
             assert isinstance(injector, PeriodicInjectionSpeculation)
             assert isinstance(injector, Speculation)
             assert system.injector is injector
             assert injector.manager is system.speculation
             result = system.run()
+            assert result.finished
             assert injector.injections > 0
             assert injector.injections == result.detections
             assert result.recoveries_by_kind.get("injected") == result.recoveries
@@ -256,8 +260,10 @@ class TestResultAccounting:
         results = []
         for protocol in (ProtocolKind.DIRECTORY, ProtocolKind.SNOOPING):
             system = build_system(small_config(protocol=protocol))
-            system.attach_recovery_injector(rate_per_second=400)
-            results.append(system.run())
+            system.attach_recovery_injector(rate_per_second=200)
+            result = system.run()
+            assert result.finished
+            results.append(result)
         deadlocked = build_system(deadlocking_config(3)).run(
             max_cycles=MAX_CYCLES)
         assert deadlocked.recoveries_of(SpeculationKind.INTERCONNECT_DEADLOCK)
