@@ -238,10 +238,9 @@ CK_EXTERN struct ctrl_names TS;
 
 /* Interned attribute names used by the snooping core. */
 struct snoop_names {
-    PyObject *requestor, *rtype, *phase, *record_request, *bus_ordered,
-        *invalidate_on_install, *writebacks_ordered, *own_request_ordered,
-        *cache_to_cache_transfers, *forwards_deferred, *late_invalidates,
-        *writeback_race_first_getx, *stale_data, *duplicate_data;
+    PyObject *requestor, *rtype, *bus_ordered, *invalidate_on_install,
+        *own_request_ordered, *cache_to_cache_transfers, *stale_data,
+        *duplicate_data;
 };
 
 CK_EXTERN struct snoop_names SN;

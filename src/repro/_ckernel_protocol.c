@@ -2632,7 +2632,8 @@ PyTypeObject CTxnCore_Type = {
 /* Compiled BlockingProcessor._memory_complete: retire accounting, the
  * L1 tag fill and the next-issue schedule.
  * Holds the node's ProcessorCore for the gap-draw fields and the shared
- * _issue_pending scheduling helper. */
+ * _issue_pending scheduling helper.  The fill logs nothing, so the
+ * constructor rejects an L1 whose tag array has a change observer. */
 typedef struct {
     PyObject_HEAD
     PyObject *proc;
@@ -2641,8 +2642,6 @@ typedef struct {
     PyObject *line_cls;
     PyObject *l1_tags, *l1_sets;
     long long l1_block, l1_nsets, l1_assoc;
-    int use_pure_fill;          /* observer installed: keep the pure fill */
-    PyObject *fill_meth;        /* bound l1.fill */
     PyObject *counters_dict, *count_meth;
 } CMemCore;
 
@@ -2655,7 +2654,6 @@ MemCore_traverse(CMemCore *self, visitproc visit, void *arg)
     Py_VISIT(self->line_cls);
     Py_VISIT(self->l1_tags);
     Py_VISIT(self->l1_sets);
-    Py_VISIT(self->fill_meth);
     Py_VISIT(self->counters_dict);
     Py_VISIT(self->count_meth);
     return 0;
@@ -2670,7 +2668,6 @@ MemCore_clear_gc(CMemCore *self)
     Py_CLEAR(self->line_cls);
     Py_CLEAR(self->l1_tags);
     Py_CLEAR(self->l1_sets);
-    Py_CLEAR(self->fill_meth);
     Py_CLEAR(self->counters_dict);
     Py_CLEAR(self->count_meth);
     return 0;
@@ -2723,13 +2720,8 @@ MemCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         goto fail;
     }
     self->l1_tags = PyObject_GetAttrString(l1, "tags");
-    if (self->l1_tags == NULL) {
-        Py_DECREF(l1);
-        goto fail;
-    }
-    self->fill_meth = PyObject_GetAttrString(l1, "fill");
     Py_DECREF(l1);
-    if (self->fill_meth == NULL)
+    if (self->l1_tags == NULL)
         goto fail;
     self->l1_sets = PyObject_GetAttrString(self->l1_tags, "_sets");
     if (self->l1_sets == NULL || !PyList_Check(self->l1_sets)) {
@@ -2755,8 +2747,14 @@ MemCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     PyObject *obs = PyObject_GetAttrString(self->l1_tags, "_observer");
     if (obs == NULL)
         goto fail;
-    self->use_pure_fill = (obs != Py_None);
+    int observed = (obs != Py_None);
     Py_DECREF(obs);
+    if (observed) {
+        PyErr_SetString(PyExc_TypeError,
+                        "MemoryCompleteCore requires an L1 without an "
+                        "observer");
+        goto fail;
+    }
 
     self->counters_dict = PyObject_GetAttrString(proc, "_counters");
     if (self->counters_dict == NULL || !PyDict_Check(self->counters_dict)) {
@@ -2858,24 +2856,15 @@ MemCore_call(CMemCore *self, PyObject *args, PyObject *kwds)
     PyObject *addr_obj = PyObject_GetAttr(request, PS.address);
     if (addr_obj == NULL)
         return NULL;
-    if (self->use_pure_fill) {
-        PyObject *res = PyObject_CallOneArg(self->fill_meth, addr_obj);
+    long long addr = PyLong_AsLongLong(addr_obj);
+    if (addr == -1 && PyErr_Occurred()) {
         Py_DECREF(addr_obj);
-        if (res == NULL)
-            return NULL;
-        Py_DECREF(res);
+        return NULL;
     }
-    else {
-        long long addr = PyLong_AsLongLong(addr_obj);
-        if (addr == -1 && PyErr_Occurred()) {
-            Py_DECREF(addr_obj);
-            return NULL;
-        }
-        int rc = memcore_l1_fill(self, addr_obj, addr);
-        Py_DECREF(addr_obj);
-        if (rc < 0)
-            return NULL;
-    }
+    int rc = memcore_l1_fill(self, addr_obj, addr);
+    Py_DECREF(addr_obj);
+    if (rc < 0)
+        return NULL;
     /* _compute_gap_cycles + _schedule_issue (via the processor core, so
      * the jitter stream and the _issue_pending collapse stay shared). */
     CProcCore *pc = self->pc;
@@ -2915,12 +2904,17 @@ PyTypeObject CMemCore_Type = {
 /* ------------------------------------------------------------ SnoopCore */
 
 /* Compiled SnoopingCacheController: the shared lifecycle above, the
- * snoop() the bus's snoop filter calls (installed as ctrl.snoop)
- * (own/foreign GETS/GETX/Writeback, including the Section 3.2
- * writeback-race bookkeeping) and the data-network receive_data()
+ * stable-state snoops of the snoop() that the bus's snoop filter calls
+ * (installed as ctrl.snoop) and the data-network receive_data()
  * install/complete path.  Ports of the pure methods in
- * repro.coherence.snooping.cache_controller; the corner case and
- * pending-forward service stay pure. */
+ * repro.coherence.snooping.cache_controller.  snoop() runs in C only our
+ * own GETS/GETX being ordered, a foreign Writeback, and a foreign
+ * GETS/GETX for a block that has no Writeback record here and is not the
+ * block of our outstanding transaction.  Every snoop that meets transient
+ * state (our own Writeback, the Section 3.2 writeback race, a deferred
+ * forward, a late invalidate) calls the pure _snoop_own or
+ * _snoop_foreign, so those transitions exist once, in Python; so does the
+ * pending-forward service that receive_data() hands over. */
 
 /* Interned attribute names used by the snooping core. */
 struct snoop_names SN;
@@ -2929,7 +2923,6 @@ typedef struct {
     CCtrlCore base;
     PyObject *exclusive_state, *owned_state;
     PyObject *gets_type, *getx_type, *wb_type;
-    PyObject *waiting_phase, *lost_phase;
     PyObject *busreq_cls;
     long long c2c_cycles;
     PyObject *bus_issue;        /* bus.issue (post-rebind BusCore.issue) */
@@ -2937,7 +2930,8 @@ typedef struct {
     PyObject *writebacks_dict;  /* ctrl.writebacks */
     PyObject *forwards_dict;    /* ctrl._pending_forwards */
     PyObject *passed_set;       /* ctrl._ownership_passed */
-    PyObject *corner_meth;      /* bound ctrl._corner_case */
+    PyObject *own_meth;         /* bound ctrl._snoop_own */
+    PyObject *foreign_meth;     /* bound ctrl._snoop_foreign */
     PyObject *forwards_meth;    /* bound ctrl._process_pending_forwards */
 } CSnoopCore;
 
@@ -3066,15 +3060,14 @@ SnoopCore_traverse(CSnoopCore *self, visitproc visit, void *arg)
     Py_VISIT(self->gets_type);
     Py_VISIT(self->getx_type);
     Py_VISIT(self->wb_type);
-    Py_VISIT(self->waiting_phase);
-    Py_VISIT(self->lost_phase);
     Py_VISIT(self->busreq_cls);
     Py_VISIT(self->bus_issue);
     Py_VISIT(self->deliver);
     Py_VISIT(self->writebacks_dict);
     Py_VISIT(self->forwards_dict);
     Py_VISIT(self->passed_set);
-    Py_VISIT(self->corner_meth);
+    Py_VISIT(self->own_meth);
+    Py_VISIT(self->foreign_meth);
     Py_VISIT(self->forwards_meth);
     return ctrl_traverse(&self->base, visit, arg);
 }
@@ -3087,15 +3080,14 @@ SnoopCore_clear_gc(CSnoopCore *self)
     Py_CLEAR(self->gets_type);
     Py_CLEAR(self->getx_type);
     Py_CLEAR(self->wb_type);
-    Py_CLEAR(self->waiting_phase);
-    Py_CLEAR(self->lost_phase);
     Py_CLEAR(self->busreq_cls);
     Py_CLEAR(self->bus_issue);
     Py_CLEAR(self->deliver);
     Py_CLEAR(self->writebacks_dict);
     Py_CLEAR(self->forwards_dict);
     Py_CLEAR(self->passed_set);
-    Py_CLEAR(self->corner_meth);
+    Py_CLEAR(self->own_meth);
+    Py_CLEAR(self->foreign_meth);
     Py_CLEAR(self->forwards_meth);
     return ctrl_clear(&self->base);
 }
@@ -3123,12 +3115,11 @@ static PyObject *
 SnoopCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     PyObject *ctrl, *load_op, *store_op, *exclusive_state, *owned_state,
-        *gets_type, *getx_type, *wb_type, *waiting_phase, *lost_phase,
-        *busreq_cls, *txn_cls, *line_cls;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOO", &ctrl, &load_op,
+        *gets_type, *getx_type, *wb_type, *busreq_cls, *txn_cls, *line_cls;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOO", &ctrl, &load_op,
                           &store_op, &exclusive_state, &owned_state,
-                          &gets_type, &getx_type, &wb_type, &waiting_phase,
-                          &lost_phase, &busreq_cls, &txn_cls, &line_cls))
+                          &gets_type, &getx_type, &wb_type, &busreq_cls,
+                          &txn_cls, &line_cls))
         return NULL;
     CSnoopCore *self = (CSnoopCore *)ctrl_new(type, kwds, ctrl, load_op,
                                               store_op, txn_cls, line_cls);
@@ -3140,8 +3131,6 @@ SnoopCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->gets_type = Py_NewRef(gets_type);
     self->getx_type = Py_NewRef(getx_type);
     self->wb_type = Py_NewRef(wb_type);
-    self->waiting_phase = Py_NewRef(waiting_phase);
-    self->lost_phase = Py_NewRef(lost_phase);
     self->busreq_cls = Py_NewRef(busreq_cls);
     if (getattrstr_ll(ctrl, "CACHE_TO_CACHE_CYCLES", &self->c2c_cycles) < 0)
         goto fail;
@@ -3155,7 +3144,8 @@ SnoopCore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         capture_attr(&self->writebacks_dict, ctrl, "writebacks") < 0 ||
         capture_attr(&self->forwards_dict, ctrl, "_pending_forwards") < 0 ||
         capture_attr(&self->passed_set, ctrl, "_ownership_passed") < 0 ||
-        capture_attr(&self->corner_meth, ctrl, "_corner_case") < 0 ||
+        capture_attr(&self->own_meth, ctrl, "_snoop_own") < 0 ||
+        capture_attr(&self->foreign_meth, ctrl, "_snoop_foreign") < 0 ||
         capture_attr(&self->forwards_meth, ctrl,
                      "_process_pending_forwards") < 0)
         goto fail;
@@ -3252,118 +3242,6 @@ snoop_supply(CSnoopCore *self, PyObject *request, PyObject *value)
     return 0;
 }
 
-/* _pending_store_txn(address): 1 when our outstanding, already-ordered
- * RequestReadWrite for `address` still owes forwards. */
-static int
-snoop_pending_store(CSnoopCore *self, PyObject *txn, PyObject *addr_obj)
-{
-    if (txn == Py_None)
-        return 0;
-    PyObject *taddr = PyObject_GetAttr(txn, PS.address);
-    if (taddr == NULL)
-        return -1;
-    int same = PyObject_RichCompareBool(taddr, addr_obj, Py_EQ);
-    Py_DECREF(taddr);
-    if (same <= 0)
-        return same;
-    PyObject *tmp = PyObject_GetAttr(txn, TS.completed);
-    if (tmp == NULL)
-        return -1;
-    int truth = PyObject_IsTrue(tmp);
-    Py_DECREF(tmp);
-    if (truth != 0)
-        return truth < 0 ? -1 : 0;
-    PyObject *op = PyObject_GetAttr(txn, TS.op);
-    if (op == NULL)
-        return -1;
-    int is_store = (op == self->base.store_op);
-    Py_DECREF(op);
-    if (!is_store)
-        return 0;
-    tmp = PyObject_GetAttr(txn, TS.data_received);
-    if (tmp == NULL)
-        return -1;
-    truth = PyObject_IsTrue(tmp);
-    Py_DECREF(tmp);
-    if (truth != 0)
-        return truth < 0 ? -1 : 0;
-    tmp = PyObject_GetAttr(txn, SN.bus_ordered);
-    if (tmp == NULL)
-        return -1;
-    truth = PyObject_IsTrue(tmp);
-    Py_DECREF(tmp);
-    if (truth <= 0)
-        return truth;
-    int in = PySet_Contains(self->passed_set, addr_obj);
-    if (in < 0)
-        return -1;
-    return in ? 0 : 1;
-}
-
-/* The ordered-load late-invalidate test of _snoop_foreign_getx. */
-static int
-snoop_pending_ordered_load(CSnoopCore *self, PyObject *txn,
-                           PyObject *addr_obj)
-{
-    if (txn == Py_None)
-        return 0;
-    PyObject *taddr = PyObject_GetAttr(txn, PS.address);
-    if (taddr == NULL)
-        return -1;
-    int same = PyObject_RichCompareBool(taddr, addr_obj, Py_EQ);
-    Py_DECREF(taddr);
-    if (same <= 0)
-        return same;
-    PyObject *tmp = PyObject_GetAttr(txn, TS.completed);
-    if (tmp == NULL)
-        return -1;
-    int truth = PyObject_IsTrue(tmp);
-    Py_DECREF(tmp);
-    if (truth != 0)
-        return truth < 0 ? -1 : 0;
-    PyObject *op = PyObject_GetAttr(txn, TS.op);
-    if (op == NULL)
-        return -1;
-    int is_load = (op == self->base.load_op);
-    Py_DECREF(op);
-    if (!is_load)
-        return 0;
-    tmp = PyObject_GetAttr(txn, SN.bus_ordered);
-    if (tmp == NULL)
-        return -1;
-    truth = PyObject_IsTrue(tmp);
-    Py_DECREF(tmp);
-    if (truth <= 0)
-        return truth;
-    tmp = PyObject_GetAttr(txn, TS.data_received);
-    if (tmp == NULL)
-        return -1;
-    truth = PyObject_IsTrue(tmp);
-    Py_DECREF(tmp);
-    if (truth < 0)
-        return -1;
-    return truth ? 0 : 1;
-}
-
-/* _pending_forwards.setdefault(addr, []).append(request). */
-static int
-snoop_defer_forward(CSnoopCore *self, PyObject *addr_obj, PyObject *request)
-{
-    PyObject *lst = PyDict_GetItemWithError(self->forwards_dict, addr_obj);
-    if (lst != NULL)
-        return PyList_Append(lst, request);
-    if (PyErr_Occurred())
-        return -1;
-    lst = PyList_New(0);
-    if (lst == NULL)
-        return -1;
-    int rc = PyDict_SetItem(self->forwards_dict, addr_obj, lst);
-    if (rc == 0)
-        rc = PyList_Append(lst, request);
-    Py_DECREF(lst);
-    return rc;
-}
-
 /* _install_line fast path: upgrade in place (always writing the
  * delivered value), else allocate. */
 static int
@@ -3403,7 +3281,8 @@ snoop_receive_impl(CSnoopCore *self, PyObject *addr_obj, PyObject *value)
         goto fail;
     if (snoop_install(self, txn, value, addr_obj, addr) < 0)
         goto fail;
-    /* Late invalidate: keep the value for this one load, drop the line. */
+    /* Late invalidate (flagged by the pure _snoop_foreign_getx): keep
+     * the value for this one load, drop the line. */
     PyObject *flag = PyObject_GetAttr(txn, SN.invalidate_on_install);
     if (flag == NULL)
         goto fail;
@@ -3448,7 +3327,111 @@ fail:
     return -1;
 }
 
-/* snoop(request) -> bool: own-request ordering + foreign MOESI snoops. */
+/* Our own GETS/GETX ordered on the bus (_snoop_own): mark the transaction
+ * ordered and, when we already hold valid data, self-deliver it at +1
+ * (an upgrade: the global order grants the permission). */
+static PyObject *
+snoop_own_request(CSnoopCore *self, PyObject *txn, PyObject *addr_obj)
+{
+    if (comp_count(self->base.counters_dict, self->base.count_meth,
+                   SN.own_request_ordered) < 0 ||
+        PyObject_SetAttr(txn, SN.bus_ordered, Py_True) < 0)
+        return NULL;
+    long long addr = PyLong_AsLongLong(addr_obj);
+    if (addr == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *line = set_get(ctrl_set_for(&self->base, addr), addr_obj);
+    if (line == NULL) {
+        if (PyErr_Occurred())
+            return NULL;
+        Py_RETURN_FALSE;
+    }
+    PyObject *state = PyObject_GetAttr(line, PS.state);
+    if (state == NULL)
+        return NULL;
+    int valid = (state != self->base.invalid_state);
+    Py_DECREF(state);
+    if (!valid)
+        Py_RETURN_FALSE;
+    PyObject *lvalue = PyObject_GetAttr(line, S.value);
+    if (lvalue == NULL)
+        return NULL;
+    if (lvalue == Py_None)
+        Py_SETREF(lvalue, Py_NewRef(self->base.zero_obj));
+    CSnoopRecvThunk *rt = PyObject_GC_New(CSnoopRecvThunk,
+                                          &CSnoopRecvThunk_Type);
+    if (rt == NULL) {
+        Py_DECREF(lvalue);
+        return NULL;
+    }
+    Py_INCREF(self);
+    rt->core = self;
+    Py_INCREF(addr_obj);
+    rt->addr = addr_obj;
+    rt->value = lvalue;  /* steal */
+    PyObject_GC_Track((PyObject *)rt);
+    PyObject *ev = queue_push_internal(self->base.cqueue,
+                                       self->base.sim->now + 1,
+                                       (PyObject *)rt, self->base.name_obj);
+    Py_DECREF(rt);
+    if (ev == NULL)
+        return NULL;
+    Py_DECREF(ev);
+    Py_RETURN_TRUE;
+}
+
+/* A foreign GETS/GETX for a block in a stable state here: an owner
+ * supplies the data (a GETS leaves it Owned), and a GETX invalidates any
+ * valid copy.  The stable-state branches of _snoop_foreign_gets/getx. */
+static PyObject *
+snoop_foreign_stable(CSnoopCore *self, PyObject *request, PyObject *addr_obj,
+                     int is_gets)
+{
+    long long addr = PyLong_AsLongLong(addr_obj);
+    if (addr == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *set = ctrl_set_for(&self->base, addr);
+    PyObject *line = set_get(set, addr_obj);
+    if (line == NULL) {
+        if (PyErr_Occurred())
+            return NULL;
+        Py_RETURN_FALSE;
+    }
+    Py_INCREF(line);  /* hold across invalidation */
+    PyObject *state = PyObject_GetAttr(line, PS.state);
+    if (state == NULL) {
+        Py_DECREF(line);
+        return NULL;
+    }
+    int is_owner = (state == self->base.modified_state ||
+                    state == self->owned_state ||
+                    state == self->exclusive_state);
+    int rc = 0;
+    if (is_owner) {
+        if (is_gets && (state == self->base.modified_state ||
+                        state == self->exclusive_state))
+            rc = txn_set_state(self->base.observer, line, addr_obj,
+                               self->owned_state);
+        if (rc == 0) {
+            PyObject *lvalue = PyObject_GetAttr(line, S.value);
+            rc = (lvalue == NULL) ? -1 : snoop_supply(self, request, lvalue);
+            Py_XDECREF(lvalue);
+        }
+    }
+    if (rc == 0 && !is_gets && state != self->base.invalid_state)
+        rc = snoop_invalidate(self, set, line, addr_obj);
+    Py_DECREF(state);
+    Py_DECREF(line);
+    if (rc < 0)
+        return NULL;
+    return PyBool_FromLong(is_owner);
+}
+
+/* snoop(request) -> bool.  The stable-state snoops run here.  A snoop that
+ * meets transient state runs the pure handler instead: our own Writeback
+ * runs _snoop_own, and a foreign GETS/GETX for a block that has a
+ * Writeback record here, or is our transaction's block, runs
+ * _snoop_foreign. */
 static PyObject *
 SnoopCore_snoop(CSnoopCore *self, PyObject *request)
 {
@@ -3462,312 +3445,46 @@ SnoopCore_snoop(CSnoopCore *self, PyObject *request)
     PyObject *rtype = PyObject_GetAttr(request, SN.rtype);
     if (rtype == NULL)
         return NULL;
-    PyObject *addr_obj = PyObject_GetAttr(request, PS.address);
-    if (addr_obj == NULL) {
-        Py_DECREF(rtype);
-        return NULL;
-    }
-    PyObject *result = NULL;
-
-    if (own) {
-        if (rtype == self->wb_type) {
-            /* Own writeback ordered on the bus. */
-            PyObject *record = PyDict_GetItemWithError(self->writebacks_dict,
-                                                       addr_obj);
-            if (record == NULL && PyErr_Occurred())
-                goto done;
-            if (record != NULL) {
-                if (PyDict_DelItem(self->writebacks_dict, addr_obj) < 0)
-                    goto done;
-                if (comp_count(self->base.counters_dict, self->base.count_meth,
-                               SN.writebacks_ordered) < 0)
-                    goto done;
-            }
-            result = Py_False;
-            goto done;
-        }
-        PyObject *txn = PyObject_GetAttr(self->base.ctrl, TS.transaction);
-        if (txn == NULL)
-            goto done;
-        int matches = 0;
-        if (txn != Py_None) {
-            PyObject *taddr = PyObject_GetAttr(txn, PS.address);
-            if (taddr == NULL) {
-                Py_DECREF(txn);
-                goto done;
-            }
-            matches = PyObject_RichCompareBool(taddr, addr_obj, Py_EQ);
-            Py_DECREF(taddr);
-            if (matches < 0) {
-                Py_DECREF(txn);
-                goto done;
-            }
-        }
-        if (!matches) {
-            Py_DECREF(txn);
-            result = Py_False;
-            goto done;
-        }
-        if (comp_count(self->base.counters_dict, self->base.count_meth,
-                       SN.own_request_ordered) < 0 ||
-            PyObject_SetAttr(txn, SN.bus_ordered, Py_True) < 0) {
-            Py_DECREF(txn);
-            goto done;
-        }
-        Py_DECREF(txn);
-        long long addr = PyLong_AsLongLong(addr_obj);
-        if (addr == -1 && PyErr_Occurred())
-            goto done;
-        PyObject *set = ctrl_set_for(&self->base, addr);
-        PyObject *line = set_get(set, addr_obj);
-        if (line == NULL && PyErr_Occurred())
-            goto done;
-        if (line != NULL) {
-            PyObject *state = PyObject_GetAttr(line, PS.state);
-            if (state == NULL)
-                goto done;
-            int valid = (state != self->base.invalid_state);
-            Py_DECREF(state);
-            if (valid) {
-                /* Hit own valid copy at order time: self-deliver at +1. */
-                PyObject *lvalue = PyObject_GetAttr(line, S.value);
-                if (lvalue == NULL)
-                    goto done;
-                if (lvalue == Py_None)
-                    Py_SETREF(lvalue, Py_NewRef(self->base.zero_obj));
-                CSnoopRecvThunk *rt = PyObject_GC_New(CSnoopRecvThunk,
-                                                      &CSnoopRecvThunk_Type);
-                if (rt == NULL) {
-                    Py_DECREF(lvalue);
-                    goto done;
-                }
-                Py_INCREF(self);
-                rt->core = self;
-                Py_INCREF(addr_obj);
-                rt->addr = addr_obj;
-                rt->value = lvalue;  /* steal */
-                PyObject_GC_Track((PyObject *)rt);
-                PyObject *ev = queue_push_internal(self->base.cqueue,
-                                                   self->base.sim->now + 1,
-                                                   (PyObject *)rt,
-                                                   self->base.name_obj);
-                Py_DECREF(rt);
-                if (ev == NULL)
-                    goto done;
-                Py_DECREF(ev);
-                result = Py_True;
-                goto done;
-            }
-        }
-        result = Py_False;
-        goto done;
-    }
-
-    /* Foreign request. */
-    if (rtype == self->wb_type) {
-        result = Py_False;
-        goto done;
-    }
-    long long addr = PyLong_AsLongLong(addr_obj);
-    if (addr == -1 && PyErr_Occurred())
-        goto done;
-    PyObject *set = ctrl_set_for(&self->base, addr);
-    PyObject *line = set_get(set, addr_obj);  /* borrowed */
-    if (line == NULL && PyErr_Occurred())
-        goto done;
-    PyObject *state;  /* new ref */
-    if (line != NULL) {
-        Py_INCREF(line);  /* hold across invalidation */
-        state = PyObject_GetAttr(line, PS.state);
-        if (state == NULL) {
-            Py_DECREF(line);
-            goto done;
-        }
-    }
-    else {
-        state = self->base.invalid_state;
-        Py_INCREF(state);
-    }
-    PyObject *record = PyDict_GetItemWithError(self->writebacks_dict,
-                                               addr_obj);
-    if (record == NULL && PyErr_Occurred()) {
-        Py_XDECREF(line);
-        Py_DECREF(state);
-        goto done;
-    }
-    Py_XINCREF(record);
-    int is_owner = (state == self->base.modified_state ||
-                    state == self->owned_state ||
-                    state == self->exclusive_state);
-
-    if (rtype == self->gets_type) {
-        if (is_owner) {
-            if ((state == self->base.modified_state ||
-                 state == self->exclusive_state) &&
-                txn_set_state(self->base.observer, line, addr_obj,
-                              self->owned_state) < 0)
-                goto fail_foreign;
-            PyObject *lvalue = PyObject_GetAttr(line, S.value);
-            if (lvalue == NULL)
-                goto fail_foreign;
-            int rc = snoop_supply(self, request, lvalue);
-            Py_DECREF(lvalue);
-            if (rc < 0)
-                goto fail_foreign;
-            result = Py_True;
-            goto done_foreign;
-        }
-        if (record != NULL) {
-            PyObject *phase = PyObject_GetAttr(record, SN.phase);
-            if (phase == NULL)
-                goto fail_foreign;
-            int waiting = (phase == self->waiting_phase);
-            Py_DECREF(phase);
-            if (waiting) {
-                PyObject *rvalue = PyObject_GetAttr(record, S.value);
-                if (rvalue == NULL)
-                    goto fail_foreign;
-                int rc = snoop_supply(self, request, rvalue);
-                Py_DECREF(rvalue);
-                if (rc < 0)
-                    goto fail_foreign;
-                result = Py_True;
-                goto done_foreign;
-            }
-        }
-        PyObject *txn = PyObject_GetAttr(self->base.ctrl, TS.transaction);
-        if (txn == NULL)
-            goto fail_foreign;
-        int pending = snoop_pending_store(self, txn, addr_obj);
-        Py_DECREF(txn);
-        if (pending < 0)
-            goto fail_foreign;
-        if (pending) {
-            if (snoop_defer_forward(self, addr_obj, request) < 0 ||
-                comp_count(self->base.counters_dict, self->base.count_meth,
-                           SN.forwards_deferred) < 0)
-                goto fail_foreign;
-            result = Py_True;
-            goto done_foreign;
-        }
-        result = Py_False;
-        goto done_foreign;
-    }
-
-    /* GETX */
-    {
-        int supplied = 0;
-        if (is_owner) {
-            PyObject *lvalue = PyObject_GetAttr(line, S.value);
-            if (lvalue == NULL)
-                goto fail_foreign;
-            int rc = snoop_supply(self, request, lvalue);
-            Py_DECREF(lvalue);
-            if (rc < 0)
-                goto fail_foreign;
-            supplied = 1;
-        }
-        if (state != self->base.invalid_state) {
-            if (snoop_invalidate(self, set, line, addr_obj) < 0)
-                goto fail_foreign;
-        }
-        PyObject *txn = PyObject_GetAttr(self->base.ctrl, TS.transaction);
-        if (txn == NULL)
-            goto fail_foreign;
-        int pending = snoop_pending_store(self, txn, addr_obj);
-        if (pending < 0) {
-            Py_DECREF(txn);
-            goto fail_foreign;
-        }
-        if (pending) {
-            /* Our pending store will win the line later; remember that
-             * ownership already passed to this requestor. */
-            if (snoop_defer_forward(self, addr_obj, request) < 0 ||
-                PySet_Add(self->passed_set, addr_obj) < 0 ||
-                comp_count(self->base.counters_dict, self->base.count_meth,
-                           SN.forwards_deferred) < 0) {
-                Py_DECREF(txn);
-                goto fail_foreign;
-            }
-            supplied = 1;
-        }
-        else {
-            int ordered_load = snoop_pending_ordered_load(self, txn,
-                                                          addr_obj);
-            if (ordered_load < 0) {
-                Py_DECREF(txn);
-                goto fail_foreign;
-            }
-            if (ordered_load) {
-                if (PyObject_SetAttr(txn, SN.invalidate_on_install,
-                                     Py_True) < 0 ||
-                    comp_count(self->base.counters_dict, self->base.count_meth,
-                               SN.late_invalidates) < 0) {
-                    Py_DECREF(txn);
-                    goto fail_foreign;
-                }
-            }
-        }
-        Py_DECREF(txn);
-        if (record != NULL) {
-            PyObject *phase = PyObject_GetAttr(record, SN.phase);
-            if (phase == NULL)
-                goto fail_foreign;
-            if (phase == self->waiting_phase) {
-                Py_DECREF(phase);
-                PyObject *rvalue = PyObject_GetAttr(record, S.value);
-                if (rvalue == NULL)
-                    goto fail_foreign;
-                int rc = snoop_supply(self, request, rvalue);
-                Py_DECREF(rvalue);
-                if (rc < 0)
-                    goto fail_foreign;
-                if (PyObject_SetAttr(record, SN.phase,
-                                     self->lost_phase) < 0)
-                    goto fail_foreign;
-                PyObject *rreq = PyObject_GetAttr(record,
-                                                  SN.record_request);
-                if (rreq == NULL)
-                    goto fail_foreign;
-                rc = PyObject_SetAttr(rreq, S.value, Py_None);
-                Py_DECREF(rreq);
-                if (rc < 0)
-                    goto fail_foreign;
-                if (comp_count(self->base.counters_dict, self->base.count_meth,
-                               SN.writeback_race_first_getx) < 0)
-                    goto fail_foreign;
-                supplied = 1;
-            }
-            else if (phase == self->lost_phase) {
-                Py_DECREF(phase);
-                PyObject *res = PyObject_CallOneArg(self->corner_meth,
-                                                    request);
-                if (res == NULL)
-                    goto fail_foreign;
-                Py_DECREF(res);
-            }
-            else
-                Py_DECREF(phase);
-        }
-        result = supplied ? Py_True : Py_False;
-        goto done_foreign;
-    }
-
-fail_foreign:
-    Py_XDECREF(record);
-    Py_XDECREF(line);
-    Py_DECREF(state);
-    goto done;
-done_foreign:
-    Py_XDECREF(record);
-    Py_XDECREF(line);
-    Py_DECREF(state);
-done:
+    int is_wb = (rtype == self->wb_type);
+    int is_gets = (rtype == self->gets_type);
     Py_DECREF(rtype);
-    Py_DECREF(addr_obj);
-    if (result == NULL)
+    if (is_wb) {
+        if (own)
+            return PyObject_CallOneArg(self->own_meth, request);
+        Py_RETURN_FALSE;  /* another node's Writeback changes nothing here */
+    }
+    PyObject *addr_obj = PyObject_GetAttr(request, PS.address);
+    if (addr_obj == NULL)
         return NULL;
-    Py_INCREF(result);
+    PyObject *result = NULL;
+    int on_txn = 0;
+    PyObject *txn = PyObject_GetAttr(self->base.ctrl, TS.transaction);
+    if (txn == NULL)
+        goto done;
+    if (txn != Py_None) {
+        PyObject *taddr = PyObject_GetAttr(txn, PS.address);
+        if (taddr == NULL)
+            goto done;
+        on_txn = PyObject_RichCompareBool(taddr, addr_obj, Py_EQ);
+        Py_DECREF(taddr);
+        if (on_txn < 0)
+            goto done;
+    }
+    if (own) {
+        result = on_txn ? snoop_own_request(self, txn, addr_obj)
+                        : Py_NewRef(Py_False);
+        goto done;
+    }
+    int transient = on_txn ? 1 : PyDict_Contains(self->writebacks_dict,
+                                                 addr_obj);
+    if (transient < 0)
+        goto done;
+    result = transient ? PyObject_CallOneArg(self->foreign_meth, request)
+                       : snoop_foreign_stable(self, request, addr_obj,
+                                              is_gets);
+done:
+    Py_XDECREF(txn);
+    Py_DECREF(addr_obj);
     return result;
 }
 

@@ -3090,16 +3090,10 @@ PyInit__ckernel(void)
     } while (0)
     INTERN(requestor, "requestor");
     INTERN(rtype, "rtype");
-    INTERN(phase, "phase");
-    INTERN(record_request, "request");
     INTERN(bus_ordered, "bus_ordered");
     INTERN(invalidate_on_install, "invalidate_on_install");
-    INTERN(writebacks_ordered, "writebacks_ordered");
     INTERN(own_request_ordered, "own_request_ordered");
     INTERN(cache_to_cache_transfers, "cache_to_cache_transfers");
-    INTERN(forwards_deferred, "forwards_deferred");
-    INTERN(late_invalidates, "late_invalidates");
-    INTERN(writeback_race_first_getx, "writeback_race_first_getx");
     INTERN(stale_data, "stale_data");
     INTERN(duplicate_data, "duplicate_data");
 #undef INTERN

@@ -73,7 +73,6 @@ class BlockingCacheController(Component):
         self.on_retire: Callable[[int], None] = lambda node: None
         #: Timeout configuration; installed by the system builder.
         self.timeout_cycles: Optional[int] = None
-        self.detected_misspeculations = 0
         #: Bumped on every recovery; delayed actions from before a recovery
         #: (slow-start retries, install retries) are dropped when they fire.
         self.generation = 0
@@ -192,7 +191,6 @@ class BlockingCacheController(Component):
         txn.timeout_event = None
         if txn.completed or self.transaction is not txn:
             return
-        self.detected_misspeculations += 1
         self.count("timeout_detections")
         description, details = self._timeout_description(txn)
         self._report(MisspeculationEvent(

@@ -172,7 +172,6 @@ class DirectoryCacheController(BlockingCacheController):
         therefore proves the network reordered the two messages.
         """
         if self.p2p_detection_enabled:
-            self.detected_misspeculations += 1
             self.count("p2p_order_detections")
             self._report(MisspeculationEvent(
                 kind=SpeculationKind.DIRECTORY_P2P_ORDER,

@@ -84,7 +84,6 @@ class SnoopingCacheController(BlockingCacheController):
         #: Addresses for which ownership has already been passed on to a
         #: later RequestReadWrite (we stop collecting forwards for them).
         self._ownership_passed: set = set()
-        self.corner_cases_handled = 0
 
     # ============================================================= transactions
     def _request(self, txn: Transaction) -> None:
@@ -98,7 +97,14 @@ class SnoopingCacheController(BlockingCacheController):
 
     # ================================================================== snooping
     def snoop(self, request: BusRequest) -> bool:
-        """Observe an ordered request; returns True if we will supply data."""
+        """Observe an ordered request; returns True if we will supply data.
+
+        The compiled tier rebinds this to ``SnoopCore.snoop``, which runs
+        the stable-state snoops itself and calls ``_snoop_own`` (our own
+        Writeback) and ``_snoop_foreign`` (a foreign request for a block
+        with a Writeback record here, or for our transaction's block) for
+        every snoop that meets transient state.
+        """
         if request.requestor == self.node_id:
             return self._snoop_own(request)
         return self._snoop_foreign(request)
@@ -218,7 +224,6 @@ class SnoopingCacheController(BlockingCacheController):
 
     def _corner_case(self, request: BusRequest) -> None:
         if self.corner_case_detection_enabled:
-            self.detected_misspeculations += 1
             self.count("corner_case_detections")
             self._report(MisspeculationEvent(
                 kind=SpeculationKind.SNOOPING_CORNER_CASE,
@@ -230,7 +235,6 @@ class SnoopingCacheController(BlockingCacheController):
         else:
             # Full protocol: the transition is specified — we are no longer
             # the owner, the current owner supplies data, nothing to do.
-            self.corner_cases_handled += 1
             self.count("corner_case_handled")
 
     def _supply(self, request: BusRequest, value: Optional[int]) -> None:

@@ -402,14 +402,6 @@ class InterconnectNetwork:
         if router is not None:
             router.disable_until(self.sim.now + cycles)
 
-    @property
-    def adaptive_routing_disabled(self) -> bool:
-        """Whether the adaptive router is currently in its disabled window
-        (always False for static routing).  Surfaced so the S1 speculation
-        can report forward-progress state in its stats."""
-        router = self.adaptive_router
-        return router is not None and not router.currently_adaptive
-
 
 def make_message(src: int, dst: int, msg_class: MessageClass, *,
                  address: Optional[int] = None, payload=None,

@@ -20,7 +20,7 @@ from repro.coherence.common import MemoryOp, Transaction
 from repro.coherence.snooping.bus import AddressBus, BusRequest, BusRequestType
 from repro.coherence.snooping.cache_controller import SnoopingCacheController
 from repro.coherence.snooping.memory_controller import SnoopingMemoryController
-from repro.coherence.snooping.states import SnoopState, WritebackPhase
+from repro.coherence.snooping.states import SnoopState
 from repro.processor.core import BlockingProcessor
 from repro.processor.l1 import L1FilterCache, L1State
 from repro.safetynet.manager import SafetyNet
@@ -107,10 +107,13 @@ class SnoopingSystem(System):
         # Rebind the issue loop, bus arbitration and the cache-controller
         # transition handlers onto the compiled cores (byte-identical ports;
         # the pure methods stay authoritative and still handle every cold
-        # path).  BusCore is installed first: SnoopCore captures
-        # ``ctrl.bus.issue`` at construction and must see the compiled
-        # arbitration loop.  A core missing from the extension leaves its
-        # path pure.
+        # path).  ``ctrl.snoop`` becomes SnoopCore's, which runs only the
+        # stable-state snoops and calls the pure ``_snoop_own`` and
+        # ``_snoop_foreign`` (bound at construction, never rebound) for
+        # every snoop that meets transient state.  BusCore is installed
+        # first: SnoopCore captures ``ctrl.bus.issue`` at construction and
+        # must see the compiled arbitration loop.  A core missing from the
+        # extension leaves its path pure.
         impl = kernel.engine_impl()
         if impl is None or not hasattr(impl, "ProcessorCore"):
             return
@@ -137,10 +140,8 @@ class SnoopingSystem(System):
                     ctrl, MemoryOp.LOAD, MemoryOp.STORE,
                     SnoopState.EXCLUSIVE, SnoopState.OWNED,
                     BusRequestType.GETS, BusRequestType.GETX,
-                    BusRequestType.WRITEBACK,
-                    WritebackPhase.WAITING_OWN_WB,
-                    WritebackPhase.LOST_OWNERSHIP,
-                    BusRequest, Transaction, CacheLine)
+                    BusRequestType.WRITEBACK, BusRequest, Transaction,
+                    CacheLine)
                 ctrl._snoop_core = snoop_core
                 node.processor.l2_access = snoop_core.access
                 ctrl.receive_data = snoop_core.receive_data

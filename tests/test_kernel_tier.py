@@ -249,6 +249,23 @@ class TestCompiledTierInstalled:
         for observer in observers:
             assert type(observer).__name__ == "LogObserver"
 
+    def test_l1_with_an_observer_fails_at_build(self, monkeypatch):
+        """MemoryCompleteCore's L1 fill logs nothing, so an L1 whose tags
+        have a change observer is refused instead of taking a second,
+        pure fill path."""
+        from repro.processor.l1 import L1FilterCache
+
+        init = L1FilterCache.__init__
+
+        def observed(l1, name, config):
+            init(l1, name, config)
+            l1.tags.set_observer(lambda *change: None)
+
+        monkeypatch.setattr(L1FilterCache, "__init__", observed)
+        kernel.set_kernel_tier("compiled")
+        with pytest.raises(TypeError, match="MemoryCompleteCore"):
+            self._build_system()
+
     def test_pure_tier_leaves_switches_uncompiled(self):
         kernel.set_kernel_tier("pure")
         system = self._build_system()

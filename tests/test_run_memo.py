@@ -490,7 +490,8 @@ def forced_snooping_corner_case(variant: ProtocolVariant):
             protocol=ProtocolKind.SNOOPING, variant=variant))
     ctrl = system.nodes[1].cache_controller
     if kernel.active_tier() == "compiled":
-        # The compiled SnoopCore reaches the site through ``_corner_case``.
+        # The compiled SnoopCore reaches the site through the pure
+        # ``_snoop_foreign``: the block has a Writeback record here.
         assert ctrl.snoop == ctrl._snoop_core.snoop
     ctrl.access(MemoryRequest(node=1, op=MemoryOp.STORE, address=0x2000,
                               value=7), lambda request: None)

@@ -5,9 +5,11 @@ the requestor, or, for a RequestReadOnly/ReadWrite, holds the block in its
 L2, has a Writeback record for it or has its outstanding transaction on it.
 These tests check that every skipped call would have returned False and
 changed nothing, on the pure handlers and on the compiled ``SnoopCore``,
-and pin eviction-heavy runs (Writebacks, a writeback race, deferred
-forwards, late invalidates, injected recoveries) to digests computed when
-every ordered request still reached every controller.
+that ``SnoopCore`` hands exactly the snoops that meet transient state to
+the pure handlers, and pin eviction-heavy runs (Writebacks, a writeback
+race, deferred forwards, late invalidates, injected recoveries) to
+digests computed when every ordered request still reached every
+controller.
 """
 
 from __future__ import annotations
@@ -71,8 +73,7 @@ def footprint(controller: SnoopingCacheController, whole_cache: bool,
     txn_state = None if txn is None else tuple(
         getattr(txn, slot, None) for slot in type(txn).__slots__)
     return (lines, records, forwards, sorted(controller._ownership_passed),
-            txn_state, controller.detected_misspeculations,
-            controller.corner_cases_handled,
+            txn_state,
             {name: counter.value
              for name, counter in controller._counters.items()},
             len(controller.sim.queue))
@@ -183,6 +184,57 @@ def test_unfiltered_run_matches_and_skips_only_no_ops(tier, workload,
     ordered = result.counters["bus.requests_ordered"]
     # Most deliveries are skippable, foreign Writebacks among them.
     assert sum(skipped) > 10 * ordered and skipped[1] > 0
+
+
+# ------------------------------------------------ transient-state delegation
+def _meets_transient_state(controller: SnoopingCacheController,
+                           request: BusRequest) -> bool:
+    """``SnoopCore``'s delegation test, restated: our own Writeback, or a
+    foreign request for a block with a Writeback record here or for the
+    block of our outstanding transaction."""
+    if request.requestor == controller.node_id:
+        return request.rtype is BusRequestType.WRITEBACK
+    txn = controller.transaction
+    return (request.address in controller.writebacks
+            or (txn is not None and txn.address == request.address))
+
+
+def _handler_calls(tier: str, monkeypatch) -> tuple:
+    """Run an eviction-heavy point and record, for each call of the pure
+    ``_snoop_own``/``_snoop_foreign``, whether it met transient state.
+    The wrappers go in before the build: ``SnoopCore`` binds both methods
+    at construction."""
+    calls: List[bool] = []
+    with monkeypatch.context() as patch:
+        for name in ("_snoop_own", "_snoop_foreign"):
+            handler = getattr(SnoopingCacheController, name)
+
+            def recorded(self, request, handler=handler):
+                calls.append(_meets_transient_state(self, request))
+                return handler(self, request)
+            patch.setattr(SnoopingCacheController, name, recorded)
+        kernel.set_kernel_tier(tier)
+        system = build_system(eviction_heavy(
+            "hotspot", ProtocolVariant.SPECULATIVE, references=200))
+        result = system.run()
+    return calls, digest(result)
+
+
+@pytest.mark.skipif(not HAVE_COMPILED,
+                    reason="repro._ckernel extension not built")
+def test_snoop_core_delegates_exactly_the_transient_snoops(monkeypatch):
+    """The compiled tier calls the pure handlers for every snoop that meets
+    transient state and for no other, and the run's bytes stay those of
+    the pure tier."""
+    pure_calls, pure_digest = _handler_calls("pure", monkeypatch)
+    compiled_calls, compiled_digest = _handler_calls("compiled", monkeypatch)
+    transient = sum(pure_calls)
+    # The pure tier calls a handler for every delivered snoop, most of
+    # them in stable state.
+    assert 0 < transient < len(pure_calls)
+    assert all(compiled_calls)
+    assert len(compiled_calls) == transient
+    assert compiled_digest == pure_digest
 
 
 # ----------------------------------------------------- eviction-heavy pins

@@ -212,7 +212,8 @@ class TestSection32CornerCase:
         second = BusRequest(requestor=3, address=0x2000, rtype=BusRequestType.GETX)
         h.ctrls[1].snoop(second)
         assert not h.events
-        assert h.ctrls[1].corner_cases_handled == 1
+        assert h.ctrls[1].stats.counters()[
+            "snoopctrl1.corner_case_handled"] == 1
 
     def test_corner_case_requires_two_distinct_racing_writers(self):
         """A single racing RequestReadWrite never triggers detection."""
